@@ -20,7 +20,7 @@ from .nonlinearity import (CallableMap, HillRepressor, LinearMap,
                            NonlinearitySpec, ZeroMap, derivatives_consistent,
                            hes1_nonlinearity, validate_derivatives)
 from .model import (Equilibrium, ModelParams, find_equilibrium, hes1_params,
-                    rhs_constant_delay, rhs_original, rhs_transformed)
+                    rhs_original, rhs_transformed)
 from .stability import (CharParams, HopfPoint, StabilityClassification,
                         StabilityKind, char_eval, characteristic_root_near,
                         classify_stability, solve_beta, solve_hopf,

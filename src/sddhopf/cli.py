@@ -10,9 +10,7 @@ fail loudly. Individual flags override single fields. Exit codes:
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -92,10 +90,15 @@ class RunConfig:
         nl = self.nonlinearity_block
         if nl["kind"] == "zero":
             return NonlinearitySpec(f=ZeroMap(), g=ZeroMap())
+        h = _need_number(nl, "h", "nonlinearity", 5.0)
+        # runs that drive xi negative need (y/ybar)**h real there
+        if not h.is_integer():
+            raise ConfigError("field 'h' in nonlinearity block must be an "
+                              "integer, got %r" % nl["h"])
         return hes1_nonlinearity(
             alpha_m=_need_number(nl, "alpha_m", "nonlinearity", 35.0),
             ybar=_need_number(nl, "ybar", "nonlinearity", 1200.0),
-            h=int(_need_number(nl, "h", "nonlinearity", 5.0)),
+            h=h,
             alpha_p=_need_number(nl, "alpha_p", "nonlinearity", 10.0))
 
     def params(self) -> ModelParams:
@@ -376,17 +379,11 @@ def cmd_simulate(cfg: RunConfig):
     return 0
 
 
-def _thread_count():
-    raw = os.environ.get("SDDHOPF_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("SDDHOPF_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise ConfigError("SDDHOPF_THREADS must be positive")
-    return n
+def _csv_field(text):
+    """text as one CSV field, quoted when it holds a comma or a quote."""
+    if "," in text or '"' in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def cmd_sweep(cfg: RunConfig):
@@ -401,21 +398,20 @@ def cmd_sweep(cfg: RunConfig):
     rtol = float(cfg.opt("rtol", 1e-7))
 
     def cell(rv, cv):
+        # one bad cell (a grid value ModelParams rejects, or one whose
+        # equilibrium solve overflows) is reported in place; the rest of
+        # the grid still runs
         try:
             par = base.with_overrides(**{row_name: rv, col_name: cv})
             eq = find_equilibrium(par)
             return dde.classify_dynamics(par, eq, small_kick=small_kick,
                                          probe_scales=probe_scales,
                                          eta_end=eta_end, rtol=rtol)
-        except SddhopfError as exc:
-            return "error:%s" % type(exc).__name__
+        except (SddhopfError, ValueError, ArithmeticError) as exc:
+            return "error: %s" % (str(exc) or type(exc).__name__)
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = {(i, j): pool.submit(cell, rv, cv)
-                   for i, rv in enumerate(row_vals)
-                   for j, cv in enumerate(col_vals)}
-        labels = [[futures[(i, j)].result() for j in range(len(col_vals))]
-                  for i in range(len(row_vals))]
+    # cells are pure Python under the interpreter lock: threads gain nothing
+    labels = [[cell(rv, cv) for cv in col_vals] for rv in row_vals]
 
     overlays = {"eps0": None, "c0": None}
     try:
@@ -438,7 +434,7 @@ def cmd_sweep(cfg: RunConfig):
         lines = ["%s\\%s," % (row_name, col_name)
                  + ",".join("%.17g" % v for v in col_vals)]
         for rv, row in zip(row_vals, labels):
-            lines.append("%.17g," % rv + ",".join(row))
+            lines.append("%.17g," % rv + ",".join(_csv_field(s) for s in row))
         _write("\n".join(lines) + "\n", cfg.out_path())
         return 0
     if fmt == "json":

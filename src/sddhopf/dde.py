@@ -8,12 +8,17 @@ Steps are capped so no delayed argument lands beyond the dense frontier,
 and the first few generations of the initial discontinuity get a step-size
 cap near their predicted images rather than exact tracking (the error
 control absorbs the residue).
+
+The step loop runs on plain floats: for a two-component state the
+per-call overhead of numpy outweighs its arithmetic. Everything after
+integration (sampling, the delay column) is vectorised over the samples.
 """
 
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -22,36 +27,33 @@ from scipy.optimize import brentq
 from .errors import (DenominatorBreach, HistoryTooShort, IncompatibleData,
                      InsufficientCycles, NoBracket, NoConvergence,
                      SlopeBoundWarning)
-from .model import (Equilibrium, ModelParams, rhs_constant_delay, rhs_original,
-                    rhs_transformed)
+from .model import Equilibrium, ModelParams, rhs_original, rhs_transformed
 
-# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant,
+# written out as scalars (zero entries dropped).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+# Columns 1..3 of the interpolant matrix P, over stages 1, 3, 4, 5, 6, 7
+# (stage 2 has a zero row; column 0 is stage 1 alone).
+_P_COLS = (
+    (-8048581381 / 2820520608, 131558114200 / 32700410799,
+     -1754552775 / 470086768, 127303824393 / 49829197408,
+     -282668133 / 205662961, 40617522 / 29380423),
+    (8663915743 / 2820520608, -68118460800 / 10900136933,
+     14199869525 / 1410260304, -318862633887 / 49829197408,
+     2019193451 / 616988883, -110615467 / 29380423),
+    (-12715105075 / 11282082432, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423),
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920,
-               17253 / 339200, -22 / 525, 1 / 40])
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -120,49 +122,119 @@ def bump_history(base_state, kick, span, t0=0.0) -> InitialHistory:
     return InitialHistory(value=value, derivative=derivative, t0=t0, span=w)
 
 
+_SEG = 12     # doubles per segment: t_old, h, y_old[0:2], Q[0, 0:4], Q[1, 0:4]
+
+
 class History:
-    """Dense solution history: initial data plus accepted-step interpolants."""
+    """Dense solution history: initial data plus accepted-step interpolants.
+
+    Segments live in one flat array of doubles; on segment i, the state at
+    t_old + x h is y_old + h x (Q0 + x (Q1 + x (Q2 + x Q3))) per component.
+    """
 
     def __init__(self, initial: InitialHistory):
         self.initial = initial
         self.t0 = initial.t0
-        self.frontier = initial.t0
+        self._set_frontier(initial.t0)
         self._ends: List[float] = []
-        self._segs: List[tuple] = []     # (t_old, h, y_old, Q)
+        self._store = array("d")
+        self._cursor = 0       # segment of the last lookup; lookups creep forward
         probe = np.array([initial.value(initial.t0 - initial.span * k / 64)[0]
                           for k in range(65)])
         self.x_min = float(np.min(probe))
         self.x_max = float(np.max(probe))
 
+    def _set_frontier(self, t):
+        self.frontier = t
+        self._limit = t + 1e-10 * max(1.0, abs(t))
+
     def append(self, t_old, h, y_old, K):
-        Q = K.T @ _P
-        self._segs.append((t_old, h, y_old.copy(), Q))
-        self._ends.append(t_old + h)
-        self.frontier = t_old + h
-        y_new = self.eval(self.frontier)
-        self.x_min = min(self.x_min, float(y_new[0]))
-        self.x_max = max(self.x_max, float(y_new[0]))
+        """Store one accepted step; K holds the seven stage slopes as a flat
+        (x, y) sequence."""
+        k1x, k1y, _, _, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = K
+        qx = [k1x * p1 + k3x * p3 + k4x * p4 + k5x * p5 + k6x * p6 + k7x * p7
+              for p1, p3, p4, p5, p6, p7 in _P_COLS]
+        qy = [k1y * p1 + k3y * p3 + k4y * p4 + k5y * p5 + k6y * p6 + k7y * p7
+              for p1, p3, p4, p5, p6, p7 in _P_COLS]
+        y0, y1 = y_old
+        self._store.extend((t_old, h, y0, y1, k1x, *qx, k1y, *qy))
+        t_new = t_old + h
+        self._ends.append(t_new)
+        self._set_frontier(t_new)
+        x = (t_new - t_old) / h
+        x_new = y0 + h * x * (k1x + x * (qx[0] + x * (qx[1] + x * qx[2])))
+        self.x_min = min(self.x_min, x_new)
+        self.x_max = max(self.x_max, x_new)
 
     def x_span(self) -> float:
         return self.x_max - self.x_min
 
-    def eval(self, t: float) -> np.ndarray:
-        if t > self.frontier + 1e-10 * max(1.0, abs(self.frontier)):
+    def eval(self, t: float):
+        """State (x, y) at time t, as a tuple of floats."""
+        if t > self._limit:
             raise _BeyondFrontier(t)
-        if t <= self.t0 or not self._segs:
-            return np.asarray(self.initial.value(min(t, self.t0)), dtype=float)
-        i = bisect.bisect_left(self._ends, t)
-        if i >= len(self._segs):
-            i = len(self._segs) - 1
-        t_old, h, y_old, Q = self._segs[i]
+        ends = self._ends
+        if t <= self.t0 or not ends:
+            v = self.initial.value(min(t, self.t0))
+            return float(v[0]), float(v[1])
+        # first segment whose end is >= t, searched from the last one used
+        i = self._cursor
+        if t <= ends[i]:
+            if i and t <= ends[i - 1]:
+                i = bisect.bisect_left(ends, t, 0, i - 1)
+        elif i + 1 < len(ends) and t <= ends[i + 1]:
+            i += 1
+        else:
+            i = min(bisect.bisect_left(ends, t, i + 1), len(ends) - 1)
+        self._cursor = i
+        t_old, h, y0, y1, a0, a1, a2, a3, b0, b1, b2, b3 = \
+            self._store[_SEG * i:_SEG * i + _SEG]
         x = (t - t_old) / h
-        poly = Q[:, 3]
-        for j in (2, 1, 0):
-            poly = Q[:, j] + x * poly
-        return y_old + h * x * poly
+        hx = h * x
+        return (y0 + hx * (a0 + x * (a1 + x * (a2 + x * a3))),
+                y1 + hx * (b0 + x * (b1 + x * (b2 + x * b3))))
+
+    def eval_many(self, ts) -> np.ndarray:
+        """States at the times ts as an (n, 2) array; equal bit for bit to
+        eval at each time."""
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((len(ts), 2))
+        if not len(ts):
+            return out
+        if ts.max() > self._limit:
+            raise _BeyondFrontier(float(ts.max()))
+        n = len(self._ends)
+        early = ts <= self.t0 if n else np.ones(len(ts), dtype=bool)
+        for k in np.flatnonzero(early):
+            out[k] = self.initial.value(min(float(ts[k]), self.t0))
+        if n:
+            late = ~early
+            t = ts[late]
+            segs = np.frombuffer(self._store, dtype=float).reshape(n, _SEG)
+            ends = segs[:, 0] + segs[:, 1]      # the same sums as self._ends
+            seg = segs[np.minimum(np.searchsorted(ends, t), n - 1)]
+            del segs                            # a live view would block appends
+            h = seg[:, 1]
+            x = (t - seg[:, 0]) / h
+            hx = h * x
+            for c in (0, 1):
+                q = seg[:, 4 + 4 * c:8 + 4 * c]
+                poly = q[:, 3]
+                for j in (2, 1, 0):
+                    poly = q[:, j] + x * poly
+                out[late, c] = seg[:, 2 + c] + hx * poly
+        return out
 
 
 # -- threshold-delay solve ------------------------------------------------------
+
+def _slope_bound_hit(t, c, slope, events):
+    warnings.warn("c|x'| = %.3f >= 1 at t = %.6g; threshold root "
+                  "may be non-unique" % (c * abs(slope), t), SlopeBoundWarning)
+    if events is not None:
+        events.append({"t": t, "kind": "slope_bound",
+                       "detail": float(c * abs(slope))})
+
 
 def solve_delay(t, x_now, history: History, params: ModelParams,
                 tau_prev=None, events=None) -> float:
@@ -178,7 +250,7 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         return eps
 
     def x_at(s):
-        return float(history.eval(s)[0])
+        return history.eval(s)[0]
 
     def g(tau):
         return tau - eps - c * (x_now - x_at(t - tau))
@@ -204,10 +276,7 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         lo = max(1e-12 * eps, t - history.frontier)
         hi = 10.0 * (eps + c * history.x_span())
         hi = min(hi, t - (history.t0 - history.initial.span) + 10 * eps)
-        try:
-            glo, ghi = g(max(lo, 1e-12 * eps)), g(hi)
-        except _BeyondFrontier:
-            raise
+        glo, ghi = g(max(lo, 1e-12 * eps)), g(hi)
         if glo * ghi > 0:
             raise NoBracket("no sign change of the threshold equation on "
                             "(%.3g, %.3g] at t = %.6g" % (lo, hi, t))
@@ -221,14 +290,52 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     try:
         slope = (x_at(t - tau + delta) - x_at(t - tau - delta)) / (2 * delta)
         if c * abs(slope) >= 1.0:
-            warnings.warn("c|x'| = %.3f >= 1 at t = %.6g; threshold root "
-                          "may be non-unique" % (c * abs(slope), t),
-                          SlopeBoundWarning)
-            if events is not None:
-                events.append({"t": t, "kind": "slope_bound",
-                               "detail": float(c * abs(slope))})
+            _slope_bound_hit(t, c, slope, events)
     except _BeyondFrontier:
         pass
+    return tau
+
+
+def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
+    """solve_delay at every sample at once.
+
+    One damped fixed-point sweep over all samples, each element following
+    the scalar iteration and stopping on the scalar criterion; samples it
+    leaves unconverged go to solve_delay, seeded with the previous sample's
+    delay.
+    """
+    eps, c = params.eps, params.c
+    n = len(ts)
+    if c == 0.0 or not n:
+        return np.full(n, eps)
+    tau = np.full(n, float(tau_seed) if tau_seed and tau_seed > 0 else eps)
+    damp = np.ones(n)
+    prev_abs = np.full(n, math.inf)
+    active = np.arange(n)
+    for _ in range(60):
+        if not len(active):
+            break
+        ta = tau[active]
+        gv = ta - eps - c * (xs[active] - history.eval_many(ts[active] - ta)[:, 0])
+        abs_g = np.abs(gv)
+        going = abs_g > 1e-13 * np.maximum(eps, ta)
+        damp[active] = np.where(abs_g >= prev_abs[active], 0.5, damp[active])
+        prev_abs[active] = abs_g
+        new = ta - damp[active] * gv
+        new = np.where(new > 0, new, 0.5 * ta)
+        active = active[going]
+        tau[active] = new[going]
+
+    for k in active:
+        tau[k] = solve_delay(float(ts[k]), float(xs[k]), history, params,
+                             tau_prev=tau[k - 1] if k else tau_seed)
+    checked = np.ones(n, dtype=bool)
+    checked[active] = False                 # solve_delay checked these itself
+    delta = 1e-6 * np.maximum(eps, tau)
+    slope = (history.eval_many(ts - tau + delta)[:, 0]
+             - history.eval_many(ts - tau - delta)[:, 0]) / (2 * delta)
+    for k in np.flatnonzero(checked & (c * np.abs(slope) >= 1.0)):
+        _slope_bound_hit(float(ts[k]), c, float(slope[k]), None)
     return tau
 
 
@@ -279,7 +386,7 @@ def check_compatibility(history: InitialHistory, tau0, params: ModelParams,
 
 @dataclass
 class Trajectory:
-    kind: str                  # "original" | "transformed" | "constant_delay"
+    kind: str                  # "original" | "transformed"
     t: np.ndarray
     states: np.ndarray         # shape (n, 2)
     delay: np.ndarray          # tau(t) or k(eta)
@@ -294,23 +401,19 @@ class Trajectory:
         return ("t", "x", "y", "tau") if self.kind == "original" else ("eta", "r", "xi", "k")
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
 class _StepDriver:
     """Shared embedded-pair loop; the two systems plug in their stage RHS.
 
-    fixed_h disables error control (every step accepted at that size,
-    still capped by the frontier rules); used for order studies.
+    eval_stage(t, x, y) returns (x', y', delay value) as floats. fixed_h
+    disables error control (every step accepted at that size, still capped
+    by the frontier rules); used for order studies.
     """
 
     def __init__(self, eval_stage, t0, y0, t_end, rtol, atol, h0, max_steps,
                  fixed_h=None):
-        self.eval_stage = eval_stage      # (t, y) -> (f, delay_value)
+        self.eval_stage = eval_stage
         self.t = t0
-        self.y = np.asarray(y0, dtype=float)
+        self.y = (float(y0[0]), float(y0[1]))
         self.t_end = t_end
         self.rtol, self.atol = rtol, atol
         self.h = fixed_h if fixed_h else h0
@@ -318,60 +421,84 @@ class _StepDriver:
         self.fixed_h = fixed_h
 
     def run(self, history: History, cap_h, on_accept):
-        f_now, delay_now = self.eval_stage(self.t, self.y)
-        if not np.all(np.isfinite(f_now)):
-            raise _Abort(STATUS_NONFINITE, self.t, "nonfinite initial slope")
-        K = np.empty((7, 2))
+        stage, fixed_h = self.eval_stage, self.fixed_h
+        rtol, atol, t_end = self.rtol, self.atol, self.t_end
+        t, (x, y), h_next = self.t, self.y, self.h
+        f1x, f1y, delay_now = stage(t, x, y)
+        if not (math.isfinite(f1x) and math.isfinite(f1y)):
+            raise _Abort(STATUS_NONFINITE, t, "nonfinite initial slope")
         steps = 0
-        while self.t < self.t_end - 1e-12 * max(1.0, abs(self.t_end)):
+        while t < t_end - 1e-12 * max(1.0, abs(t_end)):
             if steps >= self.max_steps:
-                raise NoConvergence("step budget exhausted at t = %.6g" % self.t)
-            h = min(self.h, self.t_end - self.t)
-            h = cap_h(self.t, h, delay_now)
-            accepted = False
-            while not accepted:
+                raise NoConvergence("step budget exhausted at t = %.6g" % t)
+            h = cap_h(t, min(h_next, t_end - t), delay_now)
+            while True:
                 steps += 1
-                if h <= 1e-12 * max(1.0, abs(self.t)):
+                if h <= 1e-12 * max(1.0, abs(t)):
                     # forced singularity in the feedback, typically the
                     # repression pole swept by non-positive initial data
-                    raise _Abort(STATUS_STALLED, self.t,
-                                 "step size underflow at t = %.6g" % self.t)
+                    raise _Abort(STATUS_STALLED, t,
+                                 "step size underflow at t = %.6g" % t)
                 try:
-                    K[0] = f_now
-                    for i in range(1, 6):
-                        t_s = self.t + _C[i] * h
-                        y_s = self.y + h * (_A[i] @ K[:i])
-                        K[i], _ = self.eval_stage(t_s, y_s)
-                    y_new = self.y + h * (_B @ K[:6])
-                    t_new = self.t + h
-                    f_new, delay_new = self.eval_stage(t_new, y_new)
-                    K[6] = f_new
+                    k2x, k2y, _ = stage(t + _C2 * h, x + h * (_A21 * f1x),
+                                        y + h * (_A21 * f1y))
+                    k3x, k3y, _ = stage(t + _C3 * h,
+                                        x + h * (_A31 * f1x + _A32 * k2x),
+                                        y + h * (_A31 * f1y + _A32 * k2y))
+                    k4x, k4y, _ = stage(t + _C4 * h,
+                                        x + h * (_A41 * f1x + _A42 * k2x + _A43 * k3x),
+                                        y + h * (_A41 * f1y + _A42 * k2y + _A43 * k3y))
+                    k5x, k5y, _ = stage(t + _C5 * h,
+                                        x + h * (_A51 * f1x + _A52 * k2x + _A53 * k3x
+                                                 + _A54 * k4x),
+                                        y + h * (_A51 * f1y + _A52 * k2y + _A53 * k3y
+                                                 + _A54 * k4y))
+                    k6x, k6y, _ = stage(t + h,
+                                        x + h * (_A61 * f1x + _A62 * k2x + _A63 * k3x
+                                                 + _A64 * k4x + _A65 * k5x),
+                                        y + h * (_A61 * f1y + _A62 * k2y + _A63 * k3y
+                                                 + _A64 * k4y + _A65 * k5y))
+                    x_new = x + h * (_B1 * f1x + _B3 * k3x + _B4 * k4x
+                                     + _B5 * k5x + _B6 * k6x)
+                    y_new = y + h * (_B1 * f1y + _B3 * k3y + _B4 * k4y
+                                     + _B5 * k5y + _B6 * k6y)
+                    t_new = t + h
+                    k7x, k7y, delay_new = stage(t_new, x_new, y_new)
                 except _BeyondFrontier:
                     h *= 0.5
                     continue
-                if not (np.all(np.isfinite(K)) and np.all(np.isfinite(y_new))):
-                    raise _Abort(STATUS_NONFINITE, self.t,
+                K = (f1x, f1y, k2x, k2y, k3x, k3y, k4x, k4y, k5x, k5y,
+                     k6x, k6y, k7x, k7y)
+                if not (all(map(math.isfinite, K)) and math.isfinite(x_new)
+                        and math.isfinite(y_new)):
+                    raise _Abort(STATUS_NONFINITE, t,
                                  "state or slope became nonfinite")
-                err = 0.0 if self.fixed_h else \
-                    _error_norm(h * (_E @ K), self.y, y_new, self.rtol, self.atol)
-                if err <= 1.0:
-                    accepted = True
-                    factor = _MAX_FACTOR if err == 0.0 else \
-                        min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-                    history.append(self.t, h, self.y, K)
-                    on_accept(self.t, h, self.y, y_new, K, delay_new)
-                    self.t, self.y, f_now, delay_now = t_new, y_new, f_new, delay_new
-                    self.h = self.fixed_h if self.fixed_h else h * factor
+                if fixed_h:
+                    err = 0.0
                 else:
-                    h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-        return self.t
+                    ex = h * (_E1 * f1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
+                              + _E6 * k6x + _E7 * k7x)
+                    ey = h * (_E1 * f1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+                              + _E6 * k6y + _E7 * k7y)
+                    ex /= atol + rtol * max(abs(x), abs(x_new))
+                    ey /= atol + rtol * max(abs(y), abs(y_new))
+                    err = math.sqrt((ex * ex + ey * ey) / 2)
+                if err <= 1.0:
+                    break
+                h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            history.append(t, h, (x, y), K)
+            on_accept(t_new, x_new, y_new, K, delay_new)
+            t, x, y = t_new, x_new, y_new
+            f1x, f1y, delay_now = k7x, k7y, delay_new
+            h_next = fixed_h if fixed_h else h * (
+                _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
+        return t
 
 
 def _sample(history: History, sample_times, t_reached):
     ts = np.asarray(sample_times, dtype=float)
     ts = ts[ts <= t_reached + 1e-10 * max(1.0, abs(t_reached))]
-    states = np.array([history.eval(t) for t in ts]) if len(ts) else np.empty((0, 2))
-    return ts, states
+    return ts, history.eval_many(ts)
 
 
 def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
@@ -397,22 +524,22 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
     monitors = {"min_x": math.inf, "min_y": math.inf, "min_tau": math.inf,
                 "max_dx": -math.inf, "dx_bound": dx_bound,
                 "max_threshold_residual": 0.0}
-    tau_hint = [tau0]
+    tau_hint = tau0
 
-    def eval_stage(t, y):
-        tau = solve_delay(t, y[0], hist, params, tau_prev=tau_hint[0],
-                          events=events)
-        tau_hint[0] = tau
+    def eval_stage(t, x, y):
+        nonlocal tau_hint
+        tau = solve_delay(t, x, hist, params, tau_prev=tau_hint, events=events)
+        tau_hint = tau
         delayed = hist.eval(t - tau)
         try:
-            (dx, dy), resid = rhs_original(y, delayed, tau, params)
+            (dx, dy), resid = rhs_original((x, y), delayed, tau, params)
         except OverflowError:
             raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
         if params.c > 0 and dx >= 1.0 / params.c:
             raise _Abort(STATUS_B2, t, "x' = %.4g >= 1/c" % dx)
         monitors["max_threshold_residual"] = max(
             monitors["max_threshold_residual"], abs(resid))
-        return np.array([dx, dy]), tau
+        return dx, dy, tau
 
     # image of the initial discontinuity point and its first generations
     pending = [[history.t0, 0]]
@@ -429,22 +556,21 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
                 h = max(image - t, 1e-3 * tau_now)
         return h
 
-    positive = [True]
+    positive = True
 
-    def on_accept(t_old, h, y_old, y_new, K, tau_new):
-        monitors["min_x"] = min(monitors["min_x"], float(y_new[0]))
-        monitors["min_y"] = min(monitors["min_y"], float(y_new[1]))
-        monitors["min_tau"] = min(monitors["min_tau"], float(tau_new))
-        monitors["max_dx"] = max(monitors["max_dx"], float(np.max(K[:, 0])))
-        now_positive = y_new[0] > 0 and y_new[1] > 0
-        if positive[0] and not now_positive:
-            events.append({"t": t_old + h, "kind": "positivity",
-                           "detail": (float(y_new[0]), float(y_new[1]))})
-        positive[0] = now_positive
+    def on_accept(t_new, x, y, K, tau_new):
+        nonlocal positive
+        monitors["min_x"] = min(monitors["min_x"], x)
+        monitors["min_y"] = min(monitors["min_y"], y)
+        monitors["min_tau"] = min(monitors["min_tau"], tau_new)
+        monitors["max_dx"] = max(monitors["max_dx"], max(K[0::2]))
+        now_positive = x > 0 and y > 0
+        if positive and not now_positive:
+            events.append({"t": t_new, "kind": "positivity", "detail": (x, y)})
+        positive = now_positive
 
-    y0 = np.asarray(history.value(history.t0), dtype=float)
-    driver = _StepDriver(eval_stage, history.t0, y0, t_end, rtol, atol,
-                         h0=min(0.1 * tau0, t_end - history.t0),
+    driver = _StepDriver(eval_stage, history.t0, history.value(history.t0),
+                         t_end, rtol, atol, h0=min(0.1 * tau0, t_end - history.t0),
                          max_steps=max_steps, fixed_h=fixed_h)
     status = STATUS_COMPLETED
     try:
@@ -457,18 +583,17 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
     if sample_times is None:
         sample_times = np.linspace(history.t0, t_reached, 513)
     ts, states = _sample(hist, sample_times, t_reached)
-    taus = np.array([solve_delay(t, s[0], hist, params, tau_prev=tau_hint[0])
-                     for t, s in zip(ts, states)]) if len(ts) else np.empty(0)
+    taus = _sample_delays(hist, params, ts, states[:, 0], tau_hint)
     return Trajectory(kind="original", t=ts, states=states, delay=taus,
                       status=status, events=events, monitors=monitors,
                       history=hist, t_final=t_reached)
 
 
 def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
-                          constant_delay=False, rtol=1e-8, atol=1e-9,
-                          sample_times=None, raise_on_breach=True,
-                          max_steps=2_000_000, fixed_h=None) -> Trajectory:
-    """Integrate the unit-delay system (or its c = 0 reduction).
+                          rtol=1e-8, atol=1e-9, sample_times=None,
+                          raise_on_breach=True, max_steps=2_000_000,
+                          fixed_h=None) -> Trajectory:
+    """Integrate the unit-delay system (at c = 0, the constant-delay system).
 
     Initial data covers [t0 - 1, t0]. The first three unit breakpoints are
     hit exactly. A denominator breach either raises (default) or ends the
@@ -479,19 +604,17 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
     hist = History(history)
     events: List[dict] = []
     monitors = {"min_r": math.inf, "min_xi": math.inf, "min_denominator": math.inf}
-    rhs = rhs_constant_delay if constant_delay else rhs_transformed
 
-    def eval_stage(t, y):
+    def eval_stage(t, r, xi):
         delayed = hist.eval(t - 1.0)
         try:
-            dr, dxi, k = rhs(y, delayed, params)
+            return rhs_transformed((r, xi), delayed, params)
         except OverflowError:
             raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
         except DenominatorBreach as exc:
             if raise_on_breach:
                 raise
             raise _Abort(STATUS_BREACH, t, str(exc))
-        return np.array([dr, dxi]), k
 
     t0 = history.t0
     breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
@@ -504,27 +627,26 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
             h = breakpoints[0] - t
         return h
 
-    positive = [True]
+    positive = True
 
-    def on_accept(t_old, h, y_old, y_new, K, k_new):
-        monitors["min_r"] = min(monitors["min_r"], float(y_new[0]))
-        monitors["min_xi"] = min(monitors["min_xi"], float(y_new[1]))
-        if not constant_delay and params.c > 0:
+    def on_accept(t_new, r, xi, K, k_new):
+        nonlocal positive
+        monitors["min_r"] = min(monitors["min_r"], r)
+        monitors["min_xi"] = min(monitors["min_xi"], xi)
+        if params.c > 0:
             try:
-                back = hist.eval(t_old + h - 1.0)
-                drive = -params.mu_m * y_new[0] + params.nonlinearity.f.value(back[1])
+                back = hist.eval(t_new - 1.0)
+                drive = -params.mu_m * r + params.nonlinearity.f.value(back[1])
                 monitors["min_denominator"] = min(monitors["min_denominator"],
                                                   1.0 - params.c * drive)
             except OverflowError:
                 pass
-        now_positive = y_new[0] > 0 and y_new[1] > 0
-        if positive[0] and not now_positive:
-            events.append({"t": t_old + h, "kind": "positivity",
-                           "detail": (float(y_new[0]), float(y_new[1]))})
-        positive[0] = now_positive
+        now_positive = r > 0 and xi > 0
+        if positive and not now_positive:
+            events.append({"t": t_new, "kind": "positivity", "detail": (r, xi)})
+        positive = now_positive
 
-    y0 = np.asarray(history.value(t0), dtype=float)
-    driver = _StepDriver(eval_stage, t0, y0, eta_end, rtol, atol,
+    driver = _StepDriver(eval_stage, t0, history.value(t0), eta_end, rtol, atol,
                          h0=min(0.1, eta_end - t0), max_steps=max_steps,
                          fixed_h=fixed_h)
     status = STATUS_COMPLETED
@@ -538,16 +660,10 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
     if sample_times is None:
         sample_times = np.linspace(t0, t_reached, 513)
     ts, states = _sample(hist, sample_times, t_reached)
-    if len(ts):
-        delayed_r = np.array([hist.eval(t - 1.0)[0] for t in ts])
-        ks = params.eps + params.c * (states[:, 0] - delayed_r) \
-            if not constant_delay else np.full(len(ts), params.eps)
-    else:
-        ks = np.empty(0)
-    return Trajectory(kind="transformed" if not constant_delay else "constant_delay",
-                      t=ts, states=states, delay=ks, status=status,
-                      events=events, monitors=monitors, history=hist,
-                      t_final=t_reached)
+    ks = params.eps + params.c * (states[:, 0] - hist.eval_many(ts - 1.0)[:, 0])
+    return Trajectory(kind="transformed", t=ts, states=states, delay=ks,
+                      status=status, events=events, monitors=monitors,
+                      history=hist, t_final=t_reached)
 
 
 # -- oscillation measurement -----------------------------------------------------

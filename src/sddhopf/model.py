@@ -1,4 +1,4 @@
-"""Model parameters, equilibria, and the three right-hand sides.
+"""Model parameters, equilibria, and the two right-hand sides.
 
 The original system in t-time:
 
@@ -8,8 +8,8 @@ The original system in t-time:
 
 Rescaling time by the threshold condition turns it into a unit-delay
 system in eta-time with a shared denominator D = 1 - c(-mu_m r + f(xi_1));
-setting c = 0 gives the plain constant-delay system. All three RHS
-evaluations live here so every downstream stage pulls from one place.
+setting c = 0 gives the plain constant-delay system. Both RHS evaluations
+live here so every downstream stage pulls from one place.
 """
 
 from dataclasses import dataclass
@@ -165,12 +165,3 @@ def rhs_transformed(state_now, state_delayed, params: ModelParams):
     k = params.eps + params.c * (r - r1)
     return params.eps * Fx / D, params.eps * Gy / D, k
 
-
-def rhs_constant_delay(state_now, state_delayed, params: ModelParams):
-    """The c = 0 reduction; identical to rhs_transformed with c = 0."""
-    r, xi = state_now
-    r1, xi1 = state_delayed
-    f, g = params.nonlinearity.f, params.nonlinearity.g
-    dr = params.eps * (-params.mu_m * r + f.value(xi1))
-    dxi = params.eps * (-params.mu_p * xi + g.value(r1))
-    return dr, dxi, params.eps

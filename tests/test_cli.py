@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -274,8 +276,7 @@ def test_sweep_without_grid_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_sweep_respects_thread_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SDDHOPF_THREADS", "1")
+def test_one_cell_sweep_runs(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "analysis": dict(SWEEP_ANALYSIS,
                          grid={"eps": [RV.EPS0 - 0.1], "c": [0.01]}),
@@ -284,13 +285,27 @@ def test_sweep_respects_thread_cap(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", path]) == 0
 
 
-def test_invalid_thread_env_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SDDHOPF_THREADS", "many")
+@pytest.mark.parametrize("fmt,grid,error", [
+    ("json", {"eps": [-1.0, RV.EPS0 - 0.1], "c": [0.01]},
+     "error: eps must be positive"),
+    # the overflow message holds a comma, so the CSV field is quoted
+    ("csv", {"mu_m": [1e-300, 0.03], "c": [0.01]},
+     "error: (34, 'Numerical result out of range')"),
+], ids=["invalid-eps", "overflow"])
+def test_bad_sweep_cell_is_reported_in_place(tmp_path, capsys, fmt, grid, error):
     path = write_cfg(tmp_path, {
-        "analysis": dict(SWEEP_ANALYSIS,
-                         grid={"eps": [RV.EPS0 - 0.1], "c": [0.01]}),
+        "analysis": dict(SWEEP_ANALYSIS, grid=grid),
+        "output": {"format": fmt},
     })
-    assert main(["sweep", "--config", path]) == 1
+    rc = main(["sweep", "--config", path])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    if fmt == "json":
+        labels = json.loads(captured.out)["results"]["labels"]
+    else:
+        labels = [row[1:] for row in csv.reader(io.StringIO(captured.out))][1:]
+    assert labels == [[error], ["stable"]]
 
 
 # -- config validation ------------------------------------------------------------
@@ -307,6 +322,18 @@ def test_unknown_keys_are_rejected(tmp_path, capsys, overrides):
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error" in err and "bogus" in err
+
+
+@pytest.mark.parametrize("h", [4.5, float("nan")])
+def test_non_integer_hill_exponent_is_rejected(tmp_path, capsys, h):
+    cfg = copy.deepcopy(BASE)
+    cfg["model"]["nonlinearity"]["h"] = h
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["equilibrium", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'h'" in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_nonlinearity_key_is_rejected(tmp_path, capsys):

@@ -178,6 +178,51 @@ def test_threshold_residual_recomputed_from_dense_history(eq_state):
         assert abs(res) < 1e-10
 
 
+def test_every_sample_delay_solves_the_threshold_equation(eq_state):
+    p = hes1_params(c=0.02, eps=EPS_HIGH)
+    hist = bump_history(eq_state, 0.2 * eq_state, span=p.eps)
+    traj = integrate_sdd(hist, p.eps, p, t_end=300.0,
+                         sample_times=np.linspace(0.0, 300.0, 1001))
+    x_back = np.array([traj.history.eval(t - tau)[0]
+                       for t, tau in zip(traj.t, traj.delay)])
+    res = traj.delay - p.eps - p.c * (traj.states[:, 0] - x_back)
+    assert np.all(np.abs(res) <= 1e-12 * np.maximum(p.eps, traj.delay))
+    assert np.ptp(traj.delay) > 1e-3          # the delay really varies
+
+
+# -- the dense history ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def dense_history(eq_state):
+    p = hes1_params(c=0.01, eps=EPS_HIGH)
+    traj = integrate_transformed(bump_history(eq_state, 0.2 * eq_state, span=1.0),
+                                 p, 40.0)
+    return traj.history
+
+
+def _lookup_times(history):
+    ends = np.array(history._ends)
+    starts = np.r_[history.t0, ends[:-1]]
+    interior = starts + np.array([0.1, 0.5, 0.9])[:, None] * (ends - starts)
+    initial = np.linspace(history.t0 - 1.5, history.t0, 17)
+    return np.concatenate([initial, ends, interior.ravel()])
+
+
+def test_eval_many_matches_eval_bit_for_bit(dense_history):
+    ts = _lookup_times(dense_history)
+    many = dense_history.eval_many(ts)
+    one = np.array([dense_history.eval(t) for t in ts])
+    assert np.array_equal(many, one)
+
+
+def test_lookup_order_does_not_change_values(dense_history):
+    ts = np.sort(_lookup_times(dense_history))
+    in_order = [dense_history.eval(t) for t in ts]
+    perm = np.random.default_rng(7).permutation(len(ts))
+    shuffled = [dense_history.eval(ts[k]) for k in perm]
+    assert all(shuffled[i] == in_order[k] for i, k in enumerate(perm))
+
+
 # -- equivalence with the unit-delay form and an external oracle ----------------
 
 def test_time_change_is_exact_when_c_is_zero(eq_state):
@@ -242,13 +287,13 @@ def test_matches_independent_segmented_integration(eq_state):
 
 
 def test_empirical_convergence_order_is_at_least_four(eq_state):
-    p = hes1_params(c=0.01, eps=EPS_HIGH)
+    p = hes1_params(c=0.0, eps=EPS_HIGH)
     hist = bump_history(eq_state, 0.1 * eq_state, span=1.0)
     grid = np.linspace(0.0, 30.0, 61)
 
     def run(h):
-        return integrate_transformed(hist, p, 30.0, constant_delay=True,
-                                     sample_times=grid, fixed_h=h).states[:, 0]
+        return integrate_transformed(hist, p, 30.0, sample_times=grid,
+                                     fixed_h=h).states[:, 0]
 
     ref = run(1.0 / 320.0)
     errs = [np.max(np.abs(run(1.0 / n) - ref)) for n in (10, 20, 40, 80)]
@@ -257,13 +302,12 @@ def test_empirical_convergence_order_is_at_least_four(eq_state):
 
 
 def test_error_shrinks_with_tolerance(eq_state):
-    p = hes1_params(c=0.01, eps=EPS_HIGH)
+    p = hes1_params(c=0.0, eps=EPS_HIGH)
     hist = bump_history(eq_state, 0.1 * eq_state, span=1.0)
     grid = np.linspace(0.0, 30.0, 61)
 
     def run(rt, at):
-        return integrate_transformed(hist, p, 30.0, constant_delay=True,
-                                     rtol=rt, atol=at,
+        return integrate_transformed(hist, p, 30.0, rtol=rt, atol=at,
                                      sample_times=grid).states[:, 0]
 
     ref = run(1e-12, 1e-14)

@@ -5,7 +5,7 @@ import refvals as RV
 from sddhopf import (CallableMap, LinearMap, NonlinearitySpec, ZeroMap,
                      DenominatorBreach, NonPositive,
                      find_equilibrium, hes1_params,
-                     rhs_constant_delay, rhs_original, rhs_transformed)
+                     rhs_original, rhs_transformed)
 
 
 def test_equilibrium_matches_pinned_values(eq):
@@ -86,9 +86,11 @@ def test_rhs_transformed_reduces_to_constant_delay(params, eq_state):
     p0 = params.with_overrides(c=0.0)
     now = eq_state * np.array([1.1, 0.9])
     then = eq_state * np.array([0.95, 1.2])
-    a = rhs_transformed(now, then, p0)
-    b = rhs_constant_delay(now, then, p0)
-    assert a == b
+    f, g = p0.nonlinearity.f, p0.nonlinearity.g
+    written_out = (p0.eps * (-p0.mu_m * now[0] + f.value(then[1])),
+                   p0.eps * (-p0.mu_p * now[1] + g.value(then[0])),
+                   p0.eps)
+    assert rhs_transformed(now, then, p0) == written_out
 
 
 def test_rhs_transformed_raises_on_denominator_breach(params, eq_state):

@@ -292,12 +292,9 @@ def cmd_normal_form(cfg: RunConfig):
 
 
 def _trajectory_csv(traj: dde.Trajectory) -> str:
-    lines = [",".join(traj.columns)]
-    for i in range(len(traj.t)):
-        lines.append(",".join("%.17g" % v for v in
-                              (traj.t[i], traj.states[i, 0],
-                               traj.states[i, 1], traj.delay[i])))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([traj.t, traj.states, traj.delay])
+    return (",".join(traj.columns) + "\n"
+            + "%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _run_simulation(cfg: RunConfig):
@@ -352,8 +349,12 @@ def _summary_text(traj, summary):
 
 
 def cmd_simulate(cfg: RunConfig):
+    transient_fraction = float(cfg.opt("transient_fraction", 0.5))
+    if not 0.0 <= transient_fraction < 1.0:
+        raise ConfigError("analysis.transient_fraction must lie in [0, 1), "
+                          "got %r" % transient_fraction)
     params, eq, traj = _run_simulation(cfg)
-    summary = _summary_dict(traj, float(cfg.opt("transient_fraction", 0.5)))
+    summary = _summary_dict(traj, transient_fraction)
     fmt = cfg.out_format()
     if fmt == "csv":
         _write(_trajectory_csv(traj), cfg.out_path())
@@ -512,6 +513,14 @@ def main(argv=None) -> int:
         return 4
     except SddhopfError as exc:
         sys.stderr.write("solver error: %s\n" % exc)
+        return 2
+    # what the typed errors above miss: a config value the code could not
+    # use, or floating-point trouble in a solve
+    except ValueError as exc:
+        sys.stderr.write("config error: %s\n" % exc)
+        return 1
+    except ArithmeticError as exc:
+        sys.stderr.write("solver error: %s: %s\n" % (type(exc).__name__, exc))
         return 2
 
 

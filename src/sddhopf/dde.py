@@ -19,7 +19,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -82,18 +82,22 @@ class _Abort(Exception):
 
 @dataclass(frozen=True)
 class InitialHistory:
-    """C^1 initial data on [t0 - span, t0], constant-extended further back."""
+    """C^1 initial data on [t0 - span, t0], constant-extended further back.
 
-    value: Callable[[float], np.ndarray]
-    derivative: Optional[Callable[[float], np.ndarray]]
+    value(s) and derivative(s) each return the pair (x, y) as floats; a
+    derivative of None means the slope is not known in closed form.
+    """
+
+    value: Callable[[float], Tuple[float, float]]
+    derivative: Optional[Callable[[float], Tuple[float, float]]]
     t0: float
     span: float
 
 
 def constant_history(state, t0=0.0, span=1.0) -> InitialHistory:
-    state = np.asarray(state, dtype=float)
-    return InitialHistory(value=lambda s: state.copy(),
-                          derivative=lambda s: np.zeros_like(state),
+    x, y = (float(v) for v in state)
+    return InitialHistory(value=lambda s: (x, y),
+                          derivative=lambda s: (0.0, 0.0),
                           t0=t0, span=span)
 
 
@@ -104,20 +108,20 @@ def bump_history(base_state, kick, span, t0=0.0) -> InitialHistory:
     at base with zero derivative: compatible with tau0 = eps by
     construction, while delayed lookups see the perturbation.
     """
-    base = np.asarray(base_state, dtype=float)
-    kick = np.asarray(kick, dtype=float)
+    bx, by = (float(v) for v in base_state)
+    kx, ky = (float(v) for v in kick)
     w = float(span)
 
     def value(s):
         s = max(s, t0 - w)
-        phase = math.pi * (s - t0) / w
-        return base + kick * math.sin(phase) ** 2
+        bump = math.sin(math.pi * (s - t0) / w) ** 2
+        return bx + kx * bump, by + ky * bump
 
     def derivative(s):
         if s < t0 - w:
-            return np.zeros_like(base)
-        phase = math.pi * (s - t0) / w
-        return kick * (math.pi / w) * math.sin(2 * phase)
+            return 0.0, 0.0
+        rate = math.sin(2 * (math.pi * (s - t0) / w))
+        return kx * (math.pi / w) * rate, ky * (math.pi / w) * rate
 
     return InitialHistory(value=value, derivative=derivative, t0=t0, span=w)
 
@@ -169,14 +173,23 @@ class History:
     def x_span(self) -> float:
         return self.x_max - self.x_min
 
-    def eval(self, t: float):
-        """State (x, y) at time t, as a tuple of floats."""
+    def _initial_at(self, t, slope):
+        s = min(t, self.t0)
+        x, y = self.initial.value(s)
+        if not slope:
+            return x, y
+        if s < self.t0 - self.initial.span:
+            return x, y, 0.0
+        return x, y, self.initial.derivative(s)[0]
+
+    def eval(self, t: float, slope=False):
+        """State (x, y) at time t as a tuple of floats; with slope, the
+        tuple (x, y, x'), x' from the same interpolant."""
         if t > self._limit:
             raise _BeyondFrontier(t)
         ends = self._ends
         if t <= self.t0 or not ends:
-            v = self.initial.value(min(t, self.t0))
-            return float(v[0]), float(v[1])
+            return self._initial_at(t, slope)
         # first segment whose end is >= t, searched from the last one used
         i = self._cursor
         if t <= ends[i]:
@@ -191,14 +204,19 @@ class History:
             self._store[_SEG * i:_SEG * i + _SEG]
         x = (t - t_old) / h
         hx = h * x
+        if slope:
+            return (y0 + hx * (a0 + x * (a1 + x * (a2 + x * a3))),
+                    y1 + hx * (b0 + x * (b1 + x * (b2 + x * b3))),
+                    a0 + x * (2 * a1 + x * (3 * a2 + 4 * x * a3)))
         return (y0 + hx * (a0 + x * (a1 + x * (a2 + x * a3))),
                 y1 + hx * (b0 + x * (b1 + x * (b2 + x * b3))))
 
-    def eval_many(self, ts) -> np.ndarray:
-        """States at the times ts as an (n, 2) array; equal bit for bit to
-        eval at each time."""
+    def eval_many(self, ts, slope=False) -> np.ndarray:
+        """States at the times ts as an (n, 2) array, or (n, 3) with the
+        slope x' as the last column; equal bit for bit to eval at each
+        time."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty((len(ts), 2))
+        out = np.empty((len(ts), 3 if slope else 2))
         if not len(ts):
             return out
         if ts.max() > self._limit:
@@ -206,7 +224,7 @@ class History:
         n = len(self._ends)
         early = ts <= self.t0 if n else np.ones(len(ts), dtype=bool)
         for k in np.flatnonzero(early):
-            out[k] = self.initial.value(min(float(ts[k]), self.t0))
+            out[k] = self._initial_at(float(ts[k]), slope)
         if n:
             late = ~early
             t = ts[late]
@@ -223,6 +241,9 @@ class History:
                 for j in (2, 1, 0):
                     poly = q[:, j] + x * poly
                 out[late, c] = seg[:, 2 + c] + hx * poly
+            if slope:
+                a0, a1, a2, a3 = seg[:, 4], seg[:, 5], seg[:, 6], seg[:, 7]
+                out[late, 2] = a0 + x * (2 * a1 + x * (3 * a2 + 4 * x * a3))
         return out
 
 
@@ -240,14 +261,21 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
                 tau_prev=None, events=None) -> float:
     """Solve tau = eps + c (x_now - x(t - tau)) to |residual| <= 1e-12 max(eps, tau).
 
-    Damped fixed-point iteration seeded at the previous stage's tau, with a
-    bracketed scalar solve as fallback. The contraction constant is
-    c |x'| over the delay interval; when it reaches 1 the root may not be
-    unique, which is reported as a SlopeBoundWarning, not an error.
+    Newton iteration on g(tau) = tau - eps - c (x_now - x(t - tau)),
+    g' = 1 - c x'(t - tau), seeded at the previous stage's tau. Each
+    iteration makes one history lookup, which gives x and x' together. A
+    step falls back to the damped fixed-point step tau - damp g once g'
+    drops below 1/2 or |g| stops shrinking; a bracketed scalar solve is
+    the last resort. The contraction constant is c |x'| over the delay
+    interval; when it reaches 1 at the root the root may not be unique,
+    which is reported as a SlopeBoundWarning, not an error. Without a
+    closed-form initial derivative, every step is the damped one and the
+    slope at the root comes from a central difference.
     """
     eps, c = params.eps, params.c
     if c == 0.0:
         return eps
+    newton = history.initial.derivative is not None
 
     def x_at(s):
         return history.eval(s)[0]
@@ -259,15 +287,21 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     converged = False
     damp = 1.0
     prev_abs = math.inf
+    slope = 0.0                 # x'(t - tau); 0 makes g' = 1, the damped step
     for _ in range(60):
-        gv = g(tau)
+        if newton:
+            x_back, _, slope = history.eval(t - tau, True)
+        else:
+            x_back = history.eval(t - tau)[0]
+        gv = tau - eps - c * (x_now - x_back)
         if abs(gv) <= 1e-13 * max(eps, tau):
             converged = True
             break
         if abs(gv) >= prev_abs:
             damp = 0.5          # iteration not contracting; damp it
         prev_abs = abs(gv)
-        new = tau - damp * gv
+        dg = 1.0 - c * slope
+        new = tau - gv / dg if damp == 1.0 and dg >= 0.5 else tau - damp * gv
         if new <= 0:
             new = 0.5 * tau
         tau = new
@@ -284,45 +318,56 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         if abs(g(tau)) > 1e-12 * max(eps, tau):
             raise NoConvergence("threshold residual %.3e at t = %.6g"
                                 % (g(tau), t))
+        if newton:
+            slope = history.eval(t - tau, True)[2]
 
     # uniqueness bound: c |x'| < 1 near the solution
-    delta = 1e-6 * max(eps, tau)
-    try:
-        slope = (x_at(t - tau + delta) - x_at(t - tau - delta)) / (2 * delta)
-        if c * abs(slope) >= 1.0:
-            _slope_bound_hit(t, c, slope, events)
-    except _BeyondFrontier:
-        pass
+    if not newton:
+        delta = 1e-6 * max(eps, tau)
+        try:
+            slope = (x_at(t - tau + delta) - x_at(t - tau - delta)) / (2 * delta)
+        except _BeyondFrontier:
+            return tau
+    if c * abs(slope) >= 1.0:
+        _slope_bound_hit(t, c, slope, events)
     return tau
 
 
 def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
     """solve_delay at every sample at once.
 
-    One damped fixed-point sweep over all samples, each element following
-    the scalar iteration and stopping on the scalar criterion; samples it
-    leaves unconverged go to solve_delay, seeded with the previous sample's
-    delay.
+    One vectorised sweep over all samples, each element following the
+    scalar iteration and stopping on the scalar criterion; samples it
+    leaves unconverged go to solve_delay, seeded with the previous
+    sample's delay.
     """
     eps, c = params.eps, params.c
     n = len(ts)
     if c == 0.0 or not n:
         return np.full(n, eps)
+    newton = history.initial.derivative is not None
     tau = np.full(n, float(tau_seed) if tau_seed and tau_seed > 0 else eps)
     damp = np.ones(n)
     prev_abs = np.full(n, math.inf)
+    slope = np.zeros(n)         # x' at each converged root
     active = np.arange(n)
     for _ in range(60):
         if not len(active):
             break
         ta = tau[active]
-        gv = ta - eps - c * (xs[active] - history.eval_many(ts[active] - ta)[:, 0])
+        back = history.eval_many(ts[active] - ta, slope=newton)
+        gv = ta - eps - c * (xs[active] - back[:, 0])
         abs_g = np.abs(gv)
         going = abs_g > 1e-13 * np.maximum(eps, ta)
         damp[active] = np.where(abs_g >= prev_abs[active], 0.5, damp[active])
         prev_abs[active] = abs_g
-        new = ta - damp[active] * gv
+        dg = 1.0 - c * back[:, 2] if newton else 1.0
+        use_newton = (damp[active] == 1.0) & (dg >= 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where(use_newton, ta - gv / dg, ta - damp[active] * gv)
         new = np.where(new > 0, new, 0.5 * ta)
+        if newton:
+            slope[active[~going]] = back[~going, 2]
         active = active[going]
         tau[active] = new[going]
 
@@ -331,9 +376,10 @@ def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
                              tau_prev=tau[k - 1] if k else tau_seed)
     checked = np.ones(n, dtype=bool)
     checked[active] = False                 # solve_delay checked these itself
-    delta = 1e-6 * np.maximum(eps, tau)
-    slope = (history.eval_many(ts - tau + delta)[:, 0]
-             - history.eval_many(ts - tau - delta)[:, 0]) / (2 * delta)
+    if not newton:
+        delta = 1e-6 * np.maximum(eps, tau)
+        slope = (history.eval_many(ts - tau + delta)[:, 0]
+                 - history.eval_many(ts - tau - delta)[:, 0]) / (2 * delta)
     for k in np.flatnonzero(checked & (c * np.abs(slope) >= 1.0)):
         _slope_bound_hit(float(ts[k]), c, float(slope[k]), None)
     return tau
@@ -605,7 +651,10 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
     events: List[dict] = []
     monitors = {"min_r": math.inf, "min_xi": math.inf, "min_denominator": math.inf}
 
+    delayed = None              # the last stage's lookup at t - 1
+
     def eval_stage(t, r, xi):
+        nonlocal delayed
         delayed = hist.eval(t - 1.0)
         try:
             return rhs_transformed((r, xi), delayed, params)
@@ -634,13 +683,11 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
         monitors["min_r"] = min(monitors["min_r"], r)
         monitors["min_xi"] = min(monitors["min_xi"], xi)
         if params.c > 0:
-            try:
-                back = hist.eval(t_new - 1.0)
-                drive = -params.mu_m * r + params.nonlinearity.f.value(back[1])
-                monitors["min_denominator"] = min(monitors["min_denominator"],
-                                                  1.0 - params.c * drive)
-            except OverflowError:
-                pass
+            # the accepted step's last stage ran at t_new, and its rhs
+            # already evaluated f at this delayed state without overflow
+            drive = -params.mu_m * r + params.nonlinearity.f.value(delayed[1])
+            monitors["min_denominator"] = min(monitors["min_denominator"],
+                                              1.0 - params.c * drive)
         now_positive = r > 0 and xi > 0
         if positive and not now_positive:
             events.append({"t": t_new, "kind": "positivity", "detail": (r, xi)})

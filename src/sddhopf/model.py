@@ -12,6 +12,7 @@ setting c = 0 gives the plain constant-delay system. Both RHS evaluations
 live here so every downstream stage pulls from one place.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class ModelParams:
     nonlinearity: NonlinearitySpec
 
     def __post_init__(self):
+        for name in ("mu_m", "mu_p", "c", "eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.mu_m <= 0 or self.mu_p <= 0:
             raise ValueError("decay rates must be positive")
         if self.eps <= 0:

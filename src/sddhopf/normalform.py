@@ -371,10 +371,9 @@ def kappa3_quadratic(eq, hp, frame, fit_cs=(0.0, 0.01, 0.05)) -> Kappa3Quadratic
     return poly
 
 
-def critical_c(eq, hp, frame, c_max=1.0) -> float:
-    """Positive root of Re kappa3(c) = 0: the supercritical/subcritical
-    boundary in c."""
-    poly = kappa3_quadratic(eq, hp, frame)
+def critical_c(poly: Kappa3Quadratic, c_max=1.0) -> float:
+    """Positive root of Re kappa3(c) = 0 on the fitted quadratic: the
+    supercritical/subcritical boundary in c."""
     q2, q1, q0 = poly.re_coeffs
     disc = q1 * q1 - 4 * q2 * q0
     roots = []
@@ -418,7 +417,7 @@ def analyze_normal_form(params: ModelParams, fit_cs=(0.0, 0.01, 0.05),
     nf = normal_form(eq, hp, frame, qc)
     poly = kappa3_quadratic(eq, hp, frame, fit_cs=tuple(fit_cs))
     try:
-        c0 = critical_c(eq, hp, frame, c_max=c_max)
+        c0 = critical_c(poly, c_max=c_max)
     except NoSignChange:
         c0 = None
     return NormalFormReport(eq=eq, hopf=hp, kappa1=nf.kappa1, kappa3=nf.kappa3,

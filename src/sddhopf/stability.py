@@ -38,10 +38,6 @@ class CharParams:
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    @classmethod
-    def from_equilibrium(cls, eq: Equilibrium, mu_m, mu_p, eps):
-        return cls(mu_m=mu_m, mu_p=mu_p, p=eq.p, eps=eps)
-
 
 def char_eval(lam, cp: CharParams):
     lam = complex(lam)
@@ -124,10 +120,6 @@ class HopfPoint:
         if k < 0:
             raise ValueError("k must be nonnegative")
         return self.eps0 * (self.omega + k * math.pi) / self.omega
-
-    def critical_values(self, count: int):
-        for k in range(count):
-            yield self.eps_k(k)
 
     def char_params(self, eps=None) -> CharParams:
         return CharParams(self.mu_m, self.mu_p, self.p,

@@ -84,7 +84,7 @@ def test_criterion_4_normal_form(pipeline):
     qc = quadratic_coeffs(eq, hp, fr, 0.01)
     nf = normal_form(eq, hp, fr, qc, c=0.01)
     poly = kappa3_quadratic(eq, hp, fr)
-    c0 = critical_c(eq, hp, fr)
+    c0 = critical_c(poly)
     elapsed = time.perf_counter() - t0
     assert abs(nf.kappa1 - (0.01841158248 + 0.04829902976j)) \
         / abs(0.01841158248 + 0.04829902976j) < 1e-5

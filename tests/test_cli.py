@@ -9,7 +9,8 @@ import pytest
 
 import refvals as RV
 from sddhopf import CharParams, char_eval, classify_dynamics, find_equilibrium, hes1_params
-from sddhopf.cli import load_config, main
+from sddhopf import dde
+from sddhopf.cli import _trajectory_csv, load_config, main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -179,6 +180,26 @@ def test_simulate_json_payload(tmp_path, capsys):
     assert payload["summary"]["decay_rate"] > 0
 
 
+def per_row_csv(traj):
+    """The row-at-a-time CSV formatter that _trajectory_csv replaced."""
+    lines = [",".join(traj.columns)]
+    for i in range(len(traj.t)):
+        lines.append(",".join("%.17g" % v for v in
+                              (traj.t[i], traj.states[i, 0],
+                               traj.states[i, 1], traj.delay[i])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_samples", [300, 0])
+def test_trajectory_csv_matches_the_per_row_formatter(eq_state, n_samples):
+    p = hes1_params(c=0.01, eps=RV.EPS0 - 0.1)
+    hist = dde.bump_history(eq_state, 0.05 * eq_state, span=p.eps)
+    traj = dde.integrate_sdd(hist, p.eps, p, t_end=40.0,
+                             sample_times=np.linspace(0.0, 40.0, n_samples))
+    assert len(traj.t) == n_samples
+    assert _trajectory_csv(traj) == per_row_csv(traj)
+
+
 def test_simulate_original_system_columns(tmp_path):
     out_file = tmp_path / "orig.csv"
     path = write_cfg(tmp_path, {
@@ -291,7 +312,9 @@ def test_one_cell_sweep_runs(tmp_path, capsys):
     # the overflow message holds a comma, so the CSV field is quoted
     ("csv", {"mu_m": [1e-300, 0.03], "c": [0.01]},
      "error: (34, 'Numerical result out of range')"),
-], ids=["invalid-eps", "overflow"])
+    ("json", {"eps": [float("nan"), RV.EPS0 - 0.1], "c": [0.01]},
+     "error: eps must be finite, got nan"),
+], ids=["invalid-eps", "overflow", "nan-eps"])
 def test_bad_sweep_cell_is_reported_in_place(tmp_path, capsys, fmt, grid, error):
     path = write_cfg(tmp_path, {
         "analysis": dict(SWEEP_ANALYSIS, grid=grid),
@@ -334,6 +357,43 @@ def test_non_integer_hill_exponent_is_rejected(tmp_path, capsys, h):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "'h'" in err
     assert err.count("\n") == 1
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("field", ["eps", "c", "mu_m", "mu_p"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, value):
+    path = write_cfg(tmp_path, {
+        "model": {field: value},
+        "analysis": dict(SIM_ANALYSIS),
+        "output": {"format": "text"},
+    })
+    assert main(["simulate", "--config", path]) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("config error: %s must be finite" % field)
+
+
+@pytest.mark.parametrize("command,overrides,rc,prefix", [
+    # f(0)/mu_m brackets the equilibrium; (y/ybar)**h overflows inside it
+    ("equilibrium", {"model": {"mu_m": 1e-300}}, 2, "solver error: OverflowError"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol="x")}, 1, "config error"),
+    ("normal-form", {"analysis": {"fit_points": [0.0, 0.01]}}, 1,
+     "config error: exactly three fit points"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, transient_fraction=2)}, 1,
+     "config error: analysis.transient_fraction"),
+], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction"])
+def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
+    out = tmp_path / "out.txt"
+    path = write_cfg(tmp_path, dict(overrides, output={"path": str(out)}))
+    assert main([command, "--config", path]) == rc
+    assert one_line_error(capsys).startswith(prefix)
+    assert not out.exists()
 
 
 def test_unknown_nonlinearity_key_is_rejected(tmp_path, capsys):

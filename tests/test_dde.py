@@ -1,6 +1,8 @@
 """Integrator tests: closed-form delay solves, an independent segmented
 integration as oracle, convergence-order and invariant checks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,6 +15,7 @@ from sddhopf import (DenominatorBreach, HistoryTooShort, IncompatibleData,
                      constant_history, escape_sweep, find_equilibrium,
                      hes1_params, integrate_sdd, integrate_transformed,
                      measure_oscillation, run_perturbed, solve_delay)
+from sddhopf import dde
 from sddhopf.dde import History
 
 EPS_LOW = RV.EPS0 - 0.1
@@ -39,11 +42,42 @@ def test_bump_history_profile(eq_state):
     assert np.allclose(h.derivative(0.0), 0.0)
     assert np.allclose(h.derivative(-1.0), 0.0, atol=1e-12)
     # interior slope agrees with a finite difference
-    fd = (h.value(-0.5 + 1e-6) - h.value(-0.5 - 1e-6)) / 2e-6
+    fd = np.subtract(h.value(-0.5 + 1e-6), h.value(-0.5 - 1e-6)) / 2e-6
     assert np.allclose(h.derivative(-0.5), fd, rtol=1e-8)
 
 
+def test_bump_history_matches_the_array_formula_bit_for_bit(eq_state):
+    base, kick, span = eq_state, -0.7 * eq_state, 6.5
+    h = bump_history(base, kick, span=span)
+    # the array formula bump_history evaluated before it went scalar
+    for s in np.linspace(-1.2 * span, 0.0, 97):
+        phase = math.pi * max(s, -span) / span
+        assert np.array_equal(h.value(s), base + kick * math.sin(phase) ** 2)
+        want = (kick * (math.pi / span) * math.sin(2 * phase) if s >= -span
+                else np.zeros(2))
+        assert np.array_equal(h.derivative(s), want)
+    assert all(type(v) is float for v in h.value(-1.0) + h.derivative(-1.0))
+
+
 # -- the threshold equation -----------------------------------------------------
+
+def reference_delay(t, x_now, history, params, tau_prev=None):
+    """The damped fixed-point iteration solve_delay used before its Newton
+    step, run until the iterate stops changing."""
+    eps, c = params.eps, params.c
+    tau = tau_prev if tau_prev else eps
+    damp, prev_abs = 1.0, np.inf
+    for _ in range(2000):
+        gv = tau - eps - c * (x_now - history.eval(t - tau)[0])
+        if abs(gv) >= prev_abs:
+            damp = 0.5
+        prev_abs = abs(gv)
+        new = tau - damp * gv
+        if new == tau:
+            break
+        tau = new
+    return tau
+
 
 def test_delay_is_eps_when_c_is_zero(eq_state):
     p = hes1_params(c=0.0, eps=4.0)
@@ -66,8 +100,23 @@ def test_delay_closed_form_on_linear_history(c, m):
     init = InitialHistory(value=lambda s: np.array([1.0 + m * s, 0.0]),
                           derivative=lambda s: np.array([m, 0.0]),
                           t0=0.0, span=400.0)
-    tau = solve_delay(0.0, 1.0, History(init), p)
+    hist = History(init)
+    tau = solve_delay(0.0, 1.0, hist, p)
     assert tau == pytest.approx(eps / (1.0 - c * m), rel=1e-12)
+    assert abs(tau - reference_delay(0.0, 1.0, hist, p)) <= 1e-13 * max(eps, tau)
+
+
+def test_newton_delay_matches_the_fixed_point_on_a_dense_history(eq_state):
+    p = hes1_params(c=0.02, eps=EPS_HIGH)
+    traj = integrate_sdd(bump_history(eq_state, 0.2 * eq_state, span=p.eps),
+                         p.eps, p, t_end=200.0)
+    hist = traj.history
+    ts = np.linspace(0.0, 200.0, 151)
+    xs = hist.eval_many(ts)[:, 0]
+    for t, x in zip(ts, xs):
+        tau = solve_delay(t, x, hist, p, tau_prev=p.eps)
+        ref = reference_delay(t, x, hist, p, tau_prev=p.eps)
+        assert abs(tau - ref) <= 1e-13 * max(p.eps, tau)
 
 
 def test_no_bracket_when_slope_exceeds_the_bound():
@@ -91,6 +140,26 @@ def test_slope_bound_warning_on_steep_history():
     # whatever root was picked, it satisfies the equation
     assert tau - 1.0 - (0.0 - 2.0 * np.sin(-3.0 * tau)) == pytest.approx(0.0, abs=1e-10)
     assert events and events[0]["kind"] == "slope_bound"
+
+
+def test_bracketed_fallback_reports_the_slope_at_its_root(monkeypatch):
+    # x = sin(20 s): the iteration wanders for its 60 steps and brentq
+    # finds the root; the uniqueness check must use x' at that root
+    p = hes1_params(c=1.0, eps=1.0)
+    init = InitialHistory(value=lambda s: (math.sin(20.0 * s), 0.0),
+                          derivative=lambda s: (20.0 * math.cos(20.0 * s), 0.0),
+                          t0=0.0, span=200.0)
+    calls = []
+    bracketed = dde.brentq
+    monkeypatch.setattr(dde, "brentq",
+                        lambda *a, **k: calls.append(1) or bracketed(*a, **k))
+    events = []
+    with pytest.warns(SlopeBoundWarning):
+        tau = solve_delay(0.0, 0.0, History(init), p, events=events)
+    assert calls
+    assert abs(tau - 1.0 + math.sin(-20.0 * tau)) <= 1e-12 * tau
+    assert events[0]["detail"] == pytest.approx(abs(20.0 * math.cos(20.0 * tau)),
+                                                rel=1e-12)
 
 
 # -- compatibility --------------------------------------------------------------
@@ -215,12 +284,59 @@ def test_eval_many_matches_eval_bit_for_bit(dense_history):
     assert np.array_equal(many, one)
 
 
+def test_slope_lookup_keeps_the_state_bit_for_bit(dense_history):
+    ts = _lookup_times(dense_history)
+    with_slope = np.array([dense_history.eval(t, slope=True) for t in ts])
+    assert np.array_equal(with_slope[:, :2],
+                          np.array([dense_history.eval(t) for t in ts]))
+    assert np.array_equal(dense_history.eval_many(ts, slope=True), with_slope)
+
+
+def test_slope_matches_a_central_difference(dense_history):
+    ends = np.array(dense_history._ends)
+    starts = np.r_[dense_history.t0, ends[:-1]]
+    inside = starts + np.array([0.25, 0.5, 0.75])[:, None] * (ends - starts)
+    initial = np.linspace(dense_history.t0 - 0.95, dense_history.t0 - 0.05, 10)
+    d = 1e-5
+    for t in np.concatenate([initial, inside.ravel()]):
+        fd = (dense_history.eval(t + d)[0] - dense_history.eval(t - d)[0]) / (2 * d)
+        assert dense_history.eval(t, slope=True)[2] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    # the constant extension before the initial data is flat
+    assert dense_history.eval(dense_history.t0 - 1.5, slope=True)[2] == 0.0
+
+
 def test_lookup_order_does_not_change_values(dense_history):
     ts = np.sort(_lookup_times(dense_history))
     in_order = [dense_history.eval(t) for t in ts]
     perm = np.random.default_rng(7).permutation(len(ts))
     shuffled = [dense_history.eval(ts[k]) for k in perm]
     assert all(shuffled[i] == in_order[k] for i, k in enumerate(perm))
+
+
+def test_lookups_per_stage_on_the_original_time_recipe(eq_state, monkeypatch):
+    # recipes/hes1-original.json: about 1400 stages, each one threshold
+    # solve (x and x' from one lookup per Newton iteration) and one lookup
+    # of the delayed state
+    p = hes1_params(c=0.01, eps=6.762162456498764)
+    counts = {"eval": 0, "stage": 0}
+    lookup, rhs = History.eval, dde.rhs_original
+
+    def counted_eval(self, *args, **kwargs):
+        counts["eval"] += 1
+        return lookup(self, *args, **kwargs)
+
+    def counted_rhs(*args, **kwargs):
+        counts["stage"] += 1
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(History, "eval", counted_eval)
+    monkeypatch.setattr(dde, "rhs_original", counted_rhs)
+    traj = integrate_sdd(bump_history(eq_state, 0.05 * eq_state, span=p.eps),
+                         p.eps, p, t_end=1200.0, rtol=1e-8, atol=1e-9,
+                         sample_times=np.linspace(0.0, 1200.0, 4096))
+    assert traj.status == "completed"
+    assert counts["stage"] > 1000
+    assert counts["eval"] <= 3.5 * counts["stage"], counts
 
 
 # -- equivalence with the unit-delay form and an external oracle ----------------

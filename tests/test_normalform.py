@@ -97,11 +97,20 @@ def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
 
 
 def test_critical_c_matches_pinned(eq, hopf, frame):
-    c0 = critical_c(eq, hopf, frame)
+    c0 = critical_c(kappa3_quadratic(eq, hopf, frame))
     assert c0 == pytest.approx(RV.C0, rel=1e-10)
     qc = quadratic_coeffs(eq, hopf, frame, c0)
     k3 = normal_form(eq, hopf, frame, qc, c=c0).kappa3
     assert abs(k3.real) < 1e-12
+
+
+def test_c0_comes_from_the_requested_fit_points():
+    p = hes1_params(c=0.01, eps=6.0)
+    default = analyze_normal_form(p)
+    other = analyze_normal_form(p, fit_cs=(0.0, 0.02, 0.04))
+    assert other.poly.fit_cs == (0.0, 0.02, 0.04)
+    assert other.c0 == pytest.approx(default.c0, rel=1e-10)
+    assert other.c0 == critical_c(other.poly)
 
 
 def test_direction_classification():

@@ -40,15 +40,29 @@ def _reject_unknown(block, allowed, where):
                           % (", ".join(sorted(unknown)), where))
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _need_number(block, key, where, default=None):
     if key not in block:
         if default is None:
             raise ConfigError("missing required field '%s' in %s block" % (key, where))
         return default
     v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError("field '%s' in %s block must be a number" % (key, where))
     return float(v)
+
+
+def _need_numbers(block, key, where, default):
+    if key not in block:
+        return default
+    v = block[key]
+    if not isinstance(v, list) or not all(map(_is_number, v)):
+        raise ConfigError("field '%s' in %s block must be a list of numbers"
+                          % (key, where))
+    return tuple(float(e) for e in v)
 
 
 class RunConfig:
@@ -79,9 +93,10 @@ class RunConfig:
         if grid is not None:
             if (not isinstance(grid, dict) or len(grid) != 2
                     or any(k not in _SWEEPABLE for k in grid)
-                    or any(not isinstance(v, list) or not v for v in grid.values())):
+                    or any(not isinstance(v, list) or not v
+                           or not all(map(_is_number, v)) for v in grid.values())):
                 raise ConfigError("analysis.grid must map exactly two of %s "
-                                  "to non-empty value lists" % (_SWEEPABLE,))
+                                  "to non-empty lists of numbers" % (_SWEEPABLE,))
 
     def to_dict(self):
         return self.raw
@@ -116,6 +131,12 @@ class RunConfig:
     def opt(self, key, default):
         return self.analysis.get(key, default)
 
+    def number(self, key, default):
+        return _need_number(self.analysis, key, "analysis", default)
+
+    def numbers(self, key, default):
+        return _need_numbers(self.analysis, key, "analysis", default)
+
     def out_format(self):
         fmt = self.output.get("format", "text")
         if fmt not in ("csv", "json", "text"):
@@ -126,10 +147,10 @@ class RunConfig:
         return self.output.get("path")
 
     def n_samples(self):
-        n = int(_need_number(self.output, "n_samples", "output", 1000.0))
-        if n < 2:
-            raise ConfigError("output.n_samples must be at least 2")
-        return n
+        n = _need_number(self.output, "n_samples", "output", 1000.0)
+        if not n.is_integer() or n < 2:
+            raise ConfigError("output.n_samples must be an integer of at least 2")
+        return int(n)
 
 
 def load_config(path) -> RunConfig:
@@ -247,7 +268,10 @@ def cmd_equilibrium(cfg: RunConfig):
 
 def cmd_stability(cfg: RunConfig):
     params = cfg.params()
-    k_count = int(cfg.opt("eps_k", 0))
+    k_count = cfg.number("eps_k", 0.0)
+    if not k_count.is_integer() or k_count < 0:
+        raise ConfigError("analysis.eps_k must be a non-negative integer")
+    k_count = int(k_count)
     eq = find_equilibrium(params)
     cls = classify_stability(eq, params.mu_m, params.mu_p, params.eps)
     if cls.kind is StabilityKind.STABLE_FOR_ALL_EPS:
@@ -273,8 +297,8 @@ def cmd_stability(cfg: RunConfig):
 def cmd_normal_form(cfg: RunConfig):
     params = cfg.params()
     rep = analyze_normal_form(params,
-                              fit_cs=tuple(cfg.opt("fit_points", (0.0, 0.01, 0.05))),
-                              c_max=float(cfg.opt("c_max", 1.0)))
+                              fit_cs=cfg.numbers("fit_points", (0.0, 0.01, 0.05)),
+                              c_max=cfg.number("c_max", 1.0))
     payload = {"eps0": rep.hopf.eps0, "omega": rep.hopf.omega,
                "kappa1": rep.kappa1, "kappa3": rep.kappa3,
                "direction": rep.direction.value, "c": rep.c, "c0": rep.c0,
@@ -302,10 +326,10 @@ def _run_simulation(cfg: RunConfig):
     system = cfg.opt("system", "transformed")
     if system not in ("original", "transformed"):
         raise ConfigError("analysis.system must be 'original' or 'transformed'")
-    t_end = float(cfg.opt("t_end", 400.0))
-    kick_scale = float(cfg.opt("kick_scale", 0.05))
-    rtol = float(cfg.opt("rtol", 1e-8))
-    atol = float(cfg.opt("atol", 1e-9))
+    t_end = cfg.number("t_end", 400.0)
+    kick_scale = cfg.number("kick_scale", 0.05)
+    rtol = cfg.number("rtol", 1e-8)
+    atol = cfg.number("atol", 1e-9)
     eq = find_equilibrium(params)
     kick = kick_scale * eq.state
     samples = np.linspace(0.0, t_end, cfg.n_samples())
@@ -349,7 +373,7 @@ def _summary_text(traj, summary):
 
 
 def cmd_simulate(cfg: RunConfig):
-    transient_fraction = float(cfg.opt("transient_fraction", 0.5))
+    transient_fraction = cfg.number("transient_fraction", 0.5)
     if not 0.0 <= transient_fraction < 1.0:
         raise ConfigError("analysis.transient_fraction must lie in [0, 1), "
                           "got %r" % transient_fraction)
@@ -393,10 +417,10 @@ def cmd_sweep(cfg: RunConfig):
         raise ConfigError("sweep requires an analysis.grid block")
     (row_name, row_vals), (col_name, col_vals) = grid.items()
     base = cfg.params()
-    eta_end = float(cfg.opt("t_end", 400.0))
-    small_kick = float(cfg.opt("small_kick", 0.05))
-    probe_scales = tuple(cfg.opt("probe_scales", [0.25, 0.5, 1.0]))
-    rtol = float(cfg.opt("rtol", 1e-7))
+    eta_end = cfg.number("t_end", 400.0)
+    small_kick = cfg.number("small_kick", 0.05)
+    probe_scales = cfg.numbers("probe_scales", (0.25, 0.5, 1.0))
+    rtol = cfg.number("rtol", 1e-7)
 
     def cell(rv, cv):
         # one bad cell (a grid value ModelParams rejects, or one whose

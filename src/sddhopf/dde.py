@@ -85,7 +85,8 @@ class InitialHistory:
     """C^1 initial data on [t0 - span, t0], constant-extended further back.
 
     value(s) and derivative(s) each return the pair (x, y) as floats; a
-    derivative of None means the slope is not known in closed form.
+    derivative of None means the slope is not known in closed form, and
+    History takes a central difference of value instead.
     """
 
     value: Callable[[float], Tuple[float, float]]
@@ -178,9 +179,17 @@ class History:
         x, y = self.initial.value(s)
         if not slope:
             return x, y
-        if s < self.t0 - self.initial.span:
+        lo = self.t0 - self.initial.span
+        if s < lo:
             return x, y, 0.0
-        return x, y, self.initial.derivative(s)[0]
+        if self.initial.derivative is not None:
+            return x, y, self.initial.derivative(s)[0]
+        # central difference, kept inside [t0 - span, t0]
+        d = 1e-6 * self.initial.span
+        a, b = max(s - d, lo), min(s + d, self.t0)
+        if b <= a:
+            return x, y, 0.0
+        return x, y, (self.initial.value(b)[0] - self.initial.value(a)[0]) / (b - a)
 
     def eval(self, t: float, slope=False):
         """State (x, y) at time t as a tuple of floats; with slope, the
@@ -268,31 +277,21 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     drops below 1/2 or |g| stops shrinking; a bracketed scalar solve is
     the last resort. The contraction constant is c |x'| over the delay
     interval; when it reaches 1 at the root the root may not be unique,
-    which is reported as a SlopeBoundWarning, not an error. Without a
-    closed-form initial derivative, every step is the damped one and the
-    slope at the root comes from a central difference.
+    which is reported as a SlopeBoundWarning, not an error.
     """
     eps, c = params.eps, params.c
     if c == 0.0:
         return eps
-    newton = history.initial.derivative is not None
-
-    def x_at(s):
-        return history.eval(s)[0]
 
     def g(tau):
-        return tau - eps - c * (x_now - x_at(t - tau))
+        return tau - eps - c * (x_now - history.eval(t - tau)[0])
 
     tau = float(tau_prev) if tau_prev and tau_prev > 0 else eps
     converged = False
     damp = 1.0
     prev_abs = math.inf
-    slope = 0.0                 # x'(t - tau); 0 makes g' = 1, the damped step
     for _ in range(60):
-        if newton:
-            x_back, _, slope = history.eval(t - tau, True)
-        else:
-            x_back = history.eval(t - tau)[0]
+        x_back, _, slope = history.eval(t - tau, True)
         gv = tau - eps - c * (x_now - x_back)
         if abs(gv) <= 1e-13 * max(eps, tau):
             converged = True
@@ -318,16 +317,9 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         if abs(g(tau)) > 1e-12 * max(eps, tau):
             raise NoConvergence("threshold residual %.3e at t = %.6g"
                                 % (g(tau), t))
-        if newton:
-            slope = history.eval(t - tau, True)[2]
+        slope = history.eval(t - tau, True)[2]
 
-    # uniqueness bound: c |x'| < 1 near the solution
-    if not newton:
-        delta = 1e-6 * max(eps, tau)
-        try:
-            slope = (x_at(t - tau + delta) - x_at(t - tau - delta)) / (2 * delta)
-        except _BeyondFrontier:
-            return tau
+    # uniqueness bound: c |x'| < 1 at the root
     if c * abs(slope) >= 1.0:
         _slope_bound_hit(t, c, slope, events)
     return tau
@@ -345,7 +337,6 @@ def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
     n = len(ts)
     if c == 0.0 or not n:
         return np.full(n, eps)
-    newton = history.initial.derivative is not None
     tau = np.full(n, float(tau_seed) if tau_seed and tau_seed > 0 else eps)
     damp = np.ones(n)
     prev_abs = np.full(n, math.inf)
@@ -355,19 +346,18 @@ def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
         if not len(active):
             break
         ta = tau[active]
-        back = history.eval_many(ts[active] - ta, slope=newton)
+        back = history.eval_many(ts[active] - ta, slope=True)
         gv = ta - eps - c * (xs[active] - back[:, 0])
         abs_g = np.abs(gv)
         going = abs_g > 1e-13 * np.maximum(eps, ta)
         damp[active] = np.where(abs_g >= prev_abs[active], 0.5, damp[active])
         prev_abs[active] = abs_g
-        dg = 1.0 - c * back[:, 2] if newton else 1.0
+        dg = 1.0 - c * back[:, 2]
         use_newton = (damp[active] == 1.0) & (dg >= 0.5)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = np.where(use_newton, ta - gv / dg, ta - damp[active] * gv)
         new = np.where(new > 0, new, 0.5 * ta)
-        if newton:
-            slope[active[~going]] = back[~going, 2]
+        slope[active[~going]] = back[~going, 2]
         active = active[going]
         tau[active] = new[going]
 
@@ -376,10 +366,6 @@ def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
                              tau_prev=tau[k - 1] if k else tau_seed)
     checked = np.ones(n, dtype=bool)
     checked[active] = False                 # solve_delay checked these itself
-    if not newton:
-        delta = 1e-6 * np.maximum(eps, tau)
-        slope = (history.eval_many(ts - tau + delta)[:, 0]
-                 - history.eval_many(ts - tau - delta)[:, 0]) / (2 * delta)
     for k in np.flatnonzero(checked & (c * np.abs(slope) >= 1.0)):
         _slope_bound_hit(float(ts[k]), c, float(slope[k]), None)
     return tau
@@ -651,19 +637,20 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
     events: List[dict] = []
     monitors = {"min_r": math.inf, "min_xi": math.inf, "min_denominator": math.inf}
 
-    delayed = None              # the last stage's lookup at t - 1
+    denominator = math.inf      # D of the last stage, the one at t_new on accept
 
     def eval_stage(t, r, xi):
-        nonlocal delayed
+        nonlocal denominator
         delayed = hist.eval(t - 1.0)
         try:
-            return rhs_transformed((r, xi), delayed, params)
+            dr, dxi, k, denominator = rhs_transformed((r, xi), delayed, params)
         except OverflowError:
             raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
         except DenominatorBreach as exc:
             if raise_on_breach:
                 raise
             raise _Abort(STATUS_BREACH, t, str(exc))
+        return dr, dxi, k
 
     t0 = history.t0
     breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
@@ -683,11 +670,8 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
         monitors["min_r"] = min(monitors["min_r"], r)
         monitors["min_xi"] = min(monitors["min_xi"], xi)
         if params.c > 0:
-            # the accepted step's last stage ran at t_new, and its rhs
-            # already evaluated f at this delayed state without overflow
-            drive = -params.mu_m * r + params.nonlinearity.f.value(delayed[1])
             monitors["min_denominator"] = min(monitors["min_denominator"],
-                                              1.0 - params.c * drive)
+                                              denominator)
         now_positive = r > 0 and xi > 0
         if positive and not now_positive:
             events.append({"t": t_new, "kind": "positivity", "detail": (r, xi)})

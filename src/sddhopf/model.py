@@ -154,7 +154,8 @@ def rhs_original(state_now, state_delayed, tau, params: ModelParams):
 
 
 def rhs_transformed(state_now, state_delayed, params: ModelParams):
-    """Unit-delay RHS in eta-time and the local delay value k(eta).
+    """Unit-delay RHS in eta-time, the local delay value k(eta) and the
+    denominator D of the time change.
 
     Raises DenominatorBreach when D = 1 - c(-mu_m r + f(xi_1)) is not
     positive: there x'(t) >= 1/c and the time change is invalid.
@@ -168,5 +169,5 @@ def rhs_transformed(state_now, state_delayed, params: ModelParams):
     if D <= 0.0:
         raise DenominatorBreach("denominator %.6g at state (%.6g, %.6g)" % (D, r, xi))
     k = params.eps + params.c * (r - r1)
-    return params.eps * Fx / D, params.eps * Gy / D, k
+    return params.eps * Fx / D, params.eps * Gy / D, k, D
 

@@ -387,10 +387,29 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
      "config error: exactly three fit points"),
     ("simulate", {"analysis": dict(SIM_ANALYSIS, transient_fraction=2)}, 1,
      "config error: analysis.transient_fraction"),
-], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction"])
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol=None)}, 1,
+     "config error: field 'rtol'"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, transient_fraction=[0.5])}, 1,
+     "config error: field 'transient_fraction'"),
+    ("normal-form", {"analysis": {"fit_points": None}}, 1,
+     "config error: field 'fit_points'"),
+    ("normal-form", {"analysis": {"c_max": "1"}}, 1, "config error: field 'c_max'"),
+    ("stability", {"analysis": {"eps_k": 1.5}}, 1, "config error: analysis.eps_k"),
+    ("sweep", {"analysis": {"grid": {"c": [0.01], "eps": [[6.0]]}}}, 1,
+     "config error: analysis.grid"),
+    ("sweep", {"analysis": {"grid": {"c": [0.01], "eps": [6.0]},
+                            "probe_scales": "x"}}, 1,
+     "config error: field 'probe_scales'"),
+    ("simulate", {"analysis": SIM_ANALYSIS, "output": {"n_samples": 2.7}}, 1,
+     "config error: output.n_samples"),
+], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
+        "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
+        "eps-k-fraction", "grid-nested-list", "probe-scales-string",
+        "n-samples-fraction"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
-    path = write_cfg(tmp_path, dict(overrides, output={"path": str(out)}))
+    output = dict(overrides.get("output", {}), path=str(out))
+    path = write_cfg(tmp_path, dict(overrides, output=output))
     assert main([command, "--config", path]) == rc
     assert one_line_error(capsys).startswith(prefix)
     assert not out.exists()

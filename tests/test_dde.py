@@ -106,6 +106,33 @@ def test_delay_closed_form_on_linear_history(c, m):
     assert abs(tau - reference_delay(0.0, 1.0, hist, p)) <= 1e-13 * max(eps, tau)
 
 
+@pytest.mark.parametrize("c,m", [(0.3, 0.05), (0.1, -2.0), (0.02, 8.0)])
+def test_delay_closed_form_without_a_derivative(c, m):
+    # derivative=None: History takes x' from a central difference of value
+    eps = 2.0
+    p = hes1_params(c=c, eps=eps)
+    hist = History(InitialHistory(value=lambda s: (1.0 + m * s, 0.0),
+                                  derivative=None, t0=0.0, span=400.0))
+    for s in (-3.0, 0.0, -400.0):
+        assert hist.eval(s, slope=True)[2] == pytest.approx(m, rel=1e-8)
+    assert hist.eval(-401.0, slope=True)[2] == 0.0
+    tau = solve_delay(0.0, 1.0, hist, p)
+    assert tau == pytest.approx(eps / (1.0 - c * m), rel=1e-12)
+
+
+def test_run_without_a_derivative_follows_the_closed_form_one(eq_state):
+    p = hes1_params(c=0.02, eps=EPS_HIGH)
+    init = bump_history(eq_state, 0.2 * eq_state, span=p.eps)
+    no_slope = InitialHistory(value=init.value, derivative=None,
+                              t0=init.t0, span=init.span)
+    ts = np.linspace(0.0, 100.0, 101)
+    want = integrate_sdd(init, p.eps, p, t_end=100.0, sample_times=ts)
+    got = integrate_sdd(no_slope, p.eps, p, t_end=100.0, sample_times=ts)
+    assert got.status == want.status == "completed"
+    assert np.allclose(got.states, want.states, rtol=1e-8, atol=0.0)
+    assert np.allclose(got.delay, want.delay, rtol=1e-8, atol=0.0)
+
+
 def test_newton_delay_matches_the_fixed_point_on_a_dense_history(eq_state):
     p = hes1_params(c=0.02, eps=EPS_HIGH)
     traj = integrate_sdd(bump_history(eq_state, 0.2 * eq_state, span=p.eps),
@@ -257,6 +284,17 @@ def test_every_sample_delay_solves_the_threshold_equation(eq_state):
     res = traj.delay - p.eps - p.c * (traj.states[:, 0] - x_back)
     assert np.all(np.abs(res) <= 1e-12 * np.maximum(p.eps, traj.delay))
     assert np.ptp(traj.delay) > 1e-3          # the delay really varies
+
+
+def test_transformed_min_denominator_is_taken_at_each_accepted_step(eq_state):
+    # D = 1 - c(-mu_m r + f(xi(eta - 1))) at the end of every accepted step
+    p = hes1_params(c=0.01, eps=EPS_HIGH)
+    traj = integrate_transformed(bump_history(eq_state, 0.2 * eq_state, span=1.0),
+                                 p, 40.0)
+    hist, f = traj.history, p.nonlinearity.f
+    want = min(1.0 - p.c * (-p.mu_m * hist.eval(t)[0] + f.value(hist.eval(t - 1.0)[1]))
+               for t in hist._ends)
+    assert abs(traj.monitors["min_denominator"] - want) <= 1e-14
 
 
 # -- the dense history ------------------------------------------------------------

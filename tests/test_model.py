@@ -76,10 +76,11 @@ def test_rhs_original_threshold_residual_sign(params, eq_state):
 
 
 def test_rhs_transformed_vanishes_at_equilibrium(params, eq_state):
-    dr, dxi, k = rhs_transformed(eq_state, eq_state, params)
+    dr, dxi, k, D = rhs_transformed(eq_state, eq_state, params)
     assert abs(dr) < 1e-11
     assert abs(dxi) < 1e-8
     assert k == params.eps
+    assert D == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rhs_transformed_reduces_to_constant_delay(params, eq_state):
@@ -89,7 +90,7 @@ def test_rhs_transformed_reduces_to_constant_delay(params, eq_state):
     f, g = p0.nonlinearity.f, p0.nonlinearity.g
     written_out = (p0.eps * (-p0.mu_m * now[0] + f.value(then[1])),
                    p0.eps * (-p0.mu_p * now[1] + g.value(then[0])),
-                   p0.eps)
+                   p0.eps, 1.0)
     assert rhs_transformed(now, then, p0) == written_out
 
 

@@ -31,6 +31,13 @@ _ANALYSIS_KEYS = {"eps_k", "fit_points", "c_max", "system", "t_end",
                   "grid", "small_kick", "probe_scales"}
 _OUTPUT_KEYS = {"format", "path", "n_samples"}
 _SWEEPABLE = ("mu_m", "mu_p", "c", "eps")
+# allowed values of the analysis numbers that have a range
+_RANGES = {"t_end": (lambda v: v > 0, "> 0"),
+           "rtol": (lambda v: v > 0, "> 0"),
+           "atol": (lambda v: v > 0, "> 0"),
+           "c_max": (lambda v: v >= 0, ">= 0"),
+           "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+           "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer")}
 
 
 def _reject_unknown(block, allowed, where):
@@ -52,6 +59,8 @@ def _need_number(block, key, where, default=None):
     v = block[key]
     if not _is_number(v):
         raise ConfigError("field '%s' in %s block must be a number" % (key, where))
+    if not math.isfinite(v):
+        raise ConfigError("field '%s' in %s block must be finite, got %r" % (key, where, v))
     return float(v)
 
 
@@ -59,8 +68,8 @@ def _need_numbers(block, key, where, default):
     if key not in block:
         return default
     v = block[key]
-    if not isinstance(v, list) or not all(map(_is_number, v)):
-        raise ConfigError("field '%s' in %s block must be a list of numbers"
+    if not isinstance(v, list) or not all(_is_number(e) and math.isfinite(e) for e in v):
+        raise ConfigError("field '%s' in %s block must be a list of finite numbers"
                           % (key, where))
     return tuple(float(e) for e in v)
 
@@ -132,7 +141,10 @@ class RunConfig:
         return self.analysis.get(key, default)
 
     def number(self, key, default):
-        return _need_number(self.analysis, key, "analysis", default)
+        v = _need_number(self.analysis, key, "analysis", default)
+        if key in _RANGES and not _RANGES[key][0](v):
+            raise ConfigError("analysis.%s must be %s, got %r" % (key, _RANGES[key][1], v))
+        return v
 
     def numbers(self, key, default):
         return _need_numbers(self.analysis, key, "analysis", default)
@@ -268,10 +280,7 @@ def cmd_equilibrium(cfg: RunConfig):
 
 def cmd_stability(cfg: RunConfig):
     params = cfg.params()
-    k_count = cfg.number("eps_k", 0.0)
-    if not k_count.is_integer() or k_count < 0:
-        raise ConfigError("analysis.eps_k must be a non-negative integer")
-    k_count = int(k_count)
+    k_count = int(cfg.number("eps_k", 0.0))
     eq = find_equilibrium(params)
     cls = classify_stability(eq, params.mu_m, params.mu_p, params.eps)
     if cls.kind is StabilityKind.STABLE_FOR_ALL_EPS:
@@ -374,9 +383,6 @@ def _summary_text(traj, summary):
 
 def cmd_simulate(cfg: RunConfig):
     transient_fraction = cfg.number("transient_fraction", 0.5)
-    if not 0.0 <= transient_fraction < 1.0:
-        raise ConfigError("analysis.transient_fraction must lie in [0, 1), "
-                          "got %r" % transient_fraction)
     params, eq, traj = _run_simulation(cfg)
     summary = _summary_dict(traj, transient_fraction)
     fmt = cfg.out_format()

@@ -16,18 +16,18 @@ integration (sampling, the delay column) is vectorised over the samples.
 
 import bisect
 import math
+import struct
 import warnings
-from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DenominatorBreach, HistoryTooShort, IncompatibleData,
                      InsufficientCycles, NoBracket, NoConvergence,
                      SlopeBoundWarning)
 from .model import Equilibrium, ModelParams, rhs_original, rhs_transformed
+from .roots import brentq
 
 # Dormand-Prince 5(4) tableau with the Shampine quartic interpolant,
 # written out as scalars (zero entries dropped).
@@ -41,19 +41,20 @@ _A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
                                 17253 / 339200, -22 / 525, 1 / 40)
-# Columns 1..3 of the interpolant matrix P, over stages 1, 3, 4, 5, 6, 7
-# (stage 2 has a zero row; column 0 is stage 1 alone).
-_P_COLS = (
-    (-8048581381 / 2820520608, 131558114200 / 32700410799,
-     -1754552775 / 470086768, 127303824393 / 49829197408,
-     -282668133 / 205662961, 40617522 / 29380423),
-    (8663915743 / 2820520608, -68118460800 / 10900136933,
-     14199869525 / 1410260304, -318862633887 / 49829197408,
-     2019193451 / 616988883, -110615467 / 29380423),
-    (-12715105075 / 11282082432, 87487479700 / 32700410799,
-     -10690763975 / 1880347072, 701980252875 / 199316789632,
-     -1453857185 / 822651844, 69997945 / 29380423),
-)
+# Columns 1..3 of the interpolant matrix P over stages 1, 3, 4, 5, 6, 7,
+# named _P<stage><column> (stage 2 has a zero row; column 0 is stage 1 alone).
+_P11, _P31, _P41, _P51, _P61, _P71 = (
+    -8048581381 / 2820520608, 131558114200 / 32700410799,
+    -1754552775 / 470086768, 127303824393 / 49829197408,
+    -282668133 / 205662961, 40617522 / 29380423)
+_P12, _P32, _P42, _P52, _P62, _P72 = (
+    8663915743 / 2820520608, -68118460800 / 10900136933,
+    14199869525 / 1410260304, -318862633887 / 49829197408,
+    2019193451 / 616988883, -110615467 / 29380423)
+_P13, _P33, _P43, _P53, _P63, _P73 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -128,13 +129,15 @@ def bump_history(base_state, kick, span, t0=0.0) -> InitialHistory:
 
 
 _SEG = 12     # doubles per segment: t_old, h, y_old[0:2], Q[0, 0:4], Q[1, 0:4]
+_SEG_STRUCT = struct.Struct("=%dd" % _SEG)
 
 
 class History:
     """Dense solution history: initial data plus accepted-step interpolants.
 
-    Segments live in one flat array of doubles; on segment i, the state at
-    t_old + x h is y_old + h x (Q0 + x (Q1 + x (Q2 + x Q3))) per component.
+    Segments are packed as doubles into one bytearray; on segment i, the
+    state at t_old + x h is y_old + h x (Q0 + x (Q1 + x (Q2 + x Q3))) per
+    component.
     """
 
     def __init__(self, initial: InitialHistory):
@@ -142,12 +145,8 @@ class History:
         self.t0 = initial.t0
         self._set_frontier(initial.t0)
         self._ends: List[float] = []
-        self._store = array("d")
+        self._store = bytearray()
         self._cursor = 0       # segment of the last lookup; lookups creep forward
-        probe = np.array([initial.value(initial.t0 - initial.span * k / 64)[0]
-                          for k in range(65)])
-        self.x_min = float(np.min(probe))
-        self.x_max = float(np.max(probe))
 
     def _set_frontier(self, t):
         self.frontier = t
@@ -157,22 +156,32 @@ class History:
         """Store one accepted step; K holds the seven stage slopes as a flat
         (x, y) sequence."""
         k1x, k1y, _, _, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = K
-        qx = [k1x * p1 + k3x * p3 + k4x * p4 + k5x * p5 + k6x * p6 + k7x * p7
-              for p1, p3, p4, p5, p6, p7 in _P_COLS]
-        qy = [k1y * p1 + k3y * p3 + k4y * p4 + k5y * p5 + k6y * p6 + k7y * p7
-              for p1, p3, p4, p5, p6, p7 in _P_COLS]
-        y0, y1 = y_old
-        self._store.extend((t_old, h, y0, y1, k1x, *qx, k1y, *qy))
+        self._store += _SEG_STRUCT.pack(
+            t_old, h, y_old[0], y_old[1],
+            k1x,
+            k1x * _P11 + k3x * _P31 + k4x * _P41 + k5x * _P51 + k6x * _P61 + k7x * _P71,
+            k1x * _P12 + k3x * _P32 + k4x * _P42 + k5x * _P52 + k6x * _P62 + k7x * _P72,
+            k1x * _P13 + k3x * _P33 + k4x * _P43 + k5x * _P53 + k6x * _P63 + k7x * _P73,
+            k1y,
+            k1y * _P11 + k3y * _P31 + k4y * _P41 + k5y * _P51 + k6y * _P61 + k7y * _P71,
+            k1y * _P12 + k3y * _P32 + k4y * _P42 + k5y * _P52 + k6y * _P62 + k7y * _P72,
+            k1y * _P13 + k3y * _P33 + k4y * _P43 + k5y * _P53 + k6y * _P63 + k7y * _P73)
         t_new = t_old + h
         self._ends.append(t_new)
         self._set_frontier(t_new)
-        x = (t_new - t_old) / h
-        x_new = y0 + h * x * (k1x + x * (qx[0] + x * (qx[1] + x * qx[2])))
-        self.x_min = min(self.x_min, x_new)
-        self.x_max = max(self.x_max, x_new)
 
     def x_span(self) -> float:
-        return self.x_max - self.x_min
+        """Range of x over 65 points of the initial data and the end of
+        every stored step."""
+        init = self.initial
+        xs = [init.value(init.t0 - init.span * k / 64)[0] for k in range(65)]
+        if self._ends:
+            seg = np.frombuffer(self._store, dtype=float).reshape(-1, _SEG).copy()
+            h = seg[:, 1]
+            x = ((seg[:, 0] + h) - seg[:, 0]) / h
+            xs += (seg[:, 2] + h * x * (seg[:, 4] + x * (seg[:, 5] + x * (
+                seg[:, 6] + x * seg[:, 7])))).tolist()
+        return max(xs) - min(xs)
 
     def _initial_at(self, t, slope):
         s = min(t, self.t0)
@@ -210,7 +219,7 @@ class History:
             i = min(bisect.bisect_left(ends, t, i + 1), len(ends) - 1)
         self._cursor = i
         t_old, h, y0, y1, a0, a1, a2, a3, b0, b1, b2, b3 = \
-            self._store[_SEG * i:_SEG * i + _SEG]
+            _SEG_STRUCT.unpack_from(self._store, _SEG_STRUCT.size * i)
         x = (t - t_old) / h
         hx = h * x
         if slope:

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DenominatorBreach, NoConvergence, NonPositive
 from .nonlinearity import NonlinearitySpec, hes1_nonlinearity
+from .roots import brentq
 
 
 @dataclass(frozen=True)

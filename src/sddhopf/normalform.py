@@ -357,8 +357,9 @@ def kappa3_quadratic(eq, hp, frame, fit_cs=(0.0, 0.01, 0.05)) -> Kappa3Quadratic
         return normal_form(eq, hp, frame, qc).kappa3
 
     cs = np.asarray(fit_cs, dtype=float)
-    if len(cs) != 3:
-        raise ValueError("exactly three fit points required")
+    if len(cs) != 3 or len(set(cs.tolist())) != 3:
+        raise ValueError("exactly three fit points required, all different; got %s"
+                         % list(fit_cs))
     vals = np.array([k3(c) for c in cs])
     re_co = np.polyfit(cs, vals.real, 2)
     im_co = np.polyfit(cs, vals.imag, 2)

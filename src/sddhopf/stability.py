@@ -19,10 +19,10 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import HypothesisViolated, NoConvergence, NoRoot, UnhandledRegime
 from .model import Equilibrium
+from .roots import brentq
 
 
 @dataclass(frozen=True)

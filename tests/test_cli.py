@@ -9,7 +9,7 @@ import pytest
 
 import refvals as RV
 from sddhopf import CharParams, char_eval, classify_dynamics, find_equilibrium, hes1_params
-from sddhopf import dde
+from sddhopf import dde, model, roots
 from sddhopf.cli import _trajectory_csv, load_config, main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -376,7 +376,7 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     })
     assert main(["simulate", "--config", path]) == 1
     err = one_line_error(capsys)
-    assert err.startswith("config error: %s must be finite" % field)
+    assert err.startswith("config error: field '%s' in model block must be finite" % field)
 
 
 @pytest.mark.parametrize("command,overrides,rc,prefix", [
@@ -402,10 +402,28 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
      "config error: field 'probe_scales'"),
     ("simulate", {"analysis": SIM_ANALYSIS, "output": {"n_samples": 2.7}}, 1,
      "config error: output.n_samples"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, t_end=-5.0)}, 1,
+     "config error: analysis.t_end must be > 0"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, t_end=float("inf"))}, 1,
+     "config error: field 't_end' in analysis block must be finite"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol=-1.0)}, 1,
+     "config error: analysis.rtol must be > 0"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol=0.0, atol=0.0)}, 1,
+     "config error: analysis.rtol must be > 0"),
+    ("simulate", {"analysis": dict(SIM_ANALYSIS, atol=0.0)}, 1,
+     "config error: analysis.atol must be > 0"),
+    ("normal-form", {"analysis": {"c_max": -1.0}}, 1,
+     "config error: analysis.c_max must be >= 0"),
+    ("normal-form", {"analysis": {"fit_points": [0.0, 0.0, 0.0]}}, 1,
+     "config error: exactly three fit points required, all different"),
+    ("normal-form", {"analysis": {"fit_points": [0.0, 0.01, float("nan")]}}, 1,
+     "config error: field 'fit_points' in analysis block must be a list of finite"),
 ], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
-        "n-samples-fraction"])
+        "n-samples-fraction", "t-end-negative", "t-end-infinite", "rtol-negative",
+        "rtol-atol-zero", "atol-zero", "c-max-negative", "repeated-fit-points",
+        "fit-points-nan"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
     output = dict(overrides.get("output", {}), path=str(out))
@@ -413,6 +431,28 @@ def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, pr
     assert main([command, "--config", path]) == rc
     assert one_line_error(capsys).startswith(prefix)
     assert not out.exists()
+
+
+def _capped_brentq(monkeypatch):
+    # one iteration is too few for the equilibrium's bracketed solve
+    monkeypatch.setattr(model, "brentq",
+                        lambda f, a, b, **kw: roots.brentq(f, a, b, **dict(kw, maxiter=1)))
+
+
+def test_root_finder_failure_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    _capped_brentq(monkeypatch)
+    assert main(["equilibrium", "--config", write_cfg(tmp_path)]) == 2
+    assert one_line_error(capsys).startswith("solver error: no convergence after 1 iterations")
+
+
+def test_root_finder_failure_is_reported_in_the_sweep_cell(tmp_path, capsys, monkeypatch):
+    _capped_brentq(monkeypatch)
+    path = write_cfg(tmp_path, {"analysis": {"grid": {"c": [0.01], "eps": [6.0]}},
+                                "output": {"format": "csv"}})
+    assert main(["sweep", "--config", path]) == 0
+    captured = capsys.readouterr()
+    (label,), = [row[1:] for row in csv.reader(io.StringIO(captured.out))][1:]
+    assert label.startswith("error: no convergence after 1 iterations")
 
 
 def test_unknown_nonlinearity_key_is_rejected(tmp_path, capsys):

@@ -351,6 +351,16 @@ def test_lookup_order_does_not_change_values(dense_history):
     assert all(shuffled[i] == in_order[k] for i, k in enumerate(perm))
 
 
+def test_x_span_covers_the_initial_data_and_every_step_end(dense_history):
+    # the range the bracketed delay solve scales its bracket by: a 65-point
+    # probe of the initial data and the interpolant at each step's end
+    init = dense_history.initial
+    xs = [init.value(init.t0 - init.span * k / 64)[0] for k in range(65)]
+    xs += [dense_history.eval(t)[0] for t in dense_history._ends]
+    assert dense_history.x_span() == max(xs) - min(xs)
+    assert History(init).x_span() == max(xs[:65]) - min(xs[:65])
+
+
 def test_lookups_per_stage_on_the_original_time_recipe(eq_state, monkeypatch):
     # recipes/hes1-original.json: about 1400 stages, each one threshold
     # solve (x and x' from one lookup per Newton iteration) and one lookup

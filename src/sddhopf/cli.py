@@ -31,8 +31,10 @@ _ANALYSIS_KEYS = {"eps_k", "fit_points", "c_max", "system", "t_end",
                   "grid", "small_kick", "probe_scales"}
 _OUTPUT_KEYS = {"format", "path", "n_samples"}
 _SWEEPABLE = ("mu_m", "mu_p", "c", "eps")
-# allowed values of the analysis numbers that have a range
-_RANGES = {"t_end": (lambda v: v > 0, "> 0"),
+# allowed values of the config numbers that have a range
+_RANGES = {"alpha_m": (lambda v: v >= 0, ">= 0"),
+           "alpha_p": (lambda v: v >= 0, ">= 0"),
+           "t_end": (lambda v: v > 0, "> 0"),
            "rtol": (lambda v: v > 0, "> 0"),
            "atol": (lambda v: v > 0, "> 0"),
            "c_max": (lambda v: v >= 0, ">= 0"),
@@ -61,7 +63,10 @@ def _need_number(block, key, where, default=None):
         raise ConfigError("field '%s' in %s block must be a number" % (key, where))
     if not math.isfinite(v):
         raise ConfigError("field '%s' in %s block must be finite, got %r" % (key, where, v))
-    return float(v)
+    v = float(v)
+    if key in _RANGES and not _RANGES[key][0](v):
+        raise ConfigError("%s.%s must be %s, got %r" % (where, key, _RANGES[key][1], v))
+    return v
 
 
 def _need_numbers(block, key, where, default):
@@ -75,14 +80,15 @@ def _need_numbers(block, key, where, default):
 
 
 class RunConfig:
-    """Validated view over the raw config dict; the raw dict is kept verbatim
-    so serialization round-trips losslessly."""
+    """Validated view over the raw config dict. The raw dict is kept verbatim,
+    so serialization round-trips losslessly, apart from the fields that
+    override() sets."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
         _reject_unknown(raw, _TOP_KEYS, "top-level")
-        self.raw = raw
+        self.raw = dict(raw)
         self.model = dict(raw.get("model") or {})
         self.analysis = dict(raw.get("analysis") or {})
         self.output = dict(raw.get("output") or {})
@@ -109,6 +115,13 @@ class RunConfig:
 
     def to_dict(self):
         return self.raw
+
+    def override(self, block, key, value):
+        """Set one field of the model, analysis or output block, both in
+        the view the commands read and in the echoed config."""
+        fields = getattr(self, block)
+        fields[key] = value
+        self.raw[block] = fields
 
     def nonlinearity(self) -> NonlinearitySpec:
         nl = self.nonlinearity_block
@@ -141,10 +154,7 @@ class RunConfig:
         return self.analysis.get(key, default)
 
     def number(self, key, default):
-        v = _need_number(self.analysis, key, "analysis", default)
-        if key in _RANGES and not _RANGES[key][0](v):
-            raise ConfigError("analysis.%s must be %s, got %r" % (key, _RANGES[key][1], v))
-        return v
+        return _need_number(self.analysis, key, "analysis", default)
 
     def numbers(self, key, default):
         return _need_numbers(self.analysis, key, "analysis", default)
@@ -176,21 +186,18 @@ def load_config(path) -> RunConfig:
     return RunConfig(raw)
 
 
+# flag -> (block, key) it overrides
+_FLAGS = {"eps": ("model", "eps"), "c": ("model", "c"),
+          "system": ("analysis", "system"), "t_end": ("analysis", "t_end"),
+          "eps_k": ("analysis", "eps_k"), "fmt": ("output", "format"),
+          "output": ("output", "path")}
+
+
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    if args.eps is not None:
-        cfg.model["eps"] = args.eps
-    if args.c is not None:
-        cfg.model["c"] = args.c
-    if args.system is not None:
-        cfg.analysis["system"] = args.system
-    if args.t_end is not None:
-        cfg.analysis["t_end"] = args.t_end
-    if args.eps_k is not None:
-        cfg.analysis["eps_k"] = args.eps_k
-    if args.fmt is not None:
-        cfg.output["format"] = args.fmt
-    if args.output is not None:
-        cfg.output["path"] = args.output
+    for flag, (block, key) in _FLAGS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            cfg.override(block, key, value)
     return cfg
 
 
@@ -244,13 +251,16 @@ def _kv_csv(payload):
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(payload, text, command, cfg):
+def _emit_report(payload, text, command, cfg, csv=None):
+    """Write the command's result in the configured format: JSON
+    {command, config, results}, CSV (csv() when given, else key,value rows
+    of the payload) or the text summary."""
     fmt = cfg.out_format()
     if fmt == "json":
         doc = {"command": command, "config": cfg.to_dict(), "results": _jsonable(payload)}
         _write(json.dumps(doc, indent=2) + "\n", cfg.out_path())
     elif fmt == "csv":
-        _write(_kv_csv(payload), cfg.out_path())
+        _write(csv() if csv else _kv_csv(payload), cfg.out_path())
     else:
         _write(text, cfg.out_path())
     return 0
@@ -349,8 +359,7 @@ def _run_simulation(cfg: RunConfig):
     else:
         hist = dde.bump_history(eq.state, kick, span=1.0)
         traj = dde.integrate_transformed(hist, params, t_end, rtol=rtol,
-                                         atol=atol, sample_times=samples,
-                                         raise_on_breach=False)
+                                         atol=atol, sample_times=samples)
     return params, eq, traj
 
 
@@ -385,22 +394,15 @@ def cmd_simulate(cfg: RunConfig):
     transient_fraction = cfg.number("transient_fraction", 0.5)
     params, eq, traj = _run_simulation(cfg)
     summary = _summary_dict(traj, transient_fraction)
-    fmt = cfg.out_format()
-    if fmt == "csv":
-        _write(_trajectory_csv(traj), cfg.out_path())
-        sys.stderr.write(_summary_text(traj, summary))
-    elif fmt == "json":
-        doc = {"command": "simulate", "config": cfg.to_dict(),
-               "results": _jsonable({
-                   "status": traj.status, "summary": summary,
-                   "monitors": traj.monitors, "events": traj.events[:50],
-                   "columns": list(traj.columns),
-                   "rows": np.column_stack(
-                       [traj.t, traj.states, traj.delay]).tolist()
-                   if len(traj.t) else []})}
-        _write(json.dumps(doc, indent=2) + "\n", cfg.out_path())
-    else:
-        _write(_summary_text(traj, summary), cfg.out_path())
+    text = _summary_text(traj, summary)
+    # rows stay an array: only the JSON writer turns them into lists
+    payload = {"status": traj.status, "summary": summary,
+               "monitors": traj.monitors, "events": traj.events[:50],
+               "columns": list(traj.columns),
+               "rows": np.column_stack([traj.t, traj.states, traj.delay])}
+    _emit_report(payload, text, "simulate", cfg, csv=lambda: _trajectory_csv(traj))
+    if cfg.out_format() == "csv":
+        sys.stderr.write(text)
     if traj.status != dde.STATUS_COMPLETED:
         sys.stderr.write("integration ended early: %s\n" % traj.status)
         for ev in traj.events[-20:]:
@@ -460,19 +462,14 @@ def cmd_sweep(cfg: RunConfig):
     payload = {"rows": {row_name: list(row_vals)},
                "cols": {col_name: list(col_vals)},
                "labels": labels, "overlays": overlays}
-    fmt = cfg.out_format()
-    if fmt == "csv":
+
+    def grid_csv():
         lines = ["%s\\%s," % (row_name, col_name)
                  + ",".join("%.17g" % v for v in col_vals)]
         for rv, row in zip(row_vals, labels):
             lines.append("%.17g," % rv + ",".join(_csv_field(s) for s in row))
-        _write("\n".join(lines) + "\n", cfg.out_path())
-        return 0
-    if fmt == "json":
-        doc = {"command": "sweep", "config": cfg.to_dict(),
-               "results": _jsonable(payload)}
-        _write(json.dumps(doc, indent=2) + "\n", cfg.out_path())
-        return 0
+        return "\n".join(lines) + "\n"
+
     width = max(12, max(len(s) for row in labels for s in row) + 2)
     head = " " * 18 + "".join(("%s=%-10.6g" % (col_name, v)).ljust(width)
                               for v in col_vals)
@@ -484,8 +481,7 @@ def cmd_sweep(cfg: RunConfig):
     for rv, row in zip(row_vals, labels):
         lines.append(("%s=%-10.6g" % (row_name, rv)).ljust(18)
                      + "".join(s.ljust(width) for s in row))
-    _write("\n".join(lines) + "\n", cfg.out_path())
-    return 0
+    return _emit_report(payload, "\n".join(lines) + "\n", "sweep", cfg, csv=grid_csv)
 
 
 # -- entry point -----------------------------------------------------------------

@@ -57,6 +57,8 @@ _P13, _P33, _P43, _P53, _P63, _P73 = (
     -1453857185 / 822651844, 69997945 / 29380423)
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_MAX_STEPS = 2_000_000      # step budget of one run, rejected tries included
+_COMPAT_TOL = 1e-8          # bound on the scaled compatibility residuals
 
 STATUS_COMPLETED = "completed"
 STATUS_B2 = "b2_violation"
@@ -400,7 +402,7 @@ class CompatibilityReport:
 
 
 def check_compatibility(history: InitialHistory, tau0, params: ModelParams,
-                        tol=1e-8) -> CompatibilityReport:
+                        tol=_COMPAT_TOL) -> CompatibilityReport:
     if tau0 > history.span:
         raise HistoryTooShort("tau0 = %g exceeds the covered span %g"
                               % (tau0, history.span))
@@ -425,6 +427,9 @@ def check_compatibility(history: InitialHistory, tau0, params: ModelParams,
 
 # -- trajectories ---------------------------------------------------------------
 
+_COLUMNS = {"original": ("t", "x", "y", "tau"), "transformed": ("eta", "r", "xi", "k")}
+
+
 @dataclass
 class Trajectory:
     kind: str                  # "original" | "transformed"
@@ -439,38 +444,41 @@ class Trajectory:
 
     @property
     def columns(self):
-        return ("t", "x", "y", "tau") if self.kind == "original" else ("eta", "r", "xi", "k")
+        return _COLUMNS[self.kind]
 
 
-class _StepDriver:
-    """Shared embedded-pair loop; the two systems plug in their stage RHS.
+def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
+               sample_times, system) -> Trajectory:
+    """The embedded-pair loop both systems share, from initial data to the
+    sampled Trajectory.
 
-    eval_stage(t, x, y) returns (x', y', delay value) as floats. fixed_h
-    disables error control (every step accepted at that size, still capped
-    by the frontier rules); used for order studies.
+    system(hist, events, monitors) returns the form's own parts:
+    stage(t, x, y) -> (x', y', delay value) as floats; cap_h(t, h, delay)
+    -> the step to try; on_accept(t_new, x, y, K, delay) for its extra
+    monitors; delay_column(ts, states) -> the delay at the samples. The
+    loop itself records the two component minima and the positivity
+    event, and turns an abort into the run's status. fixed_h disables
+    error control (every step accepted at that size, still capped by the
+    frontier rules); used for order studies.
     """
-
-    def __init__(self, eval_stage, t0, y0, t_end, rtol, atol, h0, max_steps,
-                 fixed_h=None):
-        self.eval_stage = eval_stage
-        self.t = t0
-        self.y = (float(y0[0]), float(y0[1]))
-        self.t_end = t_end
-        self.rtol, self.atol = rtol, atol
-        self.h = fixed_h if fixed_h else h0
-        self.max_steps = max_steps
-        self.fixed_h = fixed_h
-
-    def run(self, history: History, cap_h, on_accept):
-        stage, fixed_h = self.eval_stage, self.fixed_h
-        rtol, atol, t_end = self.rtol, self.atol, self.t_end
-        t, (x, y), h_next = self.t, self.y, self.h
+    hist = History(initial)
+    events: List[dict] = []
+    min_x_key, min_y_key = ("min_" + col for col in _COLUMNS[kind][1:3])
+    monitors = {min_x_key: math.inf, min_y_key: math.inf}
+    stage, cap_h, on_accept, delay_column = system(hist, events, monitors)
+    min_x = min_y = math.inf
+    positive = True
+    t = initial.t0
+    x, y = (float(v) for v in initial.value(t))
+    h_next = fixed_h if fixed_h else h0
+    status = STATUS_COMPLETED
+    try:
         f1x, f1y, delay_now = stage(t, x, y)
         if not (math.isfinite(f1x) and math.isfinite(f1y)):
             raise _Abort(STATUS_NONFINITE, t, "nonfinite initial slope")
         steps = 0
         while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-            if steps >= self.max_steps:
+            if steps >= _MAX_STEPS:
                 raise NoConvergence("step budget exhausted at t = %.6g" % t)
             h = cap_h(t, min(h_next, t_end - t), delay_now)
             while True:
@@ -527,24 +535,40 @@ class _StepDriver:
                 if err <= 1.0:
                     break
                 h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            history.append(t, h, (x, y), K)
+            hist.append(t, h, (x, y), K)
+            min_x = min(min_x, x_new)
+            min_y = min(min_y, y_new)
+            now_positive = x_new > 0 and y_new > 0
+            if positive and not now_positive:
+                events.append({"t": t_new, "kind": "positivity",
+                               "detail": (x_new, y_new)})
+            positive = now_positive
             on_accept(t_new, x_new, y_new, K, delay_new)
             t, x, y = t_new, x_new, y_new
             f1x, f1y, delay_now = k7x, k7y, delay_new
             h_next = fixed_h if fixed_h else h * (
                 _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
-        return t
+        t_reached = t
+    except _Abort as stop:
+        status = stop.status
+        t_reached = hist.frontier
+        events.append({"t": stop.t, "kind": status, "detail": stop.detail})
+    monitors[min_x_key], monitors[min_y_key] = min_x, min_y
 
-
-def _sample(history: History, sample_times, t_reached):
+    if sample_times is None:
+        sample_times = np.linspace(initial.t0, t_reached, 513)
     ts = np.asarray(sample_times, dtype=float)
     ts = ts[ts <= t_reached + 1e-10 * max(1.0, abs(t_reached))]
-    return ts, history.eval_many(ts)
+    states = hist.eval_many(ts)
+    return Trajectory(kind=kind, t=ts, states=states,
+                      delay=delay_column(ts, states), status=status,
+                      events=events, monitors=monitors, history=hist,
+                      t_final=t_reached)
 
 
 def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
                   rtol=1e-8, atol=1e-9, sample_times=None, force=False,
-                  compat_tol=1e-8, max_steps=2_000_000, fixed_h=None) -> Trajectory:
+                  fixed_h=None) -> Trajectory:
     """Integrate the original threshold-delay system from C^1 initial data.
 
     Every stage solves its own threshold equation against the dense
@@ -552,158 +576,114 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
     (the delay law degenerates there); positivity and slope monitors are
     recorded per accepted step.
     """
-    report = check_compatibility(history, tau0, params, tol=compat_tol)
+    report = check_compatibility(history, tau0, params)
     if not report.passed and not force:
         raise IncompatibleData("compatibility residuals (%.2e, %.2e, %.2e) "
                                "exceed %g" % (report.residual_x, report.residual_y,
-                                              report.residual_tau, compat_tol))
-    hist = History(history)
-    events: List[dict] = []
-    f_map = params.nonlinearity.f
-    dx_bound = min(1.0 / params.c if params.c > 0 else math.inf,
-                   f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf)
-    monitors = {"min_x": math.inf, "min_y": math.inf, "min_tau": math.inf,
-                "max_dx": -math.inf, "dx_bound": dx_bound,
-                "max_threshold_residual": 0.0}
-    tau_hint = tau0
+                                              report.residual_tau, _COMPAT_TOL))
 
-    def eval_stage(t, x, y):
-        nonlocal tau_hint
-        tau = solve_delay(t, x, hist, params, tau_prev=tau_hint, events=events)
-        tau_hint = tau
-        delayed = hist.eval(t - tau)
-        try:
-            (dx, dy), resid = rhs_original((x, y), delayed, tau, params)
-        except OverflowError:
-            raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
-        if params.c > 0 and dx >= 1.0 / params.c:
-            raise _Abort(STATUS_B2, t, "x' = %.4g >= 1/c" % dx)
-        monitors["max_threshold_residual"] = max(
-            monitors["max_threshold_residual"], abs(resid))
-        return dx, dy, tau
+    def system(hist, events, monitors):
+        f_map = params.nonlinearity.f
+        dx_bound = min(1.0 / params.c if params.c > 0 else math.inf,
+                       f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf)
+        monitors.update(min_tau=math.inf, max_dx=-math.inf, dx_bound=dx_bound,
+                        max_threshold_residual=0.0)
+        tau_hint = tau0
 
-    # image of the initial discontinuity point and its first generations
-    pending = [[history.t0, 0]]
+        def stage(t, x, y):
+            nonlocal tau_hint
+            tau = solve_delay(t, x, hist, params, tau_prev=tau_hint, events=events)
+            tau_hint = tau
+            delayed = hist.eval(t - tau)
+            try:
+                (dx, dy), resid = rhs_original((x, y), delayed, tau, params)
+            except OverflowError:
+                raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
+            if params.c > 0 and dx >= 1.0 / params.c:
+                raise _Abort(STATUS_B2, t, "x' = %.4g >= 1/c" % dx)
+            monitors["max_threshold_residual"] = max(
+                monitors["max_threshold_residual"], abs(resid))
+            return dx, dy, tau
 
-    def cap_h(t, h, tau_now):
-        h = min(h, 0.85 * tau_now)
-        while pending and t - tau_now >= pending[0][0] - 1e-12:
-            b, gen = pending.pop(0)
-            if gen < 3:
-                pending.append([t, gen + 1])
-        if pending:
-            image = pending[0][0] + tau_now
-            if t < image < t + h:
-                h = max(image - t, 1e-3 * tau_now)
-        return h
+        # image of the initial discontinuity point and its first generations
+        pending = [[history.t0, 0]]
 
-    positive = True
+        def cap_h(t, h, tau_now):
+            h = min(h, 0.85 * tau_now)
+            while pending and t - tau_now >= pending[0][0] - 1e-12:
+                b, gen = pending.pop(0)
+                if gen < 3:
+                    pending.append([t, gen + 1])
+            if pending:
+                image = pending[0][0] + tau_now
+                if t < image < t + h:
+                    h = max(image - t, 1e-3 * tau_now)
+            return h
 
-    def on_accept(t_new, x, y, K, tau_new):
-        nonlocal positive
-        monitors["min_x"] = min(monitors["min_x"], x)
-        monitors["min_y"] = min(monitors["min_y"], y)
-        monitors["min_tau"] = min(monitors["min_tau"], tau_new)
-        monitors["max_dx"] = max(monitors["max_dx"], max(K[0::2]))
-        now_positive = x > 0 and y > 0
-        if positive and not now_positive:
-            events.append({"t": t_new, "kind": "positivity", "detail": (x, y)})
-        positive = now_positive
+        def on_accept(t_new, x, y, K, tau_new):
+            monitors["min_tau"] = min(monitors["min_tau"], tau_new)
+            monitors["max_dx"] = max(monitors["max_dx"], max(K[0::2]))
 
-    driver = _StepDriver(eval_stage, history.t0, history.value(history.t0),
-                         t_end, rtol, atol, h0=min(0.1 * tau0, t_end - history.t0),
-                         max_steps=max_steps, fixed_h=fixed_h)
-    status = STATUS_COMPLETED
-    try:
-        t_reached = driver.run(hist, cap_h, on_accept)
-    except _Abort as stop:
-        status = stop.status
-        t_reached = hist.frontier
-        events.append({"t": stop.t, "kind": status, "detail": stop.detail})
+        def delay_column(ts, states):
+            return _sample_delays(hist, params, ts, states[:, 0], tau_hint)
 
-    if sample_times is None:
-        sample_times = np.linspace(history.t0, t_reached, 513)
-    ts, states = _sample(hist, sample_times, t_reached)
-    taus = _sample_delays(hist, params, ts, states[:, 0], tau_hint)
-    return Trajectory(kind="original", t=ts, states=states, delay=taus,
-                      status=status, events=events, monitors=monitors,
-                      history=hist, t_final=t_reached)
+        return stage, cap_h, on_accept, delay_column
+
+    return _integrate("original", history, t_end, rtol, atol,
+                      min(0.1 * tau0, t_end - history.t0), fixed_h, sample_times,
+                      system)
 
 
 def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
                           rtol=1e-8, atol=1e-9, sample_times=None,
-                          raise_on_breach=True, max_steps=2_000_000,
                           fixed_h=None) -> Trajectory:
     """Integrate the unit-delay system (at c = 0, the constant-delay system).
 
     Initial data covers [t0 - 1, t0]. The first three unit breakpoints are
-    hit exactly. A denominator breach either raises (default) or ends the
-    run with a status, so basin scans can keep the partial trajectory.
+    hit exactly. A denominator breach ends the run with status
+    denominator_breach, keeping the partial trajectory.
     """
     if history.span < 1.0 - 1e-12:
         raise HistoryTooShort("transformed system needs one delay unit of data")
-    hist = History(history)
-    events: List[dict] = []
-    monitors = {"min_r": math.inf, "min_xi": math.inf, "min_denominator": math.inf}
-
-    denominator = math.inf      # D of the last stage, the one at t_new on accept
-
-    def eval_stage(t, r, xi):
-        nonlocal denominator
-        delayed = hist.eval(t - 1.0)
-        try:
-            dr, dxi, k, denominator = rhs_transformed((r, xi), delayed, params)
-        except OverflowError:
-            raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
-        except DenominatorBreach as exc:
-            if raise_on_breach:
-                raise
-            raise _Abort(STATUS_BREACH, t, str(exc))
-        return dr, dxi, k
-
     t0 = history.t0
-    breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
 
-    def cap_h(t, h, _delay):
-        h = min(h, 1.0)
-        while breakpoints and t >= breakpoints[0] - 1e-9:
-            breakpoints.pop(0)
-        if breakpoints and t + h > breakpoints[0]:
-            h = breakpoints[0] - t
-        return h
+    def system(hist, events, monitors):
+        monitors["min_denominator"] = math.inf
+        denominator = math.inf      # D of the last stage, the one at t_new on accept
 
-    positive = True
+        def stage(t, r, xi):
+            nonlocal denominator
+            delayed = hist.eval(t - 1.0)
+            try:
+                dr, dxi, k, denominator = rhs_transformed((r, xi), delayed, params)
+            except OverflowError:
+                raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
+            except DenominatorBreach as exc:
+                raise _Abort(STATUS_BREACH, t, str(exc))
+            return dr, dxi, k
 
-    def on_accept(t_new, r, xi, K, k_new):
-        nonlocal positive
-        monitors["min_r"] = min(monitors["min_r"], r)
-        monitors["min_xi"] = min(monitors["min_xi"], xi)
-        if params.c > 0:
-            monitors["min_denominator"] = min(monitors["min_denominator"],
-                                              denominator)
-        now_positive = r > 0 and xi > 0
-        if positive and not now_positive:
-            events.append({"t": t_new, "kind": "positivity", "detail": (r, xi)})
-        positive = now_positive
+        breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
 
-    driver = _StepDriver(eval_stage, t0, history.value(t0), eta_end, rtol, atol,
-                         h0=min(0.1, eta_end - t0), max_steps=max_steps,
-                         fixed_h=fixed_h)
-    status = STATUS_COMPLETED
-    try:
-        t_reached = driver.run(hist, cap_h, on_accept)
-    except _Abort as stop:
-        status = stop.status
-        t_reached = hist.frontier
-        events.append({"t": stop.t, "kind": status, "detail": stop.detail})
+        def cap_h(t, h, _delay):
+            h = min(h, 1.0)
+            while breakpoints and t >= breakpoints[0] - 1e-9:
+                breakpoints.pop(0)
+            if breakpoints and t + h > breakpoints[0]:
+                h = breakpoints[0] - t
+            return h
 
-    if sample_times is None:
-        sample_times = np.linspace(t0, t_reached, 513)
-    ts, states = _sample(hist, sample_times, t_reached)
-    ks = params.eps + params.c * (states[:, 0] - hist.eval_many(ts - 1.0)[:, 0])
-    return Trajectory(kind="transformed", t=ts, states=states, delay=ks,
-                      status=status, events=events, monitors=monitors,
-                      history=hist, t_final=t_reached)
+        def on_accept(t_new, r, xi, K, k_new):
+            if params.c > 0:
+                monitors["min_denominator"] = min(monitors["min_denominator"],
+                                                  denominator)
+
+        def delay_column(ts, states):
+            return params.eps + params.c * (states[:, 0] - hist.eval_many(ts - 1.0)[:, 0])
+
+        return stage, cap_h, on_accept, delay_column
+
+    return _integrate("transformed", history, eta_end, rtol, atol,
+                      min(0.1, eta_end - t0), fixed_h, sample_times, system)
 
 
 # -- oscillation measurement -----------------------------------------------------
@@ -797,8 +777,7 @@ def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale,
     kick = kick_scale * eq.state
     hist = bump_history(eq.state, kick, span=1.0)
     return integrate_transformed(hist, params, eta_end, rtol=rtol, atol=atol,
-                                 sample_times=np.linspace(0.0, eta_end, n_samples),
-                                 raise_on_breach=False)
+                                 sample_times=np.linspace(0.0, eta_end, n_samples))
 
 
 def classify_run(traj: Trajectory, eq: Equilibrium, kick_scale) -> str:
@@ -848,7 +827,7 @@ def classify_dynamics(params: ModelParams, eq: Equilibrium,
 
 
 def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
-                 factor=2.0, max_steps=14, eta_end=300.0, rtol=1e-7):
+                 factor=2.0, max_doublings=14, eta_end=300.0, rtol=1e-7):
     """Double a negative-side kick until the run escapes the basin.
 
     Returns (threshold_scale_or_None, records); each record is
@@ -856,7 +835,7 @@ def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
     """
     records = []
     scale = start_scale
-    for _ in range(max_steps):
+    for _ in range(max_doublings):
         label = classify_run(run_perturbed(params, eq, -scale, eta_end, rtol),
                              eq, -scale)
         records.append((scale, label))

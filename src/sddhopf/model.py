@@ -83,14 +83,13 @@ def _equilibrium_residuals(r, xi, params):
     return (-params.mu_m * r + f.value(xi), -params.mu_p * xi + g.value(r))
 
 
-def find_equilibrium(params: ModelParams, seed=None, positive=True) -> Equilibrium:
+def find_equilibrium(params: ModelParams) -> Equilibrium:
     """Solve -mu_m r + f(xi) = 0, -mu_p xi + g(r) = 0.
 
     Substituting xi = g(r)/mu_p reduces the pair to one scalar equation
-    phi(r) = -mu_m r + f(g(r)/mu_p). With the positive flag the bracket is
-    (0, sup f / mu_m], which contains the root because x' < sup f bounds
-    any equilibrium of the first equation. Without the flag a sign change
-    is searched on an expanding grid around the seed.
+    phi(r) = -mu_m r + f(g(r)/mu_p), solved on the bracket (0, sup f / mu_m],
+    which contains the root because x' < sup f bounds any equilibrium of
+    the first equation.
     """
     f, g = params.nonlinearity.f, params.nonlinearity.g
     mu_m, mu_p = params.mu_m, params.mu_p
@@ -98,17 +97,10 @@ def find_equilibrium(params: ModelParams, seed=None, positive=True) -> Equilibri
     def phi(r):
         return -mu_m * r + f.value(g.value(r) / mu_p)
 
-    if seed is None:
-        seed = 1.0
-    seed = float(seed)
-
-    r_star = None
-    if phi(seed) == 0.0:
-        r_star = seed
-    elif positive and phi(0.0) == 0.0:
+    if phi(0.0) == 0.0:
         r_star = 0.0            # degenerate feedback, origin solves exactly
-    elif positive:
-        hi = f.value(0.0) / mu_m if f.value(0.0) > 0 else max(seed, 1.0)
+    else:
+        hi = f.value(0.0) / mu_m if f.value(0.0) > 0 else 1.0
         lo = 1e-12 * max(1.0, hi)
         if phi(lo) == 0.0:
             r_star = lo
@@ -116,17 +108,6 @@ def find_equilibrium(params: ModelParams, seed=None, positive=True) -> Equilibri
             raise NoConvergence("no sign change of the reduced equation on (0, %g]" % hi)
         else:
             r_star = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    else:
-        # expanding bracket around the seed
-        width = max(1.0, abs(seed))
-        for _ in range(60):
-            lo, hi = seed - width, seed + width
-            if phi(lo) * phi(hi) <= 0:
-                r_star = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-                break
-            width *= 2.0
-        if r_star is None:
-            raise NoConvergence("no sign change found around seed %g" % seed)
 
     xi_star = g.value(r_star) / mu_p
     res_r, res_xi = _equilibrium_residuals(r_star, xi_star, params)
@@ -134,7 +115,7 @@ def find_equilibrium(params: ModelParams, seed=None, positive=True) -> Equilibri
        abs(res_xi) > 1e-10 * max(1.0, abs(mu_p * xi_star)):
         raise NoConvergence("equilibrium residuals %.3e, %.3e above tolerance"
                             % (res_r, res_xi))
-    if positive and (r_star <= 0 or xi_star <= 0) and not (r_star == 0 and xi_star == 0 and f.value(0.0) == 0):
+    if (r_star <= 0 or xi_star <= 0) and not (r_star == 0 and xi_star == 0 and f.value(0.0) == 0):
         raise NonPositive("root (%g, %g) is not in the positive orthant" % (r_star, xi_star))
 
     return Equilibrium(r_star=r_star, xi_star=xi_star,

@@ -365,7 +365,10 @@ def kappa3_quadratic(eq, hp, frame, fit_cs=(0.0, 0.01, 0.05)) -> Kappa3Quadratic
     im_co = np.polyfit(cs, vals.imag, 2)
     poly = Kappa3Quadratic(re_coeffs=tuple(re_co), im_coeffs=tuple(im_co),
                            fit_cs=tuple(cs))
-    c_test = (cs[0] + cs[-1]) / 2 if (cs[0] + cs[-1]) / 2 not in cs else cs[-1] * 1.7
+    lo, hi = min(cs), max(cs)
+    c_test = (lo + hi) / 2
+    if c_test in cs:            # the middle fit point: go halfway below it
+        c_test = (lo + c_test) / 2
     probe = k3(c_test)
     if abs(poly(c_test) - probe) > 1e-6 * max(abs(probe), 1e-12):
         raise NoConvergence("kappa3(c) deviates from the fitted quadratic")

@@ -418,12 +418,17 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
      "config error: exactly three fit points required, all different"),
     ("normal-form", {"analysis": {"fit_points": [0.0, 0.01, float("nan")]}}, 1,
      "config error: field 'fit_points' in analysis block must be a list of finite"),
+    ("equilibrium", {"model": {"nonlinearity": {"kind": "hes1", "alpha_p": -10.0}}}, 1,
+     "config error: nonlinearity.alpha_p must be >= 0"),
+    ("simulate", {"model": {"nonlinearity": {"kind": "hes1", "alpha_m": -35.0}},
+                  "analysis": SIM_ANALYSIS}, 1,
+     "config error: nonlinearity.alpha_m must be >= 0"),
 ], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
         "n-samples-fraction", "t-end-negative", "t-end-infinite", "rtol-negative",
         "rtol-atol-zero", "atol-zero", "c-max-negative", "repeated-fit-points",
-        "fit-points-nan"])
+        "fit-points-nan", "alpha-p-negative", "alpha-m-negative"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
     output = dict(overrides.get("output", {}), path=str(out))
@@ -492,6 +497,17 @@ def test_config_round_trip_is_lossless(tmp_path):
                                 "output": {"format": "json"}})
     original = json.loads(Path(path).read_text())
     assert load_config(path).to_dict() == original
+
+
+def test_config_echo_shows_the_override_flags(capsys):
+    recipe = str(RECIPES / "hes1.json")
+    assert main(["equilibrium", "--config", recipe, "--eps", "7.5", "--c", "0.02",
+                 "--format", "json"]) == 0
+    echoed = json.loads(capsys.readouterr().out)["config"]
+    expected = json.loads(Path(recipe).read_text())
+    expected["model"].update(eps=7.5, c=0.02)
+    expected["output"]["format"] = "json"
+    assert echoed == expected
 
 
 @pytest.mark.parametrize("recipe", sorted(RECIPES.glob("*.json")))

@@ -1,11 +1,14 @@
 """Amplitude-equation coefficients: pinned values, closed-vs-direct routes,
 and the constant-delay reduction as an external cross-check."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import refvals as RV
-from sddhopf import (Direction, ResonanceViolation,
+from sddhopf import normalform
+from sddhopf import (Direction, NoConvergence, ResonanceViolation,
                      analyze_normal_form, classify_direction, critical_c,
                      critical_frame, find_equilibrium, hes1_params,
                      kappa3_quadratic, normal_form, normal_form_constant_delay,
@@ -94,6 +97,25 @@ def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
     k4 = normal_form(eq, hopf, frame, qc4, c=c4).kappa3
     assert np.polyval(poly.re_coeffs, c4) == pytest.approx(k4.real, rel=1e-10)
     assert np.polyval(poly.im_coeffs, c4) == pytest.approx(k4.imag, rel=1e-10)
+
+
+@pytest.mark.parametrize("fit_cs,guard", [((0.0, 0.01, 0.05), 0.025),
+                                          ((0.02, 0.01, 0.0), 0.005),
+                                          ((0.05, 0.0, 0.01), 0.025)])
+def test_kappa3_guard_point_is_never_a_fit_point(monkeypatch, fit_cs, guard):
+    # a kappa3 that is cubic in c: only a guard off the fit points sees it
+    calls = []
+
+    def coeffs(eq, hp, frame, c):
+        calls.append(c)
+        return c
+
+    monkeypatch.setattr(normalform, "quadratic_coeffs", coeffs)
+    monkeypatch.setattr(normalform, "normal_form",
+                        lambda eq, hp, frame, c: SimpleNamespace(kappa3=complex(c ** 3, c)))
+    with pytest.raises(NoConvergence):
+        normalform.kappa3_quadratic(None, None, None, fit_cs=fit_cs)
+    assert calls == list(fit_cs) + [guard]
 
 
 def test_critical_c_matches_pinned(eq, hopf, frame):

@@ -19,8 +19,9 @@ from .errors import (ConfigError, DegenerateProjection, DenominatorBreach,
 from .nonlinearity import (CallableMap, HillRepressor, LinearMap,
                            NonlinearitySpec, ZeroMap, derivatives_consistent,
                            hes1_nonlinearity, validate_derivatives)
-from .model import (Equilibrium, ModelParams, find_equilibrium, hes1_params,
-                    rhs_original, rhs_transformed)
+from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams,
+                    find_equilibrium, hes1_params, rhs_original,
+                    rhs_transformed)
 from .stability import (CharParams, HopfPoint, StabilityClassification,
                         StabilityKind, char_eval, characteristic_root_near,
                         classify_stability, solve_beta, solve_hopf,
@@ -32,7 +33,7 @@ from .normalform import (CriticalFrame, Direction, Kappa3Quadratic,
                          normal_form_constant_delay, quadratic_coeffs,
                          quadratic_coeffs_closed_form, quadratic_coeffs_direct)
 from .dde import (CompatibilityReport, History, InitialHistory,
-                  OscillationSummary, Trajectory, bump_history,
+                  OscillationSummary, RunStats, Trajectory, bump_history,
                   check_compatibility, classify_dynamics, classify_run,
                   constant_history, escape_sweep, integrate_sdd,
                   integrate_transformed, measure_oscillation, run_perturbed,

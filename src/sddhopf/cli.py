@@ -8,6 +8,7 @@ fail loudly. Individual flags override single fields. Exit codes:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -40,6 +41,9 @@ _RANGES = {"alpha_m": (lambda v: v >= 0, ">= 0"),
            "c_max": (lambda v: v >= 0, ">= 0"),
            "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
            "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer")}
+# allowed values of the config strings that name a choice
+_CHOICES = {("analysis", "system"): ("original", "transformed"),
+            ("output", "format"): ("csv", "json", "text")}
 
 
 def _reject_unknown(block, allowed, where):
@@ -95,6 +99,11 @@ class RunConfig:
         _reject_unknown(self.model, _MODEL_KEYS, "model")
         _reject_unknown(self.analysis, _ANALYSIS_KEYS, "analysis")
         _reject_unknown(self.output, _OUTPUT_KEYS, "output")
+        for (block, key), allowed in _CHOICES.items():
+            fields = getattr(self, block)
+            if key in fields and fields[key] not in allowed:
+                raise ConfigError("%s.%s must be one of %s, got %r"
+                                  % (block, key, ", ".join(allowed), fields[key]))
         nl = self.model.get("nonlinearity", {"kind": "hes1"})
         if not isinstance(nl, dict):
             raise ConfigError("model.nonlinearity must be an object")
@@ -150,8 +159,8 @@ class RunConfig:
             raise ConfigError(str(exc))
 
     # analysis/output accessors with defaults
-    def opt(self, key, default):
-        return self.analysis.get(key, default)
+    def system(self):
+        return self.analysis.get("system", "transformed")
 
     def number(self, key, default):
         return _need_number(self.analysis, key, "analysis", default)
@@ -160,10 +169,7 @@ class RunConfig:
         return _need_numbers(self.analysis, key, "analysis", default)
 
     def out_format(self):
-        fmt = self.output.get("format", "text")
-        if fmt not in ("csv", "json", "text"):
-            raise ConfigError("output.format must be csv, json, or text")
-        return fmt
+        return self.output.get("format", "text")
 
     def out_path(self):
         return self.output.get("path")
@@ -342,9 +348,6 @@ def _trajectory_csv(traj: dde.Trajectory) -> str:
 
 def _run_simulation(cfg: RunConfig):
     params = cfg.params()
-    system = cfg.opt("system", "transformed")
-    if system not in ("original", "transformed"):
-        raise ConfigError("analysis.system must be 'original' or 'transformed'")
     t_end = cfg.number("t_end", 400.0)
     kick_scale = cfg.number("kick_scale", 0.05)
     rtol = cfg.number("rtol", 1e-8)
@@ -352,7 +355,7 @@ def _run_simulation(cfg: RunConfig):
     eq = find_equilibrium(params)
     kick = kick_scale * eq.state
     samples = np.linspace(0.0, t_end, cfg.n_samples())
-    if system == "original":
+    if cfg.system() == "original":
         hist = dde.bump_history(eq.state, kick, span=params.eps)
         traj = dde.integrate_sdd(hist, params.eps, params, t_end,
                                  rtol=rtol, atol=atol, sample_times=samples)
@@ -387,6 +390,8 @@ def _summary_text(traj, summary):
     mons = ", ".join("%s = %.6g" % (k, v) for k, v in sorted(traj.monitors.items())
                      if isinstance(v, float) and math.isfinite(v))
     lines.append("monitors: %s" % mons)
+    lines.append("stats: %s" % ", ".join(
+        "%s = %d" % kv for kv in dataclasses.asdict(traj.stats).items()))
     return "\n".join(lines) + "\n"
 
 
@@ -397,7 +402,8 @@ def cmd_simulate(cfg: RunConfig):
     text = _summary_text(traj, summary)
     # rows stay an array: only the JSON writer turns them into lists
     payload = {"status": traj.status, "summary": summary,
-               "monitors": traj.monitors, "events": traj.events[:50],
+               "monitors": traj.monitors, "stats": dataclasses.asdict(traj.stats),
+               "events": traj.events[:50],
                "columns": list(traj.columns),
                "rows": np.column_stack([traj.t, traj.states, traj.delay])}
     _emit_report(payload, text, "simulate", cfg, csv=lambda: _trajectory_csv(traj))

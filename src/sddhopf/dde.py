@@ -12,6 +12,10 @@ control absorbs the residue).
 The step loop runs on plain floats: for a two-component state the
 per-call overhead of numpy outweighs its arithmetic. Everything after
 integration (sampling, the delay column) is vectorised over the samples.
+
+Both forms end a run at one bound, D = 1 - c x' <= 1e-3
+(model.DENOMINATOR_FLOOR), i.e. c x' >= 1 - 1e-3: the original-time run
+with status b2_violation, the transformed one with denominator_breach.
 """
 
 import bisect
@@ -26,7 +30,8 @@ import numpy as np
 from .errors import (DenominatorBreach, HistoryTooShort, IncompatibleData,
                      InsufficientCycles, NoBracket, NoConvergence,
                      SlopeBoundWarning)
-from .model import Equilibrium, ModelParams, rhs_original, rhs_transformed
+from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams, rhs_original,
+                    rhs_transformed)
 from .roots import brentq
 
 # Dormand-Prince 5(4) tableau with the Shampine quartic interpolant,
@@ -430,6 +435,18 @@ def check_compatibility(history: InitialHistory, tau0, params: ModelParams,
 _COLUMNS = {"original": ("t", "x", "y", "tau"), "transformed": ("eta", "r", "xi", "k")}
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """What one run's step loop did: accepted and error-rejected steps,
+    tries halved because a delayed argument passed the dense frontier, and
+    stage (RHS) evaluations that returned, the initial slope included."""
+
+    steps_accepted: int
+    steps_rejected: int
+    frontier_halvings: int
+    stage_evals: int
+
+
 @dataclass
 class Trajectory:
     kind: str                  # "original" | "transformed"
@@ -441,6 +458,7 @@ class Trajectory:
     monitors: dict
     history: History
     t_final: float
+    stats: Optional[RunStats] = None    # None when no step loop made it
 
     @property
     def columns(self):
@@ -456,8 +474,8 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     stage(t, x, y) -> (x', y', delay value) as floats; cap_h(t, h, delay)
     -> the step to try; on_accept(t_new, x, y, K, delay) for its extra
     monitors; delay_column(ts, states) -> the delay at the samples. The
-    loop itself records the two component minima and the positivity
-    event, and turns an abort into the run's status. fixed_h disables
+    loop itself records the two component minima, the positivity event and
+    the RunStats, and turns an abort into the run's status. fixed_h disables
     error control (every step accepted at that size, still capped by the
     frontier rules); used for order studies.
     """
@@ -466,6 +484,10 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     min_x_key, min_y_key = ("min_" + col for col in _COLUMNS[kind][1:3])
     monitors = {min_x_key: math.inf, min_y_key: math.inf}
     stage, cap_h, on_accept, delay_column = system(hist, events, monitors)
+    stage_evals = rejected = halvings = 0
+    # a try's stage slopes stay None until their stage returns, so a try
+    # cut short still tells how many stages it evaluated
+    k2x = k3x = k4x = k5x = k6x = k7x = None
     min_x = min_y = math.inf
     positive = True
     t = initial.t0
@@ -474,6 +496,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     status = STATUS_COMPLETED
     try:
         f1x, f1y, delay_now = stage(t, x, y)
+        stage_evals = 1
         if not (math.isfinite(f1x) and math.isfinite(f1y)):
             raise _Abort(STATUS_NONFINITE, t, "nonfinite initial slope")
         steps = 0
@@ -483,6 +506,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
             h = cap_h(t, min(h_next, t_end - t), delay_now)
             while True:
                 steps += 1
+                k2x = k3x = k4x = k5x = k6x = k7x = None
                 if h <= 1e-12 * max(1.0, abs(t)):
                     # forced singularity in the feedback, typically the
                     # repression pole swept by non-positive initial data
@@ -514,6 +538,8 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                     t_new = t + h
                     k7x, k7y, delay_new = stage(t_new, x_new, y_new)
                 except _BeyondFrontier:
+                    halvings += 1
+                    stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
                     h *= 0.5
                     continue
                 K = (f1x, f1y, k2x, k2y, k3x, k3y, k4x, k4y, k5x, k5y,
@@ -522,6 +548,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                         and math.isfinite(y_new)):
                     raise _Abort(STATUS_NONFINITE, t,
                                  "state or slope became nonfinite")
+                stage_evals += 6
                 if fixed_h:
                     err = 0.0
                 else:
@@ -534,6 +561,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                     err = math.sqrt((ex * ex + ey * ey) / 2)
                 if err <= 1.0:
                     break
+                rejected += 1
                 h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             hist.append(t, h, (x, y), K)
             min_x = min(min_x, x_new)
@@ -550,6 +578,9 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                 _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
         t_reached = t
     except _Abort as stop:
+        # the stages the aborted try evaluated, none when it is the
+        # initial slope or a stall
+        stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
         status = stop.status
         t_reached = hist.frontier
         events.append({"t": stop.t, "kind": status, "detail": stop.detail})
@@ -563,7 +594,11 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     return Trajectory(kind=kind, t=ts, states=states,
                       delay=delay_column(ts, states), status=status,
                       events=events, monitors=monitors, history=hist,
-                      t_final=t_reached)
+                      t_final=t_reached,
+                      stats=RunStats(steps_accepted=len(hist._ends),
+                                     steps_rejected=rejected,
+                                     frontier_halvings=halvings,
+                                     stage_evals=stage_evals))
 
 
 def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
@@ -572,9 +607,11 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
     """Integrate the original threshold-delay system from C^1 initial data.
 
     Every stage solves its own threshold equation against the dense
-    history. x' >= 1/c at any stage ends the run with status b2_violation
-    (the delay law degenerates there); positivity and slope monitors are
-    recorded per accepted step.
+    history. A stage with D = 1 - c x' <= DENOMINATOR_FLOOR, i.e.
+    c x' >= 1 - DENOMINATOR_FLOOR, ends the run with status b2_violation:
+    the delay law degenerates at D = 0, and the transformed form stops at
+    the same bound. Positivity and slope monitors are recorded per
+    accepted step.
     """
     report = check_compatibility(history, tau0, params)
     if not report.passed and not force:
@@ -584,7 +621,8 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
 
     def system(hist, events, monitors):
         f_map = params.nonlinearity.f
-        dx_bound = min(1.0 / params.c if params.c > 0 else math.inf,
+        dx_bound = min((1.0 - DENOMINATOR_FLOOR) / params.c if params.c > 0
+                       else math.inf,
                        f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf)
         monitors.update(min_tau=math.inf, max_dx=-math.inf, dx_bound=dx_bound,
                         max_threshold_residual=0.0)
@@ -599,8 +637,9 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
                 (dx, dy), resid = rhs_original((x, y), delayed, tau, params)
             except OverflowError:
                 raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
-            if params.c > 0 and dx >= 1.0 / params.c:
-                raise _Abort(STATUS_B2, t, "x' = %.4g >= 1/c" % dx)
+            if 1.0 - params.c * dx <= DENOMINATOR_FLOOR:
+                raise _Abort(STATUS_B2, t, "c x' = %.6g >= 1 - %g"
+                             % (params.c * dx, DENOMINATOR_FLOOR))
             monitors["max_threshold_residual"] = max(
                 monitors["max_threshold_residual"], abs(resid))
             return dx, dy, tau
@@ -640,8 +679,9 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
     """Integrate the unit-delay system (at c = 0, the constant-delay system).
 
     Initial data covers [t0 - 1, t0]. The first three unit breakpoints are
-    hit exactly. A denominator breach ends the run with status
-    denominator_breach, keeping the partial trajectory.
+    hit exactly. A stage with D <= DENOMINATOR_FLOOR (c x' >= 1 -
+    DENOMINATOR_FLOOR, the bound integrate_sdd ends at) ends the run with
+    status denominator_breach, keeping the partial trajectory.
     """
     if history.span < 1.0 - 1e-12:
         raise HistoryTooShort("transformed system needs one delay unit of data")

@@ -71,8 +71,8 @@ class NoBracket(IntegrationError):
 
 
 class DenominatorBreach(IntegrationError):
-    """Transformed-system denominator 1 - c(-mu_m r + f(xi_1)) reached zero;
-    the time transformation is invalid past this point."""
+    """Transformed-system denominator D = 1 - c(-mu_m r + f(xi_1)) fell to
+    model.DENOMINATOR_FLOOR; the time transformation is invalid at D = 0."""
 
 
 class InsufficientCycles(IntegrationError):

@@ -10,6 +10,11 @@ Rescaling time by the threshold condition turns it into a unit-delay
 system in eta-time with a shared denominator D = 1 - c(-mu_m r + f(xi_1));
 setting c = 0 gives the plain constant-delay system. Both RHS evaluations
 live here so every downstream stage pulls from one place.
+
+The threshold law defines the delay uniquely only while D = 1 - c x' > 0.
+Both forms end a run at one bound short of that pole, D <= 1e-3
+(DENOMINATOR_FLOOR), i.e. c x' >= 1 - 1e-3: the transformed RHS raises
+DenominatorBreach there and the original-time run ends b2_violation.
 """
 
 import math
@@ -20,6 +25,12 @@ import numpy as np
 from .errors import DenominatorBreach, NoConvergence, NonPositive
 from .nonlinearity import NonlinearitySpec, hes1_nonlinearity
 from .roots import brentq
+
+# Smallest denominator D = 1 - c x' a run may reach. The completed runs of
+# the hes1-sweep recipe and the benchmark's sweep grids keep D >= 0.0136; a
+# run that falls to 1e-3 is on its way to the pole, and stopping it there
+# keeps its end time well-conditioned.
+DENOMINATOR_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -138,8 +149,9 @@ def rhs_transformed(state_now, state_delayed, params: ModelParams):
     """Unit-delay RHS in eta-time, the local delay value k(eta) and the
     denominator D of the time change.
 
-    Raises DenominatorBreach when D = 1 - c(-mu_m r + f(xi_1)) is not
-    positive: there x'(t) >= 1/c and the time change is invalid.
+    Raises DenominatorBreach when D = 1 - c(-mu_m r + f(xi_1)) falls to
+    DENOMINATOR_FLOOR or below, i.e. c x'(t) >= 1 - DENOMINATOR_FLOOR: the
+    time change is invalid at D = 0 and the run is stopped short of it.
     """
     r, xi = state_now
     r1, xi1 = state_delayed
@@ -147,7 +159,7 @@ def rhs_transformed(state_now, state_delayed, params: ModelParams):
     Fx = -params.mu_m * r + f.value(xi1)
     Gy = -params.mu_p * xi + g.value(r1)
     D = 1.0 - params.c * Fx
-    if D <= 0.0:
+    if D <= DENOMINATOR_FLOOR:
         raise DenominatorBreach("denominator %.6g at state (%.6g, %.6g)" % (D, r, xi))
     k = params.eps + params.c * (r - r1)
     return params.eps * Fx / D, params.eps * Gy / D, k, D

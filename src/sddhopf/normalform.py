@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateProjection, NoConvergence, NoSignChange,
                      ResonanceViolation, SingularFrame)
 from .model import Equilibrium, ModelParams, find_equilibrium
-from .stability import CharParams, HopfPoint, char_eval, solve_hopf
+from .stability import HopfPoint, char_eval, solve_hopf
 
 
 @dataclass(frozen=True)

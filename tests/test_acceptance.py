@@ -25,7 +25,7 @@ from sddhopf import (CharParams, char_eval, characteristic_root_near,
                      normal_form, normal_form_constant_delay,
                      quadratic_coeffs, quadratic_coeffs_closed_form,
                      quadratic_coeffs_direct, run_perturbed, solve_hopf,
-                     solve_hopf_direct, transversality, validate_derivatives)
+                     solve_hopf_direct, validate_derivatives)
 
 STANDARD = dict(mu_m=0.03, mu_p=0.04, alpha_m=35.0, alpha_p=10.0,
                 ybar=1200.0, h=5.0)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import refvals as RV
-from sddhopf import CharParams, char_eval, classify_dynamics, find_equilibrium, hes1_params
+from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
+                     find_equilibrium, hes1_params)
 from sddhopf import dde, model, roots
 from sddhopf.cli import _trajectory_csv, load_config, main
 
@@ -237,6 +238,45 @@ def test_simulate_breach_exits_with_integration_code(tmp_path, capsys):
     assert "denominator_breach" in capsys.readouterr().err
 
 
+def test_escape_recipe_ends_at_the_floor_with_its_step_counts(tmp_path):
+    out = tmp_path / "escape.json"
+    rc = main(["simulate", "--config", str(RECIPES / "hes1-subcritical-escape.json"),
+               "--format", "json", "--output", str(out)])
+    assert rc == 4
+    results = json.loads(out.read_text())["results"]
+    assert results["status"] == "denominator_breach"
+    assert DENOMINATOR_FLOOR <= results["monitors"]["min_denominator"] \
+        <= 1.02 * DENOMINATOR_FLOOR
+    stats = results["stats"]
+    assert set(stats) == {"steps_accepted", "steps_rejected", "frontier_halvings",
+                          "stage_evals"}
+    assert 0 < stats["steps_accepted"] <= 1000
+    assert stats["stage_evals"] > 6 * stats["steps_accepted"]
+
+
+def test_summary_reports_step_counts_beside_a_parseable_monitors_line(tmp_path, capsys):
+    out_file = tmp_path / "run.csv"
+    path = write_cfg(tmp_path, {
+        "model": {"eps": RV.EPS0 - 0.1},
+        "analysis": dict(SIM_ANALYSIS),
+        "output": {"format": "csv", "path": str(out_file), "n_samples": 64},
+    })
+    assert main(["simulate", "--config", path]) == 0
+    lines = capsys.readouterr().err.splitlines()
+
+    def fields(prefix):
+        line, = [l for l in lines if l.startswith(prefix)]
+        return {k.strip(): float(v) for k, _, v in
+                (item.partition("=") for item in line[len(prefix):].split(","))}
+
+    assert set(fields("monitors: ")) == {"min_denominator", "min_r", "min_xi"}
+    stats = fields("stats: ")
+    assert list(stats) == ["steps_accepted", "steps_rejected", "frontier_halvings",
+                           "stage_evals"]
+    assert stats["stage_evals"] == 1 + 6 * (stats["steps_accepted"]
+                                            + stats["steps_rejected"])
+
+
 # -- sweep ------------------------------------------------------------------------
 
 SWEEP_ANALYSIS = {"t_end": 400.0, "small_kick": 0.05,
@@ -423,12 +463,18 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     ("simulate", {"model": {"nonlinearity": {"kind": "hes1", "alpha_m": -35.0}},
                   "analysis": SIM_ANALYSIS}, 1,
      "config error: nonlinearity.alpha_m must be >= 0"),
+    # checked when the config is read, whichever command reads it
+    ("equilibrium", {"analysis": {"system": "orignal"}}, 1,
+     "config error: analysis.system must be one of original, transformed"),
+    ("stability", {"output": {"format": "xml"}}, 1,
+     "config error: output.format must be one of csv, json, text"),
 ], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
         "n-samples-fraction", "t-end-negative", "t-end-infinite", "rtol-negative",
         "rtol-atol-zero", "atol-zero", "c-max-negative", "repeated-fit-points",
-        "fit-points-nan", "alpha-p-negative", "alpha-m-negative"])
+        "fit-points-nan", "alpha-p-negative", "alpha-m-negative", "system-unknown",
+        "format-unknown"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
     output = dict(overrides.get("output", {}), path=str(out))

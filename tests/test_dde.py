@@ -1,26 +1,30 @@
 """Integrator tests: closed-form delay solves, an independent segmented
 integration as oracle, convergence-order and invariant checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import refvals as RV
-from sddhopf import (HistoryTooShort, IncompatibleData,
-                     InitialHistory, InsufficientCycles, NoBracket,
-                     SlopeBoundWarning, Trajectory,
+from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
+                     IncompatibleData, InitialHistory, InsufficientCycles,
+                     NoBracket, SlopeBoundWarning, Trajectory,
                      bump_history, check_compatibility, classify_run,
                      constant_history, escape_sweep, find_equilibrium,
                      hes1_params, integrate_sdd, integrate_transformed,
-                     measure_oscillation, run_perturbed, solve_delay)
+                     measure_oscillation, rhs_transformed, run_perturbed,
+                     solve_delay)
 from sddhopf import dde
 from sddhopf.dde import History
 
 EPS_LOW = RV.EPS0 - 0.1
 EPS_HIGH = RV.EPS0 + 0.1
 C_SUB = RV.C0 + 0.001
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 # -- initial data ---------------------------------------------------------------
@@ -551,6 +555,128 @@ def test_denominator_breach_status():
     traj = run_perturbed(p, eq, kick_scale=-1.7, eta_end=200.0,
                          rtol=1e-7, atol=1e-8)
     assert traj.status == "denominator_breach"
+
+
+# -- the denominator floor: both forms end at D = 1 - c x' <= DENOMINATOR_FLOOR --
+
+def escape_run(kick_scale=None):
+    """The hes1-subcritical-escape recipe's run, optionally with another kick."""
+    cfg = json.loads((RECIPES / "hes1-subcritical-escape.json").read_text())
+    model, analysis = cfg["model"], cfg["analysis"]
+    p = hes1_params(c=model["c"], eps=model["eps"])
+    kick = analysis["kick_scale"] if kick_scale is None else kick_scale
+    return run_perturbed(p, find_equilibrium(p), kick, eta_end=analysis["t_end"],
+                         rtol=analysis["rtol"], atol=analysis["atol"]), analysis
+
+
+def test_escape_recipe_ends_just_past_the_floor():
+    traj, _ = escape_run()
+    assert traj.status == "denominator_breach"
+    # the run no longer crawls toward the pole (it took ~11,000 steps)
+    assert traj.stats.steps_accepted <= 1000
+    # the last accepted step ends just above the floor the next stage hit
+    assert DENOMINATOR_FLOOR <= traj.monitors["min_denominator"] \
+        <= 1.02 * DENOMINATOR_FLOOR
+
+
+def test_escape_end_time_is_well_conditioned():
+    # a one-ulp change of the kick moved the end time by up to 1.8e-4
+    # relative when the run went on to D = 0
+    traj, analysis = escape_run()
+    kick = analysis["kick_scale"]
+    for toward in (0.0, -math.inf):
+        moved, _ = escape_run(float(np.nextafter(kick, toward)))
+        assert moved.status == "denominator_breach"
+        assert abs(moved.t_final - traj.t_final) <= 1e-9 * traj.t_final
+
+
+def test_transformed_rhs_raises_at_the_floor():
+    # at r = 0 and xi(eta - 1) = 0, x' = f(0) = alpha_m = 35 and D = 1 - 35 c
+    for d, raises in ((0.5 * DENOMINATOR_FLOOR, True), (2.0 * DENOMINATOR_FLOOR, False)):
+        p = hes1_params(c=(1.0 - d) / 35.0, eps=1.0)
+        if raises:
+            with pytest.raises(DenominatorBreach):
+                rhs_transformed((0.0, 0.0), (0.0, 0.0), p)
+        else:
+            assert rhs_transformed((0.0, 0.0), (0.0, 0.0), p)[3] == pytest.approx(d)
+
+
+@pytest.mark.parametrize("c,status", [(0.3, "completed"), (0.35, "b2_violation")])
+def test_original_time_run_ends_at_the_same_floor(eq_state, c, status):
+    # x' rises toward 1/c as the kicked y(t - tau) falls. At c = 0.3 the
+    # run peaks at c x' = 0.99835, inside the floor; at c = 0.35 it would
+    # peak at 0.99915, past 1 - DENOMINATOR_FLOOR though short of 1
+    p = hes1_params(c=c, eps=1.0)
+    hist = bump_history(eq_state, np.array([0.0, -0.5 * eq_state[1]]), span=1.0)
+    traj = integrate_sdd(hist, 1.0, p, t_end=50.0, rtol=1e-7, atol=1e-9)
+    assert traj.status == status
+    assert c * traj.monitors["max_dx"] < 1.0 - DENOMINATOR_FLOOR
+    if status == "b2_violation":
+        assert traj.t_final < 50.0
+        assert traj.events[-1]["kind"] == "b2_violation"
+
+
+def test_sweep_grid_runs_stay_clear_of_the_floor(monkeypatch):
+    # every run the hes1-sweep grid makes completes with D at least ten
+    # floors from zero (0.196 here; 0.0136 over the benchmark's grids), so
+    # the floor ends only runs that are already on their way to the pole
+    runs = []
+    integrate = dde.integrate_transformed
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(dde, "integrate_transformed", recorded)
+    cfg = json.loads((RECIPES / "hes1-sweep.json").read_text())
+    base = hes1_params(c=cfg["model"]["c"], eps=cfg["model"]["eps"])
+    analysis = cfg["analysis"]
+    for eps in analysis["grid"]["eps"]:
+        for c in analysis["grid"]["c"]:
+            p = base.with_overrides(c=c, eps=eps)
+            dde.classify_dynamics(p, find_equilibrium(p), small_kick=analysis["small_kick"],
+                                  probe_scales=analysis["probe_scales"],
+                                  eta_end=analysis["t_end"], rtol=analysis["rtol"])
+    completed = [t for t in runs if t.status == "completed"]
+    assert len(completed) == 16
+    assert min(t.monitors["min_denominator"] for t in completed) \
+        >= 10 * DENOMINATOR_FLOOR
+
+
+def test_run_stats_count_the_step_loop(eq_state, monkeypatch):
+    rhs_calls, lookups = [], []
+    rhs, lookup = dde.rhs_transformed, History.eval
+
+    def counted_rhs(*args):
+        rhs_calls.append(None)
+        return rhs(*args)
+
+    def lookup_once_past_the_frontier(self, t, slope=False):
+        # the 53rd lookup, inside a try, reports the frontier passed once
+        lookups.append(None)
+        if len(lookups) == 53:
+            raise dde._BeyondFrontier(t)
+        return lookup(self, t, slope)
+
+    monkeypatch.setattr(dde, "rhs_transformed", counted_rhs)
+    monkeypatch.setattr(History, "eval", lookup_once_past_the_frontier)
+    p = hes1_params(c=0.01, eps=EPS_HIGH)
+    traj = integrate_transformed(bump_history(eq_state, 0.2 * eq_state, span=1.0),
+                                 p, 40.0, rtol=1e-10, atol=1e-10)
+    stats = traj.stats
+    assert traj.status == "completed"
+    assert stats.steps_accepted == len(traj.history._ends)
+    assert stats.steps_rejected > 0 and stats.frontier_halvings == 1
+    # every stage that returned made one RHS call; the halved try made
+    # fewer than six
+    assert stats.stage_evals == len(rhs_calls)
+    assert stats.stage_evals < 1 + 6 * (stats.steps_accepted + stats.steps_rejected + 1)
+
+    # an abort: the stage whose RHS breached did not return
+    monkeypatch.setattr(History, "eval", lookup)
+    rhs_calls.clear()
+    traj, _ = escape_run()
+    assert traj.stats.stage_evals == len(rhs_calls) - 1
 
 
 def test_classify_run_labels(eq_state):

@@ -1,6 +1,5 @@
 """Derivative callbacks: closed forms against plain finite differences."""
 
-import numpy as np
 import pytest
 
 from sddhopf import (CallableMap, LinearMap, ZeroMap, hes1_nonlinearity,

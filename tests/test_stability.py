@@ -7,14 +7,13 @@ each other, and the winding counter gives a third, geometry-based vote.
 
 import math
 
-import numpy as np
 import pytest
 
 import refvals as RV
 from sddhopf import (CharParams, Equilibrium, HypothesisViolated,
                      StabilityKind, UnhandledRegime,
                      char_eval, characteristic_root_near, classify_stability,
-                     find_equilibrium, hes1_params, solve_beta, solve_hopf,
+                     find_equilibrium, solve_beta, solve_hopf,
                      solve_hopf_direct, transversality, winding_count,
                      NonlinearitySpec, ZeroMap, ModelParams)
 

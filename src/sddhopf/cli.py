@@ -319,11 +319,16 @@ def cmd_stability(cfg: RunConfig):
     return _emit_report(payload, "\n".join(lines) + "\n", "stability", cfg)
 
 
+def _normal_form_report(cfg: RunConfig, params):
+    """analyze_normal_form with the config's fit points and c range."""
+    return analyze_normal_form(params,
+                               fit_cs=cfg.numbers("fit_points", (0.0, 0.01, 0.05)),
+                               c_max=cfg.number("c_max", 1.0))
+
+
 def cmd_normal_form(cfg: RunConfig):
     params = cfg.params()
-    rep = analyze_normal_form(params,
-                              fit_cs=cfg.numbers("fit_points", (0.0, 0.01, 0.05)),
-                              c_max=cfg.number("c_max", 1.0))
+    rep = _normal_form_report(cfg, params)
     payload = {"eps0": rep.hopf.eps0, "omega": rep.hopf.omega,
                "kappa1": rep.kappa1, "kappa3": rep.kappa3,
                "direction": rep.direction.value, "c": rep.c, "c0": rep.c0,
@@ -436,6 +441,21 @@ def cmd_sweep(cfg: RunConfig):
     probe_scales = cfg.numbers("probe_scales", (0.25, 0.5, 1.0))
     rtol = cfg.number("rtol", 1e-7)
 
+    # the overlays first: a config error in them ends the command before
+    # the grid runs
+    overlays = {"eps0": None, "c0": None}
+    try:
+        eq0 = find_equilibrium(base)
+        cls = classify_stability(eq0, base.mu_m, base.mu_p, base.eps)
+        if cls.hopf is not None:
+            overlays["eps0"] = cls.hopf.eps0
+    except SddhopfError:
+        pass
+    try:
+        overlays["c0"] = _normal_form_report(cfg, base).c0
+    except SddhopfError:
+        pass
+
     def cell(rv, cv):
         # one bad cell (a grid value ModelParams rejects, or one whose
         # equilibrium solve overflows) is reported in place; the rest of
@@ -451,19 +471,6 @@ def cmd_sweep(cfg: RunConfig):
 
     # cells are pure Python under the interpreter lock: threads gain nothing
     labels = [[cell(rv, cv) for cv in col_vals] for rv in row_vals]
-
-    overlays = {"eps0": None, "c0": None}
-    try:
-        eq0 = find_equilibrium(base)
-        cls = classify_stability(eq0, base.mu_m, base.mu_p, base.eps)
-        if cls.hopf is not None:
-            overlays["eps0"] = cls.hopf.eps0
-    except SddhopfError:
-        pass
-    try:
-        overlays["c0"] = analyze_normal_form(base).c0
-    except SddhopfError:
-        pass
 
     payload = {"rows": {row_name: list(row_vals)},
                "cols": {col_name: list(col_vals)},
@@ -497,32 +504,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+_DISPATCH = {"equilibrium": cmd_equilibrium, "stability": cmd_stability,
+             "normal-form": cmd_normal_form, "simulate": cmd_simulate,
+             "sweep": cmd_sweep}
+
+
 def _build_parser():
+    # every command takes the same flags, so one flat parser serves them
+    # all and the flags may stand before or after the command
     parser = _Parser(prog="sddhopf",
                      description="Analysis pipeline for a two-component "
                                  "feedback loop with threshold-type "
                                  "state-dependent delay.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("equilibrium", "stability", "normal-form", "simulate", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--eps", type=float, help="override model.eps")
-        p.add_argument("--c", type=float, help="override model.c")
-        p.add_argument("--system", choices=["original", "transformed"],
-                       help="override analysis.system")
-        p.add_argument("--t-end", dest="t_end", type=float,
-                       help="override analysis.t_end")
-        p.add_argument("--eps-k", dest="eps_k", type=int,
-                       help="number of additional critical delay scales")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json", "text"],
-                       help="override output.format")
-        p.add_argument("--output", help="override output.path")
+    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--eps", type=float, help="override model.eps")
+    parser.add_argument("--c", type=float, help="override model.c")
+    parser.add_argument("--system", choices=_CHOICES[("analysis", "system")],
+                        help="override analysis.system")
+    parser.add_argument("--t-end", dest="t_end", type=float,
+                        help="override analysis.t_end")
+    parser.add_argument("--eps-k", dest="eps_k", type=int,
+                        help="number of additional critical delay scales")
+    parser.add_argument("--format", dest="fmt", choices=_CHOICES[("output", "format")],
+                        help="override output.format")
+    parser.add_argument("--output", help="override output.path")
     return parser
-
-
-_DISPATCH = {"equilibrium": cmd_equilibrium, "stability": cmd_stability,
-             "normal-form": cmd_normal_form, "simulate": cmd_simulate,
-             "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:

@@ -274,16 +274,17 @@ class History:
 
 # -- threshold-delay solve ------------------------------------------------------
 
-def _slope_bound_hit(t, c, slope, events):
-    warnings.warn("c|x'| = %.3f >= 1 at t = %.6g; threshold root "
-                  "may be non-unique" % (c * abs(slope), t), SlopeBoundWarning)
+def _slope_bound_hit(t, c, slope, events, warn):
+    if warn:
+        warnings.warn("c|x'| = %.3f >= 1 at t = %.6g; threshold root "
+                      "may be non-unique" % (c * abs(slope), t), SlopeBoundWarning)
     if events is not None:
         events.append({"t": t, "kind": "slope_bound",
                        "detail": float(c * abs(slope))})
 
 
 def solve_delay(t, x_now, history: History, params: ModelParams,
-                tau_prev=None, events=None) -> float:
+                tau_prev=None, events=None, in_run=False):
     """Solve tau = eps + c (x_now - x(t - tau)) to |residual| <= 1e-12 max(eps, tau).
 
     Newton iteration on g(tau) = tau - eps - c (x_now - x(t - tau)),
@@ -294,10 +295,14 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     the last resort. The contraction constant is c |x'| over the delay
     interval; when it reaches 1 at the root the root may not be unique,
     which is reported as a SlopeBoundWarning, not an error.
+
+    A run's stage passes in_run: it gets (tau, x, y), the state at t - tau
+    from the converged lookup, and a slope-bound hit goes to events alone
+    (the run warns once for all its hits). Otherwise tau is returned.
     """
     eps, c = params.eps, params.c
     if c == 0.0:
-        return eps
+        return (eps,) + history.eval(t - eps) if in_run else eps
 
     def g(tau):
         return tau - eps - c * (x_now - history.eval(t - tau)[0])
@@ -307,7 +312,7 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     damp = 1.0
     prev_abs = math.inf
     for _ in range(60):
-        x_back, _, slope = history.eval(t - tau, True)
+        x_back, y_back, slope = history.eval(t - tau, True)
         gv = tau - eps - c * (x_now - x_back)
         if abs(gv) <= 1e-13 * max(eps, tau):
             converged = True
@@ -333,16 +338,18 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         if abs(g(tau)) > 1e-12 * max(eps, tau):
             raise NoConvergence("threshold residual %.3e at t = %.6g"
                                 % (g(tau), t))
-        slope = history.eval(t - tau, True)[2]
+        x_back, y_back, slope = history.eval(t - tau, True)
 
     # uniqueness bound: c |x'| < 1 at the root
     if c * abs(slope) >= 1.0:
-        _slope_bound_hit(t, c, slope, events)
-    return tau
+        _slope_bound_hit(t, c, slope, events, warn=not in_run)
+    return (tau, x_back, y_back) if in_run else tau
 
 
-def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
-    """solve_delay at every sample at once.
+def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed,
+                   events):
+    """solve_delay at every sample at once, slope-bound hits going to
+    events as in a run's stages.
 
     One vectorised sweep over all samples, each element following the
     scalar iteration and stopping on the scalar criterion; samples it
@@ -379,11 +386,12 @@ def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed):
 
     for k in active:
         tau[k] = solve_delay(float(ts[k]), float(xs[k]), history, params,
-                             tau_prev=tau[k - 1] if k else tau_seed)
+                             tau_prev=tau[k - 1] if k else tau_seed,
+                             events=events, in_run=True)[0]
     checked = np.ones(n, dtype=bool)
     checked[active] = False                 # solve_delay checked these itself
     for k in np.flatnonzero(checked & (c * np.abs(slope) >= 1.0)):
-        _slope_bound_hit(float(ts[k]), c, float(slope[k]), None)
+        _slope_bound_hit(float(ts[k]), c, float(slope[k]), events, warn=False)
     return tau
 
 
@@ -437,14 +445,17 @@ _COLUMNS = {"original": ("t", "x", "y", "tau"), "transformed": ("eta", "r", "xi"
 
 @dataclass(frozen=True)
 class RunStats:
-    """What one run's step loop did: accepted and error-rejected steps,
-    tries halved because a delayed argument passed the dense frontier, and
-    stage (RHS) evaluations that returned, the initial slope included."""
+    """What one run did: accepted and error-rejected steps, tries halved
+    because a delayed argument passed the dense frontier, stage (RHS)
+    evaluations that returned, the initial slope included, and threshold
+    roots found with c|x'| >= 1 (the run's slope_bound events, stages and
+    samples)."""
 
     steps_accepted: int
     steps_rejected: int
     frontier_halvings: int
     stage_evals: int
+    slope_bound_hits: int
 
 
 @dataclass
@@ -475,9 +486,11 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     -> the step to try; on_accept(t_new, x, y, K, delay) for its extra
     monitors; delay_column(ts, states) -> the delay at the samples. The
     loop itself records the two component minima, the positivity event and
-    the RunStats, and turns an abort into the run's status. fixed_h disables
-    error control (every step accepted at that size, still capped by the
-    frontier rules); used for order studies.
+    the RunStats, and turns an abort into the run's status and its last
+    event, after any events the sampling adds. A run with slope_bound events
+    warns once for all of them. fixed_h disables error control (every step
+    accepted at that size, still capped by the frontier rules); used for
+    order studies.
     """
     hist = History(initial)
     events: List[dict] = []
@@ -493,7 +506,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     t = initial.t0
     x, y = (float(v) for v in initial.value(t))
     h_next = fixed_h if fixed_h else h0
-    status = STATUS_COMPLETED
+    stop = None
     try:
         f1x, f1y, delay_now = stage(t, x, y)
         stage_evals = 1
@@ -577,13 +590,12 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
             h_next = fixed_h if fixed_h else h * (
                 _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
         t_reached = t
-    except _Abort as stop:
+    except _Abort as abort:
         # the stages the aborted try evaluated, none when it is the
         # initial slope or a stall
         stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
-        status = stop.status
+        stop = abort
         t_reached = hist.frontier
-        events.append({"t": stop.t, "kind": status, "detail": stop.detail})
     monitors[min_x_key], monitors[min_y_key] = min_x, min_y
 
     if sample_times is None:
@@ -591,14 +603,23 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     ts = np.asarray(sample_times, dtype=float)
     ts = ts[ts <= t_reached + 1e-10 * max(1.0, abs(t_reached))]
     states = hist.eval_many(ts)
-    return Trajectory(kind=kind, t=ts, states=states,
-                      delay=delay_column(ts, states), status=status,
+    delay = delay_column(ts, states)
+    hits = [ev["detail"] for ev in events if ev["kind"] == "slope_bound"]
+    if hits:
+        warnings.warn("%d threshold roots with c|x'| >= 1 (up to %.3f) in "
+                      "this run; the delay may be non-unique there"
+                      % (len(hits), max(hits)), SlopeBoundWarning)
+    if stop is not None:
+        events.append({"t": stop.t, "kind": stop.status, "detail": stop.detail})
+    return Trajectory(kind=kind, t=ts, states=states, delay=delay,
+                      status=stop.status if stop else STATUS_COMPLETED,
                       events=events, monitors=monitors, history=hist,
                       t_final=t_reached,
                       stats=RunStats(steps_accepted=len(hist._ends),
                                      steps_rejected=rejected,
                                      frontier_halvings=halvings,
-                                     stage_evals=stage_evals))
+                                     stage_evals=stage_evals,
+                                     slope_bound_hits=len(hits)))
 
 
 def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
@@ -630,11 +651,11 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
 
         def stage(t, x, y):
             nonlocal tau_hint
-            tau = solve_delay(t, x, hist, params, tau_prev=tau_hint, events=events)
+            tau, x_back, y_back = solve_delay(t, x, hist, params, tau_prev=tau_hint,
+                                              events=events, in_run=True)
             tau_hint = tau
-            delayed = hist.eval(t - tau)
             try:
-                (dx, dy), resid = rhs_original((x, y), delayed, tau, params)
+                (dx, dy), resid = rhs_original((x, y), (x_back, y_back), tau, params)
             except OverflowError:
                 raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
             if 1.0 - params.c * dx <= DENOMINATOR_FLOOR:
@@ -664,7 +685,7 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
             monitors["max_dx"] = max(monitors["max_dx"], max(K[0::2]))
 
         def delay_column(ts, states):
-            return _sample_delays(hist, params, ts, states[:, 0], tau_hint)
+            return _sample_delays(hist, params, ts, states[:, 0], tau_hint, events)
 
         return stage, cap_h, on_accept, delay_column
 
@@ -690,10 +711,15 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
     def system(hist, events, monitors):
         monitors["min_denominator"] = math.inf
         denominator = math.inf      # D of the last stage, the one at t_new on accept
+        # the last lookup: stages 6 and 7 of a try both take t + h, and no
+        # other stage of the run repeats a t
+        looked_up, delayed = None, None
 
         def stage(t, r, xi):
-            nonlocal denominator
-            delayed = hist.eval(t - 1.0)
+            nonlocal denominator, looked_up, delayed
+            if t != looked_up:
+                delayed = hist.eval(t - 1.0)
+                looked_up = t
             try:
                 dr, dxi, k, denominator = rhs_transformed((r, xi), delayed, params)
             except OverflowError:

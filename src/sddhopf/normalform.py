@@ -196,21 +196,22 @@ class NormalForm:
 
 # harmonic-polynomial helpers: a signal is {(harmonic, powA, powAbar): coeff}
 
-def _smul(s1, s2):
-    out = {}
-    for k1, v1 in s1.items():
-        for k2, v2 in s2.items():
-            k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-            out[k] = out.get(k, 0.0) + v1 * v2
-    return out
-
-
 def _resonant(coeff_and_signals):
-    """Sum coeff * [A^2 conj(A) e^{i omega}] component over triple products."""
+    """Sum coeff * [A^2 conj(A) e^{i omega}] component over triple products.
+
+    Only the resonant key (1, 2, 1) of each product is read: for every
+    pair of terms of the first two signals, the one complementary key of
+    the third.
+    """
     total = 0.0 + 0.0j
     for coeff, sa, sb, sc in coeff_and_signals:
-        sig = _smul(_smul(sa, sb), sc)
-        total += coeff * sig.get((1, 2, 1), 0.0)
+        part = 0.0
+        for (h1, p1, q1), v1 in sa.items():
+            for (h2, p2, q2), v2 in sb.items():
+                v3 = sc.get((1 - h1 - h2, 2 - p1 - p2, 1 - q1 - q2))
+                if v3 is not None:
+                    part += v1 * v2 * v3
+        total += coeff * part
     return total
 
 

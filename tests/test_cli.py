@@ -11,7 +11,7 @@ import refvals as RV
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
 from sddhopf import dde, model, roots
-from sddhopf.cli import _trajectory_csv, load_config, main
+from sddhopf.cli import _build_parser, _trajectory_csv, load_config, main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -249,7 +249,8 @@ def test_escape_recipe_ends_at_the_floor_with_its_step_counts(tmp_path):
         <= 1.02 * DENOMINATOR_FLOOR
     stats = results["stats"]
     assert set(stats) == {"steps_accepted", "steps_rejected", "frontier_halvings",
-                          "stage_evals"}
+                          "stage_evals", "slope_bound_hits"}
+    assert stats["slope_bound_hits"] == 0
     assert 0 < stats["steps_accepted"] <= 1000
     assert stats["stage_evals"] > 6 * stats["steps_accepted"]
 
@@ -272,7 +273,8 @@ def test_summary_reports_step_counts_beside_a_parseable_monitors_line(tmp_path, 
     assert set(fields("monitors: ")) == {"min_denominator", "min_r", "min_xi"}
     stats = fields("stats: ")
     assert list(stats) == ["steps_accepted", "steps_rejected", "frontier_halvings",
-                           "stage_evals"]
+                           "stage_evals", "slope_bound_hits"]
+    assert stats["slope_bound_hits"] == 0
     assert stats["stage_evals"] == 1 + 6 * (stats["steps_accepted"]
                                             + stats["steps_rejected"])
 
@@ -344,6 +346,20 @@ def test_one_cell_sweep_runs(tmp_path, capsys):
         "output": {"format": "json"},
     })
     assert main(["sweep", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("analysis,c0", [({}, RV.C0), ({"c_max": 0.02}, None)],
+                         ids=["default", "c-max-below-c0"])
+def test_sweep_c0_overlay_is_the_normal_form_c0(tmp_path, capsys, analysis, c0):
+    # one cell that fails at once: the overlays do not depend on the cells
+    path = write_cfg(tmp_path, {
+        "analysis": dict(analysis, grid={"eps": [-1.0], "c": [0.01]}),
+        "output": {"format": "json"}})
+    assert main(["sweep", "--config", path]) == 0
+    overlay = json.loads(capsys.readouterr().out)["results"]["overlays"]["c0"]
+    assert main(["normal-form", "--config", path]) == 0
+    assert overlay == json.loads(capsys.readouterr().out)["results"]["c0"]
+    assert overlay == (pytest.approx(c0, rel=1e-8) if c0 else None)
 
 
 @pytest.mark.parametrize("fmt,grid,error", [
@@ -536,6 +552,52 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["no-such-command", "--config", "x"]) == 1
     assert main(["equilibrium", "--config", write_cfg(tmp_path),
                  "--no-such-flag"]) == 1
+
+
+COMMANDS = ["equilibrium", "stability", "normal-form", "simulate", "sweep"]
+ALL_FLAGS = ["--config", "cfg.json", "--eps", "6.5", "--c", "0.02",
+             "--system", "original", "--t-end", "50", "--eps-k", "2",
+             "--format", "csv", "--output", "out.csv"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_takes_all_eight_flags_on_either_side(command):
+    parser = _build_parser()
+    after = parser.parse_args([command] + ALL_FLAGS)
+    assert vars(after) == {"command": command, "config": "cfg.json", "eps": 6.5,
+                           "c": 0.02, "system": "original", "t_end": 50.0,
+                           "eps_k": 2, "fmt": "csv", "output": "out.csv"}
+    assert parser.parse_args(ALL_FLAGS + [command]) == after
+    assert parser.parse_args(ALL_FLAGS[:6] + [command] + ALL_FLAGS[6:]) == after
+
+
+def test_flags_before_the_command_give_the_same_output(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    assert main(["stability", "--config", path, "--eps-k", "2",
+                 "--format", "json"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--config", path, "--eps-k", "2", "--format", "json",
+                 "stability"]) == 0
+    assert capsys.readouterr().out == after
+
+
+def test_help_exits_zero_and_lists_the_commands(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: sddhopf")
+    assert all(command in out for command in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command", "--config", "x"],
+    ["--config", "x"],
+    ["equilibrium"],
+    ["equilibrium", "--config", "x", "--format", "xml"],
+    ["equilibrium", "sweep", "--config", "x"],
+], ids=["unknown-command", "no-command", "no-config", "bad-choice", "two-commands"])
+def test_usage_error_is_one_line_with_exit_one(capsys, argv):
+    assert main(argv) == 1
+    assert one_line_error(capsys).startswith("sddhopf: error: ")
 
 
 def test_config_round_trip_is_lossless(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import refvals as RV
+from oracles import resonant_by_full_product
 from sddhopf import normalform
 from sddhopf import (Direction, NoConvergence, ResonanceViolation,
                      analyze_normal_form, classify_direction, critical_c,
@@ -116,6 +117,44 @@ def test_kappa3_guard_point_is_never_a_fit_point(monkeypatch, fit_cs, guard):
     with pytest.raises(NoConvergence):
         normalform.kappa3_quadratic(None, None, None, fit_cs=fit_cs)
     assert calls == list(fit_cs) + [guard]
+
+
+@pytest.mark.parametrize("c", [0.0, 0.01, 0.05])
+def test_resonant_read_matches_the_full_product_on_every_chi_triple(
+        monkeypatch, eq, hopf, frame, c):
+    triples = []
+
+    def recorded(coeff_and_signals):
+        triples.extend(coeff_and_signals)
+        return resonant(coeff_and_signals)
+
+    resonant = normalform._resonant
+    monkeypatch.setattr(normalform, "_resonant", recorded)
+    normal_form(eq, hopf, frame, quadratic_coeffs(eq, hopf, frame, c))
+    assert len(triples) == 27
+    for _, *signals in triples:
+        # unit coefficient: the c-multiplied ones vanish at c = 0
+        triple = (1.0, *signals)
+        want = resonant_by_full_product(*triple)
+        assert abs(resonant([triple]) - want) <= 1e-14 * abs(want), triple
+
+
+def test_resonant_read_matches_the_full_product_on_random_signals():
+    rng = np.random.default_rng(7)
+
+    def signal():
+        keys = {(int(rng.integers(-2, 3)), int(rng.integers(0, 3)),
+                 int(rng.integers(0, 2))) for _ in range(rng.integers(1, 9))}
+        return {k: complex(*rng.normal(size=2)) for k in keys}
+
+    hits = 0
+    for _ in range(500):
+        triple = (complex(*rng.normal(size=2)), signal(), signal(), signal())
+        want = resonant_by_full_product(*triple)
+        got = normalform._resonant([triple])
+        assert abs(got - want) <= 1e-14 * abs(want), triple
+        hits += want != 0
+    assert hits >= 100          # enough draws with a resonant term
 
 
 def test_critical_c_matches_pinned(eq, hopf, frame):

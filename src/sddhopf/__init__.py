@@ -23,20 +23,17 @@ from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams,
                     find_equilibrium, hes1_params, rhs_original,
                     rhs_transformed)
 from .stability import (CharParams, HopfPoint, StabilityClassification,
-                        StabilityKind, char_eval, characteristic_root_near,
-                        classify_stability, solve_beta, solve_hopf,
-                        solve_hopf_direct, transversality, winding_count)
+                        StabilityKind, char_eval, classify_stability,
+                        solve_beta, solve_hopf, transversality)
 from .normalform import (CriticalFrame, Direction, Kappa3Quadratic,
                          NormalForm, NormalFormReport, QuadraticCoeffs,
                          analyze_normal_form, classify_direction, critical_c,
                          critical_frame, kappa3_quadratic, normal_form,
-                         normal_form_constant_delay, quadratic_coeffs,
-                         quadratic_coeffs_closed_form, quadratic_coeffs_direct)
+                         quadratic_coeffs)
 from .dde import (CompatibilityReport, History, InitialHistory,
                   OscillationSummary, RunStats, Trajectory, bump_history,
                   check_compatibility, classify_dynamics, classify_run,
-                  constant_history, escape_sweep, integrate_sdd,
-                  integrate_transformed, measure_oscillation, run_perturbed,
-                  solve_delay)
+                  constant_history, integrate_sdd, integrate_transformed,
+                  measure_oscillation, run_perturbed, solve_delay)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ _TOP_KEYS = {"model", "analysis", "output"}
 _MODEL_KEYS = {"nonlinearity", "mu_m", "mu_p", "c", "eps"}
 _NONLIN_KEYS = {"hes1": {"kind", "alpha_m", "ybar", "h", "alpha_p"},
                 "zero": {"kind"}}
-_ANALYSIS_KEYS = {"eps_k", "fit_points", "c_max", "system", "t_end",
+_ANALYSIS_KEYS = {"eps_k", "c_max", "system", "t_end",
                   "kick_scale", "rtol", "atol", "transient_fraction",
                   "grid", "small_kick", "probe_scales"}
 _OUTPUT_KEYS = {"format", "path", "n_samples"}
@@ -319,16 +319,9 @@ def cmd_stability(cfg: RunConfig):
     return _emit_report(payload, "\n".join(lines) + "\n", "stability", cfg)
 
 
-def _normal_form_report(cfg: RunConfig, params):
-    """analyze_normal_form with the config's fit points and c range."""
-    return analyze_normal_form(params,
-                               fit_cs=cfg.numbers("fit_points", (0.0, 0.01, 0.05)),
-                               c_max=cfg.number("c_max", 1.0))
-
-
 def cmd_normal_form(cfg: RunConfig):
     params = cfg.params()
-    rep = _normal_form_report(cfg, params)
+    rep = analyze_normal_form(params, c_max=cfg.number("c_max", 1.0))
     payload = {"eps0": rep.hopf.eps0, "omega": rep.hopf.omega,
                "kappa1": rep.kappa1, "kappa3": rep.kappa3,
                "direction": rep.direction.value, "c": rep.c, "c0": rep.c0,
@@ -440,9 +433,10 @@ def cmd_sweep(cfg: RunConfig):
     small_kick = cfg.number("small_kick", 0.05)
     probe_scales = cfg.numbers("probe_scales", (0.25, 0.5, 1.0))
     rtol = cfg.number("rtol", 1e-7)
+    c_max = cfg.number("c_max", 1.0)
 
-    # the overlays first: a config error in them ends the command before
-    # the grid runs
+    # the overlays first, after every config number above: a solver
+    # failure leaves its overlay n/a, and the grid still runs
     overlays = {"eps0": None, "c0": None}
     try:
         eq0 = find_equilibrium(base)
@@ -452,7 +446,7 @@ def cmd_sweep(cfg: RunConfig):
     except SddhopfError:
         pass
     try:
-        overlays["c0"] = _normal_form_report(cfg, base).c0
+        overlays["c0"] = analyze_normal_form(base, c_max=c_max).c0
     except SddhopfError:
         pass
 

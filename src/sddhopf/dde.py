@@ -890,22 +890,3 @@ def classify_dynamics(params: ModelParams, eq: Equilibrium,
     if small == "decaying":
         return "stable" if basin_ok else "metastable"
     return "oscillating" if basin_ok else "unstable"
-
-
-def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
-                 factor=2.0, max_doublings=14, eta_end=300.0, rtol=1e-7):
-    """Double a negative-side kick until the run escapes the basin.
-
-    Returns (threshold_scale_or_None, records); each record is
-    (scale, classification).
-    """
-    records = []
-    scale = start_scale
-    for _ in range(max_doublings):
-        label = classify_run(run_perturbed(params, eq, -scale, eta_end, rtol),
-                             eq, -scale)
-        records.append((scale, label))
-        if label == "escaped":
-            return scale, records
-        scale *= factor
-    return None, records

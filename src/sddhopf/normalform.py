@@ -8,8 +8,9 @@ with kappa1 fixed by the linear problem and kappa3 assembled from the
 second-order particular solutions (a1, a2, b1, b2) and the cubic forcing
 vector chi. Re kappa3 < 0 gives a supercritical bifurcation, > 0
 subcritical; for the threshold-delay family kappa3 is exactly quadratic
-in the state-dependence coefficient c, and the critical c0 is the
-positive root of Re kappa3(c) = 0.
+in the state-dependence coefficient c, so its value at three fixed nodes
+determines it everywhere, and the critical c0 is the positive root of
+Re kappa3(c) = 0.
 
 The chi term lists below mirror the derivation's bracket layout one code
 entry per summand, so each line can be audited independently.
@@ -43,6 +44,7 @@ class CriticalFrame:
     d: np.ndarray
     M: np.ndarray
     N: np.ndarray
+    denom: complex      # projection denominator 1 + eps0 e^{-i omega} conj(d).N.theta
 
     @property
     def dbar(self) -> np.ndarray:
@@ -65,9 +67,10 @@ def critical_frame(eq: Equilibrium, hp: HopfPoint) -> CriticalFrame:
     theta = np.array([1.0 + 0j, theta2])
     d = np.array([-1j * w + es * hp.mu_p,
                   es * cmath.exp(1j * w) * eq.f1]) / (-2j * w + es * (hp.mu_m + hp.mu_p))
+    N = np.array([[0.0, eq.f1], [eq.g1, 0.0]])
     frame = CriticalFrame(omega=w, eps0=es, theta=theta, d=d,
-                          M=np.diag([-hp.mu_m, -hp.mu_p]),
-                          N=np.array([[0.0, eq.f1], [eq.g1, 0.0]]))
+                          M=np.diag([-hp.mu_m, -hp.mu_p]), N=N,
+                          denom=1.0 + es * cmath.exp(-1j * w) * (d.conj() @ (N @ theta)))
     right, left, norm = frame.residuals()
     if right > 1e-9 or left > 1e-9:
         raise NoConvergence("critical frame residuals %.2e / %.2e" % (right, left))
@@ -90,7 +93,7 @@ class QuadraticCoeffs:
 
 def _quadratic_rhs(eq, hp, frame, c):
     """Forcing vectors of the a-system (2 omega harmonic) and b-system
-    (zero harmonic), shared by both solution routes."""
+    (zero harmonic)."""
     es, w = hp.eps0, hp.omega
     mu_m, mu_p = hp.mu_m, hp.mu_p
     f1, f2 = eq.f1, eq.f2
@@ -114,9 +117,15 @@ def _quadratic_rhs(eq, hp, frame, c):
     return Ra, Rb
 
 
-def quadratic_coeffs_direct(eq, hp, frame, c) -> QuadraticCoeffs:
-    """(a, b) from the 2x2 linear solves."""
+def quadratic_coeffs(eq, hp, frame, c, resonance_tol=1e-6) -> QuadraticCoeffs:
+    """(a, b) from the 2x2 linear solves, refused when 2 i omega is a
+    near-characteristic root."""
     es, w = hp.eps0, hp.omega
+    h2 = char_eval(2j * w, hp.char_params())
+    if abs(h2) <= resonance_tol:
+        raise ResonanceViolation(
+            "2 i omega is a near-characteristic root: h(2 i omega) = "
+            "%.6e%+.6ei, magnitude %.3e" % (h2.real, h2.imag, abs(h2)))
     E2 = cmath.exp(-2j * w)
     Ra, Rb = _quadratic_rhs(eq, hp, frame, c)
     Amat = np.array([[2j * w + es * hp.mu_m, -es * eq.f1 * E2],
@@ -125,52 +134,6 @@ def quadratic_coeffs_direct(eq, hp, frame, c) -> QuadraticCoeffs:
     Bmat = es * np.array([[hp.mu_m, -eq.f1], [-eq.g1, hp.mu_p]])
     b = np.linalg.solve(Bmat, Rb)
     return QuadraticCoeffs(a1=a[0], a2=a[1], b1=b[0].real, b2=b[1].real, c=c)
-
-
-def quadratic_coeffs_closed_form(eq, hp, frame, c) -> QuadraticCoeffs:
-    """(a, b) from the explicit inverse formulas: the a-pair via the
-    characteristic value at 2 i omega as determinant, the b-pair via the
-    rationalized fractions over eps^2 f'^2 (mu_m mu_p - f' g')."""
-    es, w = hp.eps0, hp.omega
-    mu_m, mu_p = hp.mu_m, hp.mu_p
-    f1, f2 = eq.f1, eq.f2
-    gp, gpp = eq.g1, eq.g2
-    E2 = cmath.exp(-2j * w)
-    Ra, _ = _quadratic_rhs(eq, hp, frame, c)
-    det = char_eval(2j * w, hp.char_params())
-    a1 = (Ra[0] * (2j * w + es * mu_p) + Ra[1] * es * f1 * E2) / det
-    a2 = (Ra[1] * (2j * w + es * mu_m) + Ra[0] * es * gp * E2) / det
-    denb = es ** 2 * f1 ** 2 * (mu_m * mu_p - f1 * gp)
-    b1 = (mu_p * f2 * w ** 2 + mu_p * f2 * es ** 2 * mu_m ** 2
-          + 2 * f1 ** 2 * c * mu_p * w ** 2
-          - 2 * f1 ** 2 * c * mu_p * w ** 2 * math.cos(w)
-          - 2 * c * (f1 ** 3 * gp + mu_m * mu_p * f1 ** 2) * es * w * math.sin(w)
-          + f1 ** 3 * gpp * es ** 2) / denb
-    b2 = (mu_m * f1 ** 2 * gpp * es ** 2 + f2 * gp * w ** 2
-          + f2 * gp * mu_m ** 2 * es ** 2 + 2 * c * f1 ** 2 * gp * w ** 2
-          - 2 * c * mu_m * mu_p * f1 * w ** 2 * math.cos(w)
-          - 2 * c * (mu_m * f1 ** 2 * gp + mu_m ** 2 * mu_p * f1) * es * w * math.sin(w)) / denb
-    return QuadraticCoeffs(a1=a1, a2=a2, b1=b1, b2=b2, c=c)
-
-
-def quadratic_coeffs(eq, hp, frame, c, resonance_tol=1e-6) -> QuadraticCoeffs:
-    """Checked (a, b): direct solve cross-validated against closed forms."""
-    h2 = char_eval(2j * hp.omega, hp.char_params())
-    if abs(h2) <= resonance_tol:
-        raise ResonanceViolation(
-            "2 i omega is a near-characteristic root: h(2 i omega) = "
-            "%.6e%+.6ei, magnitude %.3e" % (h2.real, h2.imag, abs(h2)))
-    direct = quadratic_coeffs_direct(eq, hp, frame, c)
-    closed = quadratic_coeffs_closed_form(eq, hp, frame, c)
-    da = np.array([direct.a1, direct.a2])
-    ca = np.array([closed.a1, closed.a2])
-    db = np.array([direct.b1, direct.b2])
-    cb = np.array([closed.b1, closed.b2])
-    ascale = max(np.max(np.abs(da)), 1e-300)
-    bscale = max(np.max(np.abs(db)), 1e-300)
-    if np.max(np.abs(da - ca)) > 1e-8 * ascale or np.max(np.abs(db - cb)) > 1e-8 * bscale:
-        raise NoConvergence("closed-form and direct (a, b) disagree")
-    return direct
 
 
 class Direction(str, Enum):
@@ -191,7 +154,6 @@ class NormalForm:
     kappa3: complex
     direction: Direction
     c: float
-    c0: Optional[float] = None
 
 
 # harmonic-polynomial helpers: a signal is {(harmonic, powA, powAbar): coeff}
@@ -286,11 +248,6 @@ def _chi_resonant(eq, hp, frame, qc, c):
     return chi
 
 
-def _projection_denominator(frame: CriticalFrame):
-    es, w = frame.eps0, frame.omega
-    return 1.0 + es * cmath.exp(-1j * w) * (frame.dbar @ (frame.N @ frame.theta))
-
-
 def normal_form(eq, hp, frame, qc: QuadraticCoeffs, c=None) -> NormalForm:
     """Project the resonant forcing onto the adjoint frame.
 
@@ -302,7 +259,7 @@ def normal_form(eq, hp, frame, qc: QuadraticCoeffs, c=None) -> NormalForm:
     if c != qc.c:
         raise ValueError("quadratic coefficients were computed at c = %g, not %g"
                          % (qc.c, c))
-    denom = _projection_denominator(frame)
+    denom = frame.denom
     if abs(denom) < 1e-10:
         raise DegenerateProjection("projection denominator %.3e" % abs(denom))
     kappa1 = (1j * hp.omega / hp.eps0) / denom
@@ -314,24 +271,14 @@ def normal_form(eq, hp, frame, qc: QuadraticCoeffs, c=None) -> NormalForm:
                       direction=classify_direction(kappa3), c=c)
 
 
-def normal_form_constant_delay(eq, hp, frame, qc: QuadraticCoeffs):
-    """Independent c = 0 coding of the amplitude equation for the plain
-    constant-delay system. Returns (kappa1, kappa3); the main pipeline at
-    c = 0 must match this to 1e-10."""
-    if qc.c != 0.0:
-        raise ValueError("constant-delay formula needs coefficients at c = 0")
-    es, w = hp.eps0, hp.omega
-    th2 = frame.theta[1]
-    vec = np.array([
-        eq.f2 * (qc.a2 * th2.conjugate() + qc.b2 * th2)
-        + 0.5 * eq.f3 * th2 ** 2 * th2.conjugate(),
-        eq.g2 * (qc.a1 + qc.b1) + 0.5 * eq.g3,
-    ])
-    Ew = cmath.exp(1j * w)
-    shared = Ew + es * (frame.dbar @ (frame.N @ frame.theta))
-    kappa1 = 1j * w * Ew / (es * shared)
-    kappa3 = es * (frame.dbar @ vec) / shared
-    return kappa1, kappa3
+# kappa3(c) is read at these c values; any three distinct nodes give the
+# same exact quadratic
+KAPPA3_NODES = (0.0, 0.01, 0.05)
+
+
+def _horner(q, c):
+    q2, q1, q0 = q
+    return (q2 * c + q1) * c + q0
 
 
 @dataclass(frozen=True)
@@ -340,44 +287,33 @@ class Kappa3Quadratic:
 
     re_coeffs: Tuple[float, float, float]   # (q2, q1, q0)
     im_coeffs: Tuple[float, float, float]
-    fit_cs: Tuple[float, ...]
 
     def __call__(self, c):
-        return (np.polyval(self.re_coeffs, c)
-                + 1j * np.polyval(self.im_coeffs, c))
+        return complex(_horner(self.re_coeffs, c), _horner(self.im_coeffs, c))
 
 
-def kappa3_quadratic(eq, hp, frame, fit_cs=(0.0, 0.01, 0.05)) -> Kappa3Quadratic:
-    """Evaluate kappa3 on three c values and interpolate the quadratic.
+def _read_nodes(eq, hp, frame):
+    """kappa1 and the kappa3(c) quadratic from normal_form at the three
+    KAPPA3_NODES: kappa1 does not depend on c, and the quadratic through
+    the three kappa3 values comes from Newton divided differences."""
+    forms = [normal_form(eq, hp, frame, quadratic_coeffs(eq, hp, frame, c))
+             for c in KAPPA3_NODES]
+    (c0, c1, c2), (k0, k1, k2) = KAPPA3_NODES, [nf.kappa3 for nf in forms]
+    d01 = (k1 - k0) / (c1 - c0)
+    d012 = ((k2 - k1) / (c2 - c1) - d01) / (c2 - c0)
+    q = (d012, d01 - d012 * (c0 + c1), k0 - d01 * c0 + d012 * c0 * c1)
+    return forms[0].kappa1, Kappa3Quadratic(re_coeffs=tuple(z.real for z in q),
+                                            im_coeffs=tuple(z.imag for z in q))
 
-    kappa3 is exactly quadratic in c, so three points determine it; a
-    fourth evaluation guards the claim.
-    """
-    def k3(c):
-        qc = quadratic_coeffs(eq, hp, frame, c)
-        return normal_form(eq, hp, frame, qc).kappa3
 
-    cs = np.asarray(fit_cs, dtype=float)
-    if len(cs) != 3 or len(set(cs.tolist())) != 3:
-        raise ValueError("exactly three fit points required, all different; got %s"
-                         % list(fit_cs))
-    vals = np.array([k3(c) for c in cs])
-    re_co = np.polyfit(cs, vals.real, 2)
-    im_co = np.polyfit(cs, vals.imag, 2)
-    poly = Kappa3Quadratic(re_coeffs=tuple(re_co), im_coeffs=tuple(im_co),
-                           fit_cs=tuple(cs))
-    lo, hi = min(cs), max(cs)
-    c_test = (lo + hi) / 2
-    if c_test in cs:            # the middle fit point: go halfway below it
-        c_test = (lo + c_test) / 2
-    probe = k3(c_test)
-    if abs(poly(c_test) - probe) > 1e-6 * max(abs(probe), 1e-12):
-        raise NoConvergence("kappa3(c) deviates from the fitted quadratic")
-    return poly
+def kappa3_quadratic(eq, hp, frame) -> Kappa3Quadratic:
+    """kappa3(c) from its values at KAPPA3_NODES: kappa3 is exactly
+    quadratic in c, so the interpolant is the function itself."""
+    return _read_nodes(eq, hp, frame)[1]
 
 
 def critical_c(poly: Kappa3Quadratic, c_max=1.0) -> float:
-    """Positive root of Re kappa3(c) = 0 on the fitted quadratic: the
+    """Positive root of Re kappa3(c) = 0 on the quadratic: the
     supercritical/subcritical boundary in c."""
     q2, q1, q0 = poly.re_coeffs
     disc = q1 * q1 - 4 * q2 * q0
@@ -390,8 +326,8 @@ def critical_c(poly: Kappa3Quadratic, c_max=1.0) -> float:
     if not candidates:
         raise NoSignChange("Re kappa3 keeps one sign on (0, %g]" % c_max)
     c0 = candidates[0]
-    below = np.polyval(poly.re_coeffs, c0 * 0.9)
-    above = np.polyval(poly.re_coeffs, min(c0 * 1.1, c_max))
+    below = _horner(poly.re_coeffs, c0 * 0.9)
+    above = _horner(poly.re_coeffs, min(c0 * 1.1, c_max))
     if math.copysign(1.0, below) == math.copysign(1.0, above):
         raise NoSignChange("no sign flip of Re kappa3 across c = %g" % c0)
     return c0
@@ -411,19 +347,22 @@ class NormalFormReport:
     c0: Optional[float]
 
 
-def analyze_normal_form(params: ModelParams, fit_cs=(0.0, 0.01, 0.05),
-                        c_max=1.0) -> NormalFormReport:
+def analyze_normal_form(params: ModelParams, c_max=1.0) -> NormalFormReport:
     """Full pipeline at params.c: equilibrium, Hopf point, frame, kappa
-    coefficients, the kappa3(c) quadratics, and c0 when it exists."""
+    coefficients, the kappa3(c) quadratics, and c0 when it exists.
+
+    kappa3(params.c) is read off the quadratic, so the pipeline solves for
+    (a, b) and projects chi only at the three KAPPA3_NODES.
+    """
     eq = find_equilibrium(params)
     hp = solve_hopf(params.mu_m, params.mu_p, eq.p)
     frame = critical_frame(eq, hp)
-    qc = quadratic_coeffs(eq, hp, frame, params.c)
-    nf = normal_form(eq, hp, frame, qc)
-    poly = kappa3_quadratic(eq, hp, frame, fit_cs=tuple(fit_cs))
+    kappa1, poly = _read_nodes(eq, hp, frame)
+    kappa3 = poly(params.c)
     try:
         c0 = critical_c(poly, c_max=c_max)
     except NoSignChange:
         c0 = None
-    return NormalFormReport(eq=eq, hopf=hp, kappa1=nf.kappa1, kappa3=nf.kappa3,
-                            direction=nf.direction, c=params.c, poly=poly, c0=c0)
+    return NormalFormReport(eq=eq, hopf=hp, kappa1=kappa1, kappa3=kappa3,
+                            direction=classify_direction(kappa3), c=params.c,
+                            poly=poly, c0=c0)

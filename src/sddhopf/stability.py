@@ -8,7 +8,7 @@ with coupling product p = f'(xi*) g'(r*). For p < -mu_m mu_p a purely
 imaginary root i*beta crosses the axis at a unique smallest eps0, with
 beta in (0, pi/2); beyond it the crossing repeats at eps_k with
 frequency beta + k*pi. The closed form for eps0 comes from eliminating
-the trigonometric terms, and is cross-checked here against a direct
+the trigonometric terms; the tests cross-check it against a direct
 two-equation solve.
 """
 
@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .errors import HypothesisViolated, NoConvergence, NoRoot, UnhandledRegime
 from .model import Equilibrium
@@ -43,24 +41,6 @@ def char_eval(lam, cp: CharParams):
     lam = complex(lam)
     return ((lam + cp.eps * cp.mu_m) * (lam + cp.eps * cp.mu_p)
             - cp.eps ** 2 * cp.p * cmath.exp(-2 * lam))
-
-
-def char_dlam(lam, cp: CharParams):
-    """d/d(lam) of the characteristic function."""
-    lam = complex(lam)
-    return ((lam + cp.eps * cp.mu_p) + (lam + cp.eps * cp.mu_m)
-            + 2 * cp.eps ** 2 * cp.p * cmath.exp(-2 * lam))
-
-
-def characteristic_root_near(cp: CharParams, lam0, maxiter=80):
-    """Newton iteration from lam0; used for root continuation in eps."""
-    lam = complex(lam0)
-    for _ in range(maxiter):
-        step = char_eval(lam, cp) / char_dlam(lam, cp)
-        lam -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(lam)):
-            return lam
-    raise NoConvergence("characteristic root iteration stalled at %r" % (lam,))
 
 
 def _beta_equation_residual(beta, cp: CharParams):
@@ -177,36 +157,6 @@ def solve_hopf(mu_m, mu_p, p) -> HopfPoint:
     return hp
 
 
-def solve_hopf_direct(mu_m, mu_p, p, eps_hi=1e4) -> HopfPoint:
-    """Independent route: solve the two defining equations directly.
-
-    beta(eps) comes from solve_beta for each eps; the Hopf condition is a
-    root in eps of S(eps) = (mu_m+mu_p) beta(eps) + eps p sin(2 beta(eps)).
-    Used as the cross-check for the closed form.
-    """
-    if mu_m * mu_p >= -p:
-        raise HypothesisViolated(
-            "mu_m mu_p >= -p (p = %g): no imaginary crossing exists" % p)
-
-    def S(eps):
-        b = solve_beta(CharParams(mu_m, mu_p, p, eps))
-        return (mu_m + mu_p) * b + eps * p * math.sin(2 * b)
-
-    lo = 1e-8
-    hi = 1.0
-    while S(hi) > 0:
-        hi *= 4.0
-        if hi > eps_hi:
-            raise NoRoot("no Hopf crossing found below eps = %g" % eps_hi)
-    eps0 = brentq(S, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    beta = solve_beta(CharParams(mu_m, mu_p, p, eps0))
-    l = (eps0 / beta) ** 2
-    hp = HopfPoint(mu_m=mu_m, mu_p=mu_p, p=p, eps0=eps0, omega=beta, l=l,
-                   dalpha_deps=transversality(eps0, beta, mu_m, mu_p))
-    _validate_hopf(hp)
-    return hp
-
-
 class StabilityKind(str, Enum):
     STABLE_FOR_ALL_EPS = "stable_for_all_eps"
     STABLE_BELOW_EPS0 = "stable_below_eps0"
@@ -237,39 +187,3 @@ def classify_stability(eq: Equilibrium, mu_m, mu_p, eps) -> StabilityClassificat
                                        eps0=hp.eps0, hopf=hp)
     return StabilityClassification(kind=StabilityKind.UNSTABLE,
                                    eps0=hp.eps0, hopf=hp)
-
-
-def winding_count(cp: CharParams, re_range=(0.0, 1.0),
-                  im_range=(-math.pi / 2, math.pi / 2),
-                  n0=4096, max_doublings=6) -> int:
-    """Argument-principle root count of char_eval inside a rectangle.
-
-    Trapezoid sampling of the boundary phase, with the point count doubled
-    until two consecutive estimates agree on the same integer.
-    """
-    re0, re1 = re_range
-    im0, im1 = im_range
-
-    def boundary(n):
-        seg = np.linspace(0.0, 1.0, n, endpoint=False)
-        bottom = re0 + (re1 - re0) * seg + 1j * im0
-        right = re1 + 1j * (im0 + (im1 - im0) * seg)
-        top = re1 - (re1 - re0) * seg + 1j * im1
-        left = re0 + 1j * (im1 - (im1 - im0) * seg)
-        return np.concatenate([bottom, right, top, left])
-
-    prev = None
-    n = n0
-    for _ in range(max_doublings):
-        pts = boundary(n)
-        vals = np.array([char_eval(z, cp) for z in pts])
-        if np.min(np.abs(vals)) < 1e-12 * np.max(np.abs(vals)):
-            raise NoConvergence("characteristic value vanishes on the contour")
-        ratios = np.angle(np.roll(vals, -1) / vals)
-        winding = float(np.sum(ratios) / (2 * math.pi))
-        rounded = int(round(winding))
-        if abs(winding - rounded) < 0.01 and prev == rounded:
-            return rounded
-        prev = rounded
-        n *= 2
-    raise NoConvergence("winding count did not stabilize")

@@ -1,4 +1,22 @@
-"""Reference implementations the tests check the package against."""
+"""Reference implementations the tests check the package against.
+
+Each is a second, separately coded route to a number the package computes
+one way (or a measurement built only for the tests); none is on a path
+the package itself runs.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from sddhopf.dde import classify_run, run_perturbed
+from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot
+from sddhopf.model import Equilibrium, ModelParams
+from sddhopf.normalform import QuadraticCoeffs, _quadratic_rhs
+from sddhopf.roots import brentq
+from sddhopf.stability import (CharParams, HopfPoint, _validate_hopf, char_eval,
+                               solve_beta, transversality)
 
 
 def smul(s1, s2):
@@ -14,3 +32,158 @@ def smul(s1, s2):
 def resonant_by_full_product(coeff, sa, sb, sc):
     """coeff times the (1, 2, 1) coefficient of the full triple product."""
     return coeff * smul(smul(sa, sb), sc).get((1, 2, 1), 0.0)
+
+
+# -- stability ---------------------------------------------------------------
+
+def char_dlam(lam, cp: CharParams):
+    """d/d(lam) of the characteristic function."""
+    lam = complex(lam)
+    return ((lam + cp.eps * cp.mu_p) + (lam + cp.eps * cp.mu_m)
+            + 2 * cp.eps ** 2 * cp.p * cmath.exp(-2 * lam))
+
+
+def characteristic_root_near(cp: CharParams, lam0, maxiter=80):
+    """Newton iteration from lam0; used for root continuation in eps."""
+    lam = complex(lam0)
+    for _ in range(maxiter):
+        step = char_eval(lam, cp) / char_dlam(lam, cp)
+        lam -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(lam)):
+            return lam
+    raise NoConvergence("characteristic root iteration stalled at %r" % (lam,))
+
+
+def solve_hopf_direct(mu_m, mu_p, p, eps_hi=1e4) -> HopfPoint:
+    """Independent route: solve the two defining equations directly.
+
+    beta(eps) comes from solve_beta for each eps; the Hopf condition is a
+    root in eps of S(eps) = (mu_m+mu_p) beta(eps) + eps p sin(2 beta(eps)).
+    Used as the cross-check for the closed form.
+    """
+    if mu_m * mu_p >= -p:
+        raise HypothesisViolated(
+            "mu_m mu_p >= -p (p = %g): no imaginary crossing exists" % p)
+
+    def S(eps):
+        b = solve_beta(CharParams(mu_m, mu_p, p, eps))
+        return (mu_m + mu_p) * b + eps * p * math.sin(2 * b)
+
+    lo = 1e-8
+    hi = 1.0
+    while S(hi) > 0:
+        hi *= 4.0
+        if hi > eps_hi:
+            raise NoRoot("no Hopf crossing found below eps = %g" % eps_hi)
+    eps0 = brentq(S, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    beta = solve_beta(CharParams(mu_m, mu_p, p, eps0))
+    l = (eps0 / beta) ** 2
+    hp = HopfPoint(mu_m=mu_m, mu_p=mu_p, p=p, eps0=eps0, omega=beta, l=l,
+                   dalpha_deps=transversality(eps0, beta, mu_m, mu_p))
+    _validate_hopf(hp)
+    return hp
+
+
+def winding_count(cp: CharParams, re_range=(0.0, 1.0),
+                  im_range=(-math.pi / 2, math.pi / 2),
+                  n0=4096, max_doublings=6) -> int:
+    """Argument-principle root count of char_eval inside a rectangle.
+
+    Trapezoid sampling of the boundary phase, with the point count doubled
+    until two consecutive estimates agree on the same integer.
+    """
+    re0, re1 = re_range
+    im0, im1 = im_range
+
+    def boundary(n):
+        seg = np.linspace(0.0, 1.0, n, endpoint=False)
+        bottom = re0 + (re1 - re0) * seg + 1j * im0
+        right = re1 + 1j * (im0 + (im1 - im0) * seg)
+        top = re1 - (re1 - re0) * seg + 1j * im1
+        left = re0 + 1j * (im1 - (im1 - im0) * seg)
+        return np.concatenate([bottom, right, top, left])
+
+    prev = None
+    n = n0
+    for _ in range(max_doublings):
+        pts = boundary(n)
+        vals = np.array([char_eval(z, cp) for z in pts])
+        if np.min(np.abs(vals)) < 1e-12 * np.max(np.abs(vals)):
+            raise NoConvergence("characteristic value vanishes on the contour")
+        ratios = np.angle(np.roll(vals, -1) / vals)
+        winding = float(np.sum(ratios) / (2 * math.pi))
+        rounded = int(round(winding))
+        if abs(winding - rounded) < 0.01 and prev == rounded:
+            return rounded
+        prev = rounded
+        n *= 2
+    raise NoConvergence("winding count did not stabilize")
+
+
+# -- normal form -------------------------------------------------------------
+
+def quadratic_coeffs_closed_form(eq, hp, frame, c) -> QuadraticCoeffs:
+    """(a, b) from the explicit inverse formulas: the a-pair via the
+    characteristic value at 2 i omega as determinant, the b-pair via the
+    rationalized fractions over eps^2 f'^2 (mu_m mu_p - f' g')."""
+    es, w = hp.eps0, hp.omega
+    mu_m, mu_p = hp.mu_m, hp.mu_p
+    f1, f2 = eq.f1, eq.f2
+    gp, gpp = eq.g1, eq.g2
+    E2 = cmath.exp(-2j * w)
+    Ra, _ = _quadratic_rhs(eq, hp, frame, c)
+    det = char_eval(2j * w, hp.char_params())
+    a1 = (Ra[0] * (2j * w + es * mu_p) + Ra[1] * es * f1 * E2) / det
+    a2 = (Ra[1] * (2j * w + es * mu_m) + Ra[0] * es * gp * E2) / det
+    denb = es ** 2 * f1 ** 2 * (mu_m * mu_p - f1 * gp)
+    b1 = (mu_p * f2 * w ** 2 + mu_p * f2 * es ** 2 * mu_m ** 2
+          + 2 * f1 ** 2 * c * mu_p * w ** 2
+          - 2 * f1 ** 2 * c * mu_p * w ** 2 * math.cos(w)
+          - 2 * c * (f1 ** 3 * gp + mu_m * mu_p * f1 ** 2) * es * w * math.sin(w)
+          + f1 ** 3 * gpp * es ** 2) / denb
+    b2 = (mu_m * f1 ** 2 * gpp * es ** 2 + f2 * gp * w ** 2
+          + f2 * gp * mu_m ** 2 * es ** 2 + 2 * c * f1 ** 2 * gp * w ** 2
+          - 2 * c * mu_m * mu_p * f1 * w ** 2 * math.cos(w)
+          - 2 * c * (mu_m * f1 ** 2 * gp + mu_m ** 2 * mu_p * f1) * es * w * math.sin(w)) / denb
+    return QuadraticCoeffs(a1=a1, a2=a2, b1=b1, b2=b2, c=c)
+
+
+def normal_form_constant_delay(eq, hp, frame, qc: QuadraticCoeffs):
+    """Independent c = 0 coding of the amplitude equation for the plain
+    constant-delay system. Returns (kappa1, kappa3); the main pipeline at
+    c = 0 must match this to 1e-10."""
+    if qc.c != 0.0:
+        raise ValueError("constant-delay formula needs coefficients at c = 0")
+    es, w = hp.eps0, hp.omega
+    th2 = frame.theta[1]
+    vec = np.array([
+        eq.f2 * (qc.a2 * th2.conjugate() + qc.b2 * th2)
+        + 0.5 * eq.f3 * th2 ** 2 * th2.conjugate(),
+        eq.g2 * (qc.a1 + qc.b1) + 0.5 * eq.g3,
+    ])
+    Ew = cmath.exp(1j * w)
+    shared = Ew + es * (frame.dbar @ (frame.N @ frame.theta))
+    kappa1 = 1j * w * Ew / (es * shared)
+    kappa3 = es * (frame.dbar @ vec) / shared
+    return kappa1, kappa3
+
+
+# -- measurement -------------------------------------------------------------
+
+def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
+                 factor=2.0, max_doublings=14, eta_end=300.0, rtol=1e-7):
+    """Double a negative-side kick until the run escapes the basin.
+
+    Returns (threshold_scale_or_None, records); each record is
+    (scale, classification).
+    """
+    records = []
+    scale = start_scale
+    for _ in range(max_doublings):
+        label = classify_run(run_perturbed(params, eq, -scale, eta_end, rtol),
+                             eq, -scale)
+        records.append((scale, label))
+        if label == "escaped":
+            return scale, records
+        scale *= factor
+    return None, records

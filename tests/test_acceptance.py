@@ -18,14 +18,15 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import refvals as RV
-from sddhopf import (CharParams, char_eval, characteristic_root_near,
+from oracles import (characteristic_root_near, escape_sweep,
+                     normal_form_constant_delay, quadratic_coeffs_closed_form,
+                     solve_hopf_direct)
+from sddhopf import (CharParams, char_eval,
                      bump_history, classify_run, critical_c, critical_frame,
-                     escape_sweep, find_equilibrium, hes1_params,
+                     find_equilibrium, hes1_params,
                      integrate_sdd, kappa3_quadratic, measure_oscillation,
-                     normal_form, normal_form_constant_delay,
-                     quadratic_coeffs, quadratic_coeffs_closed_form,
-                     quadratic_coeffs_direct, run_perturbed, solve_hopf,
-                     solve_hopf_direct, validate_derivatives)
+                     normal_form, quadratic_coeffs, run_perturbed, solve_hopf,
+                     validate_derivatives)
 
 STANDARD = dict(mu_m=0.03, mu_p=0.04, alpha_m=35.0, alpha_p=10.0,
                 ybar=1200.0, h=5.0)
@@ -193,7 +194,7 @@ def test_criterion_7a_closed_vs_direct_on_random_sets():
             eq = find_equilibrium(p)
             hp = solve_hopf(mu_m, mu_p, eq.f1 * eq.g1)
             fr = critical_frame(eq, hp)
-            qd = quadratic_coeffs_direct(eq, hp, fr, p.c)
+            qd = quadratic_coeffs(eq, hp, fr, p.c)
             qcl = quadratic_coeffs_closed_form(eq, hp, fr, p.c)
         except Exception:
             continue

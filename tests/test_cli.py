@@ -439,8 +439,9 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     # f(0)/mu_m brackets the equilibrium; (y/ybar)**h overflows inside it
     ("equilibrium", {"model": {"mu_m": 1e-300}}, 2, "solver error: OverflowError"),
     ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol="x")}, 1, "config error"),
+    # kappa3(c) is read at fixed nodes: fit_points is refused whatever its value
     ("normal-form", {"analysis": {"fit_points": [0.0, 0.01]}}, 1,
-     "config error: exactly three fit points"),
+     "config error: unknown key(s) fit_points in analysis block"),
     ("simulate", {"analysis": dict(SIM_ANALYSIS, transient_fraction=2)}, 1,
      "config error: analysis.transient_fraction"),
     ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol=None)}, 1,
@@ -448,7 +449,7 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     ("simulate", {"analysis": dict(SIM_ANALYSIS, transient_fraction=[0.5])}, 1,
      "config error: field 'transient_fraction'"),
     ("normal-form", {"analysis": {"fit_points": None}}, 1,
-     "config error: field 'fit_points'"),
+     "config error: unknown key(s) fit_points in analysis block"),
     ("normal-form", {"analysis": {"c_max": "1"}}, 1, "config error: field 'c_max'"),
     ("stability", {"analysis": {"eps_k": 1.5}}, 1, "config error: analysis.eps_k"),
     ("sweep", {"analysis": {"grid": {"c": [0.01], "eps": [[6.0]]}}}, 1,
@@ -470,10 +471,13 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
      "config error: analysis.atol must be > 0"),
     ("normal-form", {"analysis": {"c_max": -1.0}}, 1,
      "config error: analysis.c_max must be >= 0"),
+    # read before the overlays, whose solver failures only blank them
+    ("sweep", {"analysis": {"grid": {"c": [0.01], "eps": [6.0]}, "c_max": -1.0}}, 1,
+     "config error: analysis.c_max must be >= 0"),
     ("normal-form", {"analysis": {"fit_points": [0.0, 0.0, 0.0]}}, 1,
-     "config error: exactly three fit points required, all different"),
+     "config error: unknown key(s) fit_points in analysis block"),
     ("normal-form", {"analysis": {"fit_points": [0.0, 0.01, float("nan")]}}, 1,
-     "config error: field 'fit_points' in analysis block must be a list of finite"),
+     "config error: unknown key(s) fit_points in analysis block"),
     ("equilibrium", {"model": {"nonlinearity": {"kind": "hes1", "alpha_p": -10.0}}}, 1,
      "config error: nonlinearity.alpha_p must be >= 0"),
     ("simulate", {"model": {"nonlinearity": {"kind": "hes1", "alpha_m": -35.0}},
@@ -488,7 +492,8 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
         "n-samples-fraction", "t-end-negative", "t-end-infinite", "rtol-negative",
-        "rtol-atol-zero", "atol-zero", "c-max-negative", "repeated-fit-points",
+        "rtol-atol-zero", "atol-zero", "c-max-negative", "sweep-c-max-negative",
+        "repeated-fit-points",
         "fit-points-nan", "alpha-p-negative", "alpha-m-negative", "system-unknown",
         "format-unknown"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):

@@ -10,11 +10,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import refvals as RV
+from oracles import escape_sweep
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
                      NoBracket, SlopeBoundWarning, Trajectory,
                      bump_history, check_compatibility, classify_run,
-                     constant_history, escape_sweep, find_equilibrium,
+                     constant_history, find_equilibrium,
                      hes1_params, integrate_sdd, integrate_transformed,
                      measure_oscillation, rhs_transformed, run_perturbed,
                      solve_delay)

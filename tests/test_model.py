@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import refvals as RV
+from hill_sets import hill_params
 from sddhopf import (CallableMap, LinearMap, NonlinearitySpec, ZeroMap,
                      DenominatorBreach, NonPositive,
                      find_equilibrium, hes1_params,
@@ -24,6 +26,18 @@ def test_equilibrium_residuals_vanish(params, eq):
     res_xi = -params.mu_p * eq.xi_star + g.value(eq.r_star)
     assert abs(res_r) < 1e-12
     assert abs(res_xi) < 1e-9 * eq.xi_star
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(hill_params())
+def test_equilibrium_is_positive_with_small_residuals_property(p):
+    eq = find_equilibrium(p)
+    f, g = p.nonlinearity.f, p.nonlinearity.g
+    res_r = -p.mu_m * eq.r_star + f.value(eq.xi_star)
+    res_xi = -p.mu_p * eq.xi_star + g.value(eq.r_star)
+    assert eq.r_star > 0 and eq.xi_star > 0
+    assert abs(res_r) <= 1e-10 * max(1.0, p.mu_m * eq.r_star)
+    assert abs(res_xi) <= 1e-10 * max(1.0, p.mu_p * eq.xi_star)
 
 
 def test_equilibrium_independent_of_c_and_eps(eq):

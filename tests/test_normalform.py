@@ -1,20 +1,21 @@
 """Amplitude-equation coefficients: pinned values, closed-vs-direct routes,
-and the constant-delay reduction as an external cross-check."""
-
-from types import SimpleNamespace
+the exact three-node read of kappa3(c), and the constant-delay reduction
+as an external cross-check."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import refvals as RV
-from oracles import resonant_by_full_product
+from hill_sets import draw_hill_params, hill_params
+from oracles import (normal_form_constant_delay, quadratic_coeffs_closed_form,
+                     resonant_by_full_product)
 from sddhopf import normalform
-from sddhopf import (Direction, NoConvergence, ResonanceViolation,
+from sddhopf import (Direction, ResonanceViolation, SddhopfError,
                      analyze_normal_form, classify_direction, critical_c,
                      critical_frame, find_equilibrium, hes1_params,
-                     kappa3_quadratic, normal_form, normal_form_constant_delay,
-                     quadratic_coeffs, quadratic_coeffs_closed_form,
-                     quadratic_coeffs_direct, solve_hopf)
+                     kappa3_quadratic, normal_form, quadratic_coeffs,
+                     solve_hopf)
 
 
 def test_frame_solves_the_eigenproblem(frame):
@@ -44,34 +45,76 @@ def test_second_order_coefficients_match_pinned(eq, hopf, frame, c):
     assert qc.b2 == pytest.approx(b2, rel=1e-11)
 
 
-def test_direct_and_closed_routes_agree_on_random_sets():
+def _split(qd, qc):
+    da = np.array([qd.a1, qd.a2, qd.b1, qd.b2])
+    ca = np.array([qc.a1, qc.a2, qc.b1, qc.b2])
+    return np.max(np.abs(da - ca)) / np.max(np.abs(da))
+
+
+def test_direct_and_closed_routes_agree_on_random_sets(eq, hopf, frame):
+    # the standard set at the kappa3 nodes and between them first
+    for c in (0.0, 0.01, 0.025, 0.05):
+        rel = _split(quadratic_coeffs(eq, hopf, frame, c),
+                     quadratic_coeffs_closed_form(eq, hopf, frame, c))
+        assert rel < 1e-8, "standard set, c = %g: rel %.3e" % (c, rel)
     rng = np.random.default_rng(20260817)
     checked = 0
     draws = 0
     while checked < 100 and draws < 400:
         draws += 1
-        mu_m = 10.0 ** rng.uniform(-2.3, -0.6)
-        mu_p = 10.0 ** rng.uniform(-2.3, -0.6)
-        p = hes1_params(c=rng.uniform(0.0, 0.3), eps=1.0,
-                        mu_m=mu_m, mu_p=mu_p,
-                        alpha_m=rng.uniform(5.0, 100.0),
-                        alpha_p=rng.uniform(1.0, 30.0),
-                        ybar=rng.uniform(300.0, 5000.0),
-                        h=float(rng.choice([3, 5, 7])))
+        p = draw_hill_params(rng)
         try:
             eq = find_equilibrium(p)
-            hp = solve_hopf(mu_m, mu_p, eq.f1 * eq.g1)
+            hp = solve_hopf(p.mu_m, p.mu_p, eq.f1 * eq.g1)
             fr = critical_frame(eq, hp)
-            qd = quadratic_coeffs_direct(eq, hp, fr, p.c)
+            qd = quadratic_coeffs(eq, hp, fr, p.c)
             qc = quadratic_coeffs_closed_form(eq, hp, fr, p.c)
         except Exception:
             continue
-        da = np.array([qd.a1, qd.a2, qd.b1, qd.b2])
-        ca = np.array([qc.a1, qc.a2, qc.b1, qc.b2])
-        rel = np.max(np.abs(da - ca)) / np.max(np.abs(da))
+        rel = _split(qd, qc)
         assert rel < 1e-8, "set %d: rel %.3e" % (draws, rel)
         checked += 1
     assert checked == 100, "only %d of %d draws were usable" % (checked, draws)
+
+
+def _check_read_matches_pointwise(rep):
+    """analyze_normal_form's kappa3(c), read from the three nodes, against
+    a pointwise quadratic_coeffs + normal_form evaluation, off the nodes
+    and far outside their span."""
+    eq, hp = rep.eq, rep.hopf
+    fr = critical_frame(eq, hp)
+    for c in (0.025, 0.03, 0.3, 1.2, rep.c):
+        want = normal_form(eq, hp, fr, quadratic_coeffs(eq, hp, fr, c)).kappa3
+        got = rep.kappa3 if c == rep.c else rep.poly(c)
+        assert abs(got - want) <= 1e-10 * abs(want), (rep.eq, rep.hopf, c, got, want)
+
+
+def test_kappa3_read_from_the_nodes_is_exact_on_the_standard_set():
+    _check_read_matches_pointwise(analyze_normal_form(hes1_params(c=0.01, eps=6.0)))
+
+
+def test_kappa3_read_from_the_nodes_is_exact_on_random_sets():
+    rng = np.random.default_rng(20261018)
+    checked, draws = 0, 0
+    while checked < 50 and draws < 200:
+        draws += 1
+        try:
+            rep = analyze_normal_form(draw_hill_params(rng))
+        except SddhopfError:
+            continue
+        _check_read_matches_pointwise(rep)
+        checked += 1
+    assert checked == 50, "only %d of %d draws were usable" % (checked, draws)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(hill_params())
+def test_kappa3_is_exactly_quadratic_in_c_property(p):
+    try:
+        rep = analyze_normal_form(p)
+    except SddhopfError:
+        assume(False)
+    _check_read_matches_pointwise(rep)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.01, 0.05])
@@ -98,25 +141,6 @@ def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
     k4 = normal_form(eq, hopf, frame, qc4, c=c4).kappa3
     assert np.polyval(poly.re_coeffs, c4) == pytest.approx(k4.real, rel=1e-10)
     assert np.polyval(poly.im_coeffs, c4) == pytest.approx(k4.imag, rel=1e-10)
-
-
-@pytest.mark.parametrize("fit_cs,guard", [((0.0, 0.01, 0.05), 0.025),
-                                          ((0.02, 0.01, 0.0), 0.005),
-                                          ((0.05, 0.0, 0.01), 0.025)])
-def test_kappa3_guard_point_is_never_a_fit_point(monkeypatch, fit_cs, guard):
-    # a kappa3 that is cubic in c: only a guard off the fit points sees it
-    calls = []
-
-    def coeffs(eq, hp, frame, c):
-        calls.append(c)
-        return c
-
-    monkeypatch.setattr(normalform, "quadratic_coeffs", coeffs)
-    monkeypatch.setattr(normalform, "normal_form",
-                        lambda eq, hp, frame, c: SimpleNamespace(kappa3=complex(c ** 3, c)))
-    with pytest.raises(NoConvergence):
-        normalform.kappa3_quadratic(None, None, None, fit_cs=fit_cs)
-    assert calls == list(fit_cs) + [guard]
 
 
 @pytest.mark.parametrize("c", [0.0, 0.01, 0.05])
@@ -163,15 +187,6 @@ def test_critical_c_matches_pinned(eq, hopf, frame):
     qc = quadratic_coeffs(eq, hopf, frame, c0)
     k3 = normal_form(eq, hopf, frame, qc, c=c0).kappa3
     assert abs(k3.real) < 1e-12
-
-
-def test_c0_comes_from_the_requested_fit_points():
-    p = hes1_params(c=0.01, eps=6.0)
-    default = analyze_normal_form(p)
-    other = analyze_normal_form(p, fit_cs=(0.0, 0.02, 0.04))
-    assert other.poly.fit_cs == (0.0, 0.02, 0.04)
-    assert other.c0 == pytest.approx(default.c0, rel=1e-10)
-    assert other.c0 == critical_c(other.poly)
 
 
 def test_direction_classification():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
+import oracles
 import sddhopf
 from sddhopf import (History, InitialHistory, NoConvergence, find_equilibrium,
                      hes1_params, solve_delay)
@@ -30,7 +31,7 @@ def checked_calls(monkeypatch):
         calls.append((ours, scipy_brentq(f, a, b, **kw)))
         return ours
 
-    for module in (model, stability, dde):
+    for module in (model, stability, dde, oracles):
         monkeypatch.setattr(module, "brentq", both)
     return calls
 
@@ -40,7 +41,7 @@ def checked_calls(monkeypatch):
 def test_equilibrium_and_hopf_roots_match_scipy(checked_calls, c, eps, mu_m):
     eq = find_equilibrium(hes1_params(c=c, eps=eps, mu_m=mu_m))
     # the direct Hopf route: solve_beta inside every S(eps), then eps0
-    stability.solve_hopf_direct(mu_m, 0.04, eq.p)
+    oracles.solve_hopf_direct(mu_m, 0.04, eq.p)
     assert len(checked_calls) > 3
     assert all(ours == theirs for ours, theirs in checked_calls)
 

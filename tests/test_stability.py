@@ -10,11 +10,12 @@ import math
 import pytest
 
 import refvals as RV
+from oracles import characteristic_root_near, solve_hopf_direct, winding_count
 from sddhopf import (CharParams, Equilibrium, HypothesisViolated,
                      StabilityKind, UnhandledRegime,
-                     char_eval, characteristic_root_near, classify_stability,
+                     char_eval, classify_stability,
                      find_equilibrium, solve_beta, solve_hopf,
-                     solve_hopf_direct, transversality, winding_count,
+                     transversality,
                      NonlinearitySpec, ZeroMap, ModelParams)
 
 

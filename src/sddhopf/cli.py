@@ -13,9 +13,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import dde
 from .errors import (ConfigError, InsufficientCycles, IntegrationError,
                      ResonanceViolation, SddhopfError)
 from .model import ModelParams, find_equilibrium
@@ -209,13 +206,20 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
 
 # -- output plumbing -----------------------------------------------------------
 
+def _is_numpy(obj):
+    """True for a numpy scalar or array. Such a value exists only once
+    numpy is loaded, so this never imports it."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, (np.generic, np.ndarray))
+
+
 def _jsonable(obj):
+    """obj with numpy values as Python ones, complex numbers as {re, im}
+    and non-finite floats as None, so json.dumps writes valid JSON."""
+    if _is_numpy(obj):
+        return _jsonable(obj.tolist())
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -238,13 +242,15 @@ def _kv_csv(payload):
     lines = ["key,value"]
 
     def emit(prefix, value):
+        if _is_numpy(value):
+            value = value.tolist()
         if isinstance(value, complex):
             emit(prefix + ".re", value.real)
             emit(prefix + ".im", value.imag)
         elif isinstance(value, dict):
             for k, v in value.items():
                 emit(prefix + "." + k if prefix else k, v)
-        elif isinstance(value, (list, tuple, np.ndarray)):
+        elif isinstance(value, (list, tuple)):
             for i, v in enumerate(value):
                 emit("%s[%d]" % (prefix, i), v)
         elif isinstance(value, float):
@@ -338,13 +344,19 @@ def cmd_normal_form(cfg: RunConfig):
     return _emit_report(payload, "\n".join(lines) + "\n", "normal-form", cfg)
 
 
-def _trajectory_csv(traj: dde.Trajectory) -> str:
+def _trajectory_csv(traj) -> str:
+    import numpy as np
+
     rows = np.column_stack([traj.t, traj.states, traj.delay])
     return (",".join(traj.columns) + "\n"
             + "%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _run_simulation(cfg: RunConfig):
+    import numpy as np
+
+    from . import dde
+
     params = cfg.params()
     t_end = cfg.number("t_end", 400.0)
     kick_scale = cfg.number("kick_scale", 0.05)
@@ -365,6 +377,8 @@ def _run_simulation(cfg: RunConfig):
 
 
 def _summary_dict(traj, transient_fraction):
+    from . import dde
+
     try:
         osc = dde.measure_oscillation(traj, component=0,
                                       transient_fraction=transient_fraction)
@@ -394,6 +408,12 @@ def _summary_text(traj, summary):
 
 
 def cmd_simulate(cfg: RunConfig):
+    # numpy and the integrator load here and in cmd_sweep only, so the
+    # analysis commands start without them
+    import numpy as np
+
+    from . import dde
+
     transient_fraction = cfg.number("transient_fraction", 0.5)
     params, eq, traj = _run_simulation(cfg)
     summary = _summary_dict(traj, transient_fraction)
@@ -424,6 +444,8 @@ def _csv_field(text):
 
 
 def cmd_sweep(cfg: RunConfig):
+    from . import dde
+
     grid = cfg.analysis.get("grid")
     if grid is None:
         raise ConfigError("sweep requires an analysis.grid block")

@@ -20,8 +20,6 @@ DenominatorBreach there and the original-time run ends b2_violation.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DenominatorBreach, NoConvergence, NonPositive
 from .nonlinearity import NonlinearitySpec, hes1_nonlinearity
 from .roots import brentq
@@ -86,6 +84,8 @@ class Equilibrium:
 
     @property
     def state(self):
+        """(r*, xi*) as a numpy array, for the integrators."""
+        import numpy as np
         return np.array([self.r_star, self.xi_star])
 
 

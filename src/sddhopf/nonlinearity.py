@@ -9,8 +9,6 @@ against high-order difference stencils of the value map.
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CallableMap:
@@ -20,6 +18,15 @@ class CallableMap:
     d1: Callable[[float], float]
     d2: Callable[[float], float]
     d3: Callable[[float], float]
+
+
+def _constant_like(x, value):
+    """value for a scalar x, else an array of x's shape filled with it;
+    numpy is imported only for array input."""
+    if isinstance(x, (int, float)):
+        return value
+    import numpy as np
+    return value if np.isscalar(x) else np.full_like(np.asarray(x, float), value)
 
 
 class LinearMap:
@@ -32,13 +39,13 @@ class LinearMap:
         return self.slope * x
 
     def d1(self, x):
-        return self.slope if np.isscalar(x) else np.full_like(np.asarray(x, float), self.slope)
+        return _constant_like(x, self.slope)
 
     def d2(self, x):
-        return 0.0 if np.isscalar(x) else np.zeros_like(np.asarray(x, float))
+        return _constant_like(x, 0.0)
 
     def d3(self, x):
-        return 0.0 if np.isscalar(x) else np.zeros_like(np.asarray(x, float))
+        return _constant_like(x, 0.0)
 
 
 class ZeroMap(LinearMap):
@@ -126,6 +133,8 @@ def validate_derivatives(m, points, step_scale=2e-3):
     the value map. Returns {1: err, 2: err, 3: err} with the worst
     relative mismatch per order (identically-zero derivatives are
     compared on an absolute floor tied to the value scale)."""
+    import numpy as np
+
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     for x in np.atleast_1d(np.asarray(points, dtype=float)):
         h = step_scale * max(1.0, abs(x))

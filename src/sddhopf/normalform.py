@@ -22,12 +22,31 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .errors import (DegenerateProjection, NoConvergence, NoSignChange,
                      ResonanceViolation, SingularFrame)
 from .model import Equilibrium, ModelParams, find_equilibrium
 from .stability import HopfPoint, char_eval, solve_hopf
+
+# The stage works on 2-vectors and 2x2 matrices of Python numbers: a
+# vector is a pair, a matrix a pair of rows.
+Vec2 = Tuple[complex, complex]
+Mat2 = Tuple[Tuple[float, float], Tuple[float, float]]
+
+
+def _dot(x, y):
+    """x . y without conjugation."""
+    return x[0] * y[0] + x[1] * y[1]
+
+
+def _matvec(A, x):
+    return (_dot(A[0], x), _dot(A[1], x))
+
+
+def _solve2(A, r):
+    """A^{-1} r by Cramer's rule."""
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return ((r[0] * d - b * r[1]) / det, (a * r[1] - c * r[0]) / det)
 
 
 @dataclass(frozen=True)
@@ -36,26 +55,32 @@ class CriticalFrame:
 
     theta spans the i*omega eigenspace of the delay linearization with
     theta[0] = 1; d is the adjoint vector normalized so conj(d).theta = 1.
+    The vectors are pairs and M, N pairs of rows.
     """
 
     omega: float
     eps0: float
-    theta: np.ndarray
-    d: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
+    theta: Vec2
+    d: Vec2
+    M: Mat2
+    N: Mat2
     denom: complex      # projection denominator 1 + eps0 e^{-i omega} conj(d).N.theta
 
     @property
-    def dbar(self) -> np.ndarray:
-        return self.d.conj()
+    def dbar(self) -> Vec2:
+        return (self.d[0].conjugate(), self.d[1].conjugate())
 
     def residuals(self):
-        A = (1j * self.omega * np.eye(2) - self.eps0 * self.M
-             - self.eps0 * self.N * cmath.exp(-1j * self.omega))
-        right = np.linalg.norm(A @ self.theta)
-        left = np.linalg.norm(A.conj().T @ self.d)
-        norm = abs(self.dbar @ self.theta - 1.0)
+        """|A theta| and |A^H d| for A = i omega - eps0 (M + N e^{-i omega}),
+        and |conj(d).theta - 1|."""
+        E = cmath.exp(-1j * self.omega)
+        A = [[(1j * self.omega if i == j else 0.0)
+              - self.eps0 * (self.M[i][j] + self.N[i][j] * E) for j in (0, 1)]
+             for i in (0, 1)]
+        AH = [[A[j][i].conjugate() for j in (0, 1)] for i in (0, 1)]
+        right = math.hypot(*map(abs, _matvec(A, self.theta)))
+        left = math.hypot(*map(abs, _matvec(AH, self.d)))
+        norm = abs(_dot(self.dbar, self.theta) - 1.0)
         return right, left, norm
 
 
@@ -64,13 +89,14 @@ def critical_frame(eq: Equilibrium, hp: HopfPoint) -> CriticalFrame:
         raise SingularFrame("f'(xi*) = 0: no cross-coupling eigenvector")
     es, w = hp.eps0, hp.omega
     theta2 = cmath.exp(1j * w) * (1j * w + es * hp.mu_m) / (es * eq.f1)
-    theta = np.array([1.0 + 0j, theta2])
-    d = np.array([-1j * w + es * hp.mu_p,
-                  es * cmath.exp(1j * w) * eq.f1]) / (-2j * w + es * (hp.mu_m + hp.mu_p))
-    N = np.array([[0.0, eq.f1], [eq.g1, 0.0]])
+    theta = (1.0 + 0j, theta2)
+    scale = -2j * w + es * (hp.mu_m + hp.mu_p)
+    d = ((-1j * w + es * hp.mu_p) / scale, es * cmath.exp(1j * w) * eq.f1 / scale)
+    dbar = (d[0].conjugate(), d[1].conjugate())
+    N = ((0.0, eq.f1), (eq.g1, 0.0))
     frame = CriticalFrame(omega=w, eps0=es, theta=theta, d=d,
-                          M=np.diag([-hp.mu_m, -hp.mu_p]), N=N,
-                          denom=1.0 + es * cmath.exp(-1j * w) * (d.conj() @ (N @ theta)))
+                          M=((-hp.mu_m, 0.0), (0.0, -hp.mu_p)), N=N,
+                          denom=1.0 + es * cmath.exp(-1j * w) * _dot(dbar, _matvec(N, theta)))
     right, left, norm = frame.residuals()
     if right > 1e-9 or left > 1e-9:
         raise NoConvergence("critical frame residuals %.2e / %.2e" % (right, left))
@@ -100,20 +126,20 @@ def _quadratic_rhs(eq, hp, frame, c):
     gp, gpp = eq.g1, eq.g2
     th2 = frame.theta[1]
     E1, E2 = cmath.exp(-1j * w), cmath.exp(-2j * w)
-    Ra = es * np.array([
-        c * mu_m ** 2 - 2 * c * mu_m * f1 * th2 * E1
-        + 0.5 * (f2 + 2 * c * f1 ** 2) * th2 ** 2 * E2,
-        -c * mu_p * f1 * th2 ** 2 * E1 + c * mu_m * mu_p * th2 + 0.5 * gpp * E2
-        + c * f1 * gp * th2 * E2 - c * mu_m * gp * E1,
-    ])
+    Ra = (
+        es * (c * mu_m ** 2 - 2 * c * mu_m * f1 * th2 * E1
+              + 0.5 * (f2 + 2 * c * f1 ** 2) * th2 ** 2 * E2),
+        es * (-c * mu_p * f1 * th2 ** 2 * E1 + c * mu_m * mu_p * th2 + 0.5 * gpp * E2
+              + c * f1 * gp * th2 * E2 - c * mu_m * gp * E1),
+    )
     t2Ec = 2 * (th2 * E1).real          # th2 e^{-iw} + conj
     t2abs = (th2 * th2.conjugate()).real
     t2re2 = 2 * th2.real
-    Rb = es * np.array([
-        2 * c * mu_m ** 2 - 2 * c * mu_m * f1 * t2Ec + (f2 + 2 * c * f1 ** 2) * t2abs,
-        -2 * c * mu_p * f1 * t2abs * math.cos(w) + c * mu_m * mu_p * t2re2 + gpp
-        + c * f1 * gp * t2re2 - 2 * c * mu_m * gp * math.cos(w),
-    ])
+    Rb = (
+        es * (2 * c * mu_m ** 2 - 2 * c * mu_m * f1 * t2Ec + (f2 + 2 * c * f1 ** 2) * t2abs),
+        es * (-2 * c * mu_p * f1 * t2abs * math.cos(w) + c * mu_m * mu_p * t2re2 + gpp
+              + c * f1 * gp * t2re2 - 2 * c * mu_m * gp * math.cos(w)),
+    )
     return Ra, Rb
 
 
@@ -128,12 +154,10 @@ def quadratic_coeffs(eq, hp, frame, c, resonance_tol=1e-6) -> QuadraticCoeffs:
             "%.6e%+.6ei, magnitude %.3e" % (h2.real, h2.imag, abs(h2)))
     E2 = cmath.exp(-2j * w)
     Ra, Rb = _quadratic_rhs(eq, hp, frame, c)
-    Amat = np.array([[2j * w + es * hp.mu_m, -es * eq.f1 * E2],
-                     [-es * eq.g1 * E2, 2j * w + es * hp.mu_p]])
-    a = np.linalg.solve(Amat, Ra)
-    Bmat = es * np.array([[hp.mu_m, -eq.f1], [-eq.g1, hp.mu_p]])
-    b = np.linalg.solve(Bmat, Rb)
-    return QuadraticCoeffs(a1=a[0], a2=a[1], b1=b[0].real, b2=b[1].real, c=c)
+    a1, a2 = _solve2(((2j * w + es * hp.mu_m, -es * eq.f1 * E2),
+                      (-es * eq.g1 * E2, 2j * w + es * hp.mu_p)), Ra)
+    b1, b2 = _solve2(((es * hp.mu_m, -es * eq.f1), (-es * eq.g1, es * hp.mu_p)), Rb)
+    return QuadraticCoeffs(a1=a1, a2=a2, b1=b1, b2=b2, c=c)
 
 
 class Direction(str, Enum):
@@ -241,11 +265,8 @@ def _chi_resonant(eq, hp, frame, qc, c):
         (-2 * c * mu_m * gp, u2, u1d, one),
         (-2 * c * mu_m * gp, u1, u2d, one),
     ]
-    chi = np.array([
-        (es / 6) * _resonant(cubic_u) + (es / 2) * _resonant(inter_u),
-        (es / 6) * _resonant(cubic_v) + (es / 2) * _resonant(inter_v),
-    ])
-    return chi
+    return ((es / 6) * _resonant(cubic_u) + (es / 2) * _resonant(inter_u),
+            (es / 6) * _resonant(cubic_v) + (es / 2) * _resonant(inter_v))
 
 
 def normal_form(eq, hp, frame, qc: QuadraticCoeffs, c=None) -> NormalForm:
@@ -264,7 +285,7 @@ def normal_form(eq, hp, frame, qc: QuadraticCoeffs, c=None) -> NormalForm:
         raise DegenerateProjection("projection denominator %.3e" % abs(denom))
     kappa1 = (1j * hp.omega / hp.eps0) / denom
     chi = _chi_resonant(eq, hp, frame, qc, c)
-    kappa3 = (frame.dbar @ chi) / denom
+    kappa3 = _dot(frame.dbar, chi) / denom
     if math.copysign(1.0, kappa1.real) != math.copysign(1.0, hp.dalpha_deps):
         raise NoConvergence("Re kappa1 disagrees in sign with the transversality value")
     return NormalForm(kappa1=kappa1, kappa3=kappa3,

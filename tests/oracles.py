@@ -162,9 +162,10 @@ def normal_form_constant_delay(eq, hp, frame, qc: QuadraticCoeffs):
         eq.g2 * (qc.a1 + qc.b1) + 0.5 * eq.g3,
     ])
     Ew = cmath.exp(1j * w)
-    shared = Ew + es * (frame.dbar @ (frame.N @ frame.theta))
+    dbar, N, theta = (np.asarray(v) for v in (frame.dbar, frame.N, frame.theta))
+    shared = Ew + es * (dbar @ (N @ theta))
     kappa1 = 1j * w * Ew / (es * shared)
-    kappa3 = es * (frame.dbar @ vec) / shared
+    kappa3 = es * (dbar @ vec) / shared
     return kappa1, kappa3
 
 

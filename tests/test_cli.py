@@ -11,7 +11,7 @@ import refvals as RV
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
 from sddhopf import dde, model, roots
-from sddhopf.cli import _build_parser, _trajectory_csv, load_config, main
+from sddhopf.cli import _build_parser, _jsonable, _trajectory_csv, load_config, main
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -127,6 +127,16 @@ def test_normal_form_csv_splits_complex(tmp_path, capsys):
     rows = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
     assert float(rows["kappa1.re"]) == pytest.approx(RV.KAPPA1.real, rel=1e-10)
     assert float(rows["kappa1.im"]) == pytest.approx(RV.KAPPA1.imag, rel=1e-10)
+
+
+def test_non_finite_numpy_values_are_written_as_null():
+    values = {"nan": np.float64("nan"), "inf": np.float64("inf"),
+              "-inf": np.float64("-inf"), "f32": np.float32("inf"),
+              "array": np.array([1.5, np.nan]), "finite": np.float64(0.1)}
+    doc = _jsonable(values)
+    assert doc == {"nan": None, "inf": None, "-inf": None, "f32": None,
+                   "array": [1.5, None], "finite": 0.1}
+    json.dumps(doc, allow_nan=False)
 
 
 def test_normal_form_on_zero_map_is_a_solver_error(tmp_path, capsys):

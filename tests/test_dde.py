@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import refvals as RV
@@ -149,6 +151,35 @@ def test_newton_delay_matches_the_fixed_point_on_a_dense_history(eq_state):
         tau = solve_delay(t, x, hist, p, tau_prev=p.eps)
         ref = reference_delay(t, x, hist, p, tau_prev=p.eps)
         assert abs(tau - ref) <= 1e-13 * max(p.eps, tau)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(c=st.floats(1e-3, 1.0), eps=st.floats(0.5, 20.0),
+       span=st.floats(0.5, 40.0), kick=st.floats(-1.0, 1.0),
+       t_frac=st.floats(-1.5, 0.0), seed=st.sampled_from([None, 0.5, 1.0, 2.0]))
+def test_delay_residual_and_uniqueness_property(eq_state, c, eps, span, kick,
+                                                t_frac, seed):
+    # a bump in x of size kick * r* on [-span, 0]: its slope is at most
+    # pi |kick r*| / span, and the draws keep c times that below 1
+    kx = kick * eq_state[0]
+    assume(c * abs(kx) * math.pi / span < 0.99)
+    p = hes1_params(c=c, eps=eps)
+    hist = History(bump_history(eq_state, np.array([kx, -kick * eq_state[1]]),
+                                span=span))
+    t = t_frac * span
+    x_now = hist.eval(t)[0]
+
+    def g(tau):
+        return tau - eps - c * (x_now - hist.eval(t - tau)[0])
+
+    tau = solve_delay(t, x_now, hist, p, tau_prev=None if seed is None else seed * eps)
+    assert abs(g(tau)) <= 1e-12 * max(eps, tau)
+    # |x_now - x(t - tau)| <= |kx| puts every root in this bracket
+    taus = np.linspace(0.0, 2.0 * (eps + c * abs(kx)), 257)
+    assert taus[0] < tau < taus[-1]
+    assert c * max(abs(hist.eval(t - s, True)[2]) for s in taus) < 1.0
+    gs = [g(s) for s in taus]
+    assert all(b > a for a, b in zip(gs, gs[1:]))
 
 
 def test_no_bracket_when_slope_exceeds_the_bound():

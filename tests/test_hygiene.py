@@ -1,8 +1,10 @@
-"""Source hygiene: no module imports a name it never references.
+"""Source hygiene: no module imports a name it never references, and
+only the integrator module loads numpy when it is imported.
 
-No linter ships with the project, so this is a plain `ast` scan over
-src/ and tests/. Package `__init__.py` files are skipped (their imports are
-the public re-exports), as are names listed in a module's `__all__`.
+No linter ships with the project, so these are plain `ast` scans over
+src/ and tests/. For unused imports, package `__init__.py` files are
+skipped (their imports are the public re-exports), as are names listed in
+a module's `__all__`.
 """
 
 import ast
@@ -13,6 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+# every package module but the integrator, which is the one that needs numpy
+ANALYSIS_MODULES = sorted(p for p in (ROOT / "src" / "sddhopf").glob("*.py")
+                          if p.name != "dde.py")
 
 
 def unused_imports(source):
@@ -49,3 +54,53 @@ def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, "unused imports: %s" % ", ".join(
         "%s (line %d)" % (name, line) for line, name in unused)
+
+
+def module_level_heavy_imports(source):
+    """(line, dotted path) of each import of numpy or of the package's dde
+    module that runs when the module is imported: every one outside a
+    function body. Relative paths keep their leading dots."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                paths = [(0, a.name.split(".")) for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = child.module.split(".") if child.module else []
+                paths = [(child.level, base + [a.name]) for a in child.names]
+            else:
+                visit(child)
+                continue
+            for level, parts in paths:
+                heavy = (parts[0] == "dde" if level
+                         else parts[0] == "numpy" or parts[:2] == ["sddhopf", "dde"])
+                if heavy:
+                    found.append((child.lineno, "." * level + ".".join(parts)))
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_boundary_scan_flags_only_module_level_numpy_and_dde():
+    source = ("import math\nimport numpy as np\nimport numpy.linalg\n"
+              "from numpy import pi\nfrom . import dde\nfrom .dde import History\n"
+              "from .model import state\nimport sddhopf.dde\n"
+              "from sddhopf import dde as d\nfrom sddhopf import model\n"
+              "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+              "def f():\n    import numpy as np\n    from . import dde\n"
+              "class C:\n    from .dde import solve_delay\n"
+              "    def g(self):\n        from .dde import History\n")
+    assert module_level_heavy_imports(source) == [
+        (2, "numpy"), (3, "numpy.linalg"), (4, "numpy.pi"), (5, ".dde"),
+        (6, ".dde.History"), (8, "sddhopf.dde"), (9, "sddhopf.dde"),
+        (12, "numpy"), (19, ".dde.solve_delay")]
+
+
+@pytest.mark.parametrize("path", ANALYSIS_MODULES, ids=lambda p: p.name)
+def test_only_dde_imports_numpy_or_dde_at_module_level(path):
+    found = module_level_heavy_imports(path.read_text())
+    assert not found, "module-level imports past the boundary: %s" % ", ".join(
+        "%s (line %d)" % (name, line) for line, name in found)

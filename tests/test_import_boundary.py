@@ -1,0 +1,83 @@
+"""The import boundary: equilibrium, stability and normal-form run on the
+standard library, and only the integrator module loads numpy.
+
+The analysis commands run in a fresh interpreter whose PYTHONPATH starts
+with a `numpy` package that raises ImportError, and must write the same
+bytes as in this process, where numpy is loaded.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sddhopf
+from sddhopf import dde
+from sddhopf.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+RECIPE = ROOT / "recipes" / "hes1.json"
+
+# the names the package exported from dde before they became lazy
+DDE_NAMES = ("CompatibilityReport", "History", "InitialHistory",
+             "OscillationSummary", "RunStats", "Trajectory", "bump_history",
+             "check_compatibility", "classify_dynamics", "classify_run",
+             "constant_history", "integrate_sdd", "integrate_transformed",
+             "measure_oscillation", "run_perturbed", "solve_delay")
+
+
+def _run(args, pythonpath):
+    paths = [str(p) for p in pythonpath]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def no_numpy(tmp_path_factory):
+    root = tmp_path_factory.mktemp("no_numpy")
+    (root / "numpy").mkdir()
+    (root / "numpy" / "__init__.py").write_text(
+        'raise ImportError("numpy is not available")\n')
+    return root
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", ["equilibrium", "stability", "normal-form"])
+def test_analysis_commands_run_without_numpy(no_numpy, capsys, command, fmt):
+    argv = [command, "--config", str(RECIPE), "--format", fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    proc = _run(["-m", "sddhopf.cli"] + argv, [no_numpy, SRC])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+
+
+def test_the_blocked_numpy_is_what_the_subprocess_sees(no_numpy):
+    proc = _run(["-c", "import numpy"], [no_numpy, SRC])
+    assert proc.returncode == 1
+    assert "ImportError: numpy is not available" in proc.stderr
+
+
+def test_importing_the_package_and_cli_loads_neither_numpy_nor_dde():
+    proc = _run(["-c", "import sys, sddhopf, sddhopf.cli; "
+                       "print(sorted(m for m in ('numpy', 'sddhopf.dde') "
+                       "if m in sys.modules))"], [SRC])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("name", DDE_NAMES)
+def test_dde_names_are_exported_lazily(name):
+    assert getattr(sddhopf, name) is getattr(dde, name)
+    assert name in dir(sddhopf)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sddhopf.no_such_name

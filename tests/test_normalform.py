@@ -20,11 +20,12 @@ from sddhopf import (Direction, ResonanceViolation, SddhopfError,
 
 def test_frame_solves_the_eigenproblem(frame):
     w, e = frame.omega, frame.eps0
-    A = 1j * w * np.eye(2) - e * frame.M - e * frame.N * np.exp(-1j * w)
-    assert np.linalg.norm(A @ frame.theta) < 1e-10
-    assert np.linalg.norm(A.conj().T @ frame.d) < 1e-10
+    theta, d, M, N = (np.asarray(v) for v in (frame.theta, frame.d, frame.M, frame.N))
+    A = 1j * w * np.eye(2) - e * M - e * N * np.exp(-1j * w)
+    assert np.linalg.norm(A @ theta) < 1e-10
+    assert np.linalg.norm(A.conj().T @ d) < 1e-10
     # adjoint normalization
-    assert frame.d.conj() @ frame.theta == pytest.approx(1.0, abs=1e-12)
+    assert d.conj() @ theta == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frame_matches_pinned_values(frame):

@@ -8,9 +8,10 @@ fail loudly. Individual flags override single fields. Exit codes:
 """
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
+import shutil
 import sys
 
 from .errors import (ConfigError, InsufficientCycles, IntegrationError,
@@ -37,7 +38,11 @@ _RANGES = {"alpha_m": (lambda v: v >= 0, ">= 0"),
            "atol": (lambda v: v > 0, "> 0"),
            "c_max": (lambda v: v >= 0, ">= 0"),
            "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
-           "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer")}
+           "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer"),
+           # a zero kick is no perturbation, and classify_run would call
+           # its flat run escaped
+           "small_kick": (lambda v: v != 0, "non-zero"),
+           "probe_scales": (lambda v: v > 0, "> 0")}
 # allowed values of the config strings that name a choice
 _CHOICES = {("analysis", "system"): ("original", "transformed"),
             ("output", "format"): ("csv", "json", "text")}
@@ -77,6 +82,10 @@ def _need_numbers(block, key, where, default):
     if not isinstance(v, list) or not all(_is_number(e) and math.isfinite(e) for e in v):
         raise ConfigError("field '%s' in %s block must be a list of finite numbers"
                           % (key, where))
+    for i, e in enumerate(v):
+        if key in _RANGES and not _RANGES[key][0](e):
+            raise ConfigError("%s.%s[%d] must be %s, got %r"
+                              % (where, key, i, _RANGES[key][1], float(e)))
     return tuple(float(e) for e in v)
 
 
@@ -403,7 +412,7 @@ def _summary_text(traj, summary):
                      if isinstance(v, float) and math.isfinite(v))
     lines.append("monitors: %s" % mons)
     lines.append("stats: %s" % ", ".join(
-        "%s = %d" % kv for kv in dataclasses.asdict(traj.stats).items()))
+        "%s = %d" % kv for kv in traj.stats._asdict().items()))
     return "\n".join(lines) + "\n"
 
 
@@ -420,7 +429,7 @@ def cmd_simulate(cfg: RunConfig):
     text = _summary_text(traj, summary)
     # rows stay an array: only the JSON writer turns them into lists
     payload = {"status": traj.status, "summary": summary,
-               "monitors": traj.monitors, "stats": dataclasses.asdict(traj.stats),
+               "monitors": traj.monitors, "stats": traj.stats._asdict(),
                "events": traj.events[:50],
                "columns": list(traj.columns),
                "rows": np.column_stack([traj.t, traj.states, traj.delay])}
@@ -527,11 +536,15 @@ _DISPATCH = {"equilibrium": cmd_equilibrium, "stability": cmd_stability,
 
 def _build_parser():
     # every command takes the same flags, so one flat parser serves them
-    # all and the flags may stand before or after the command
+    # all and the flags may stand before or after the command. Fixing the
+    # stock width queries the terminal once, not once per add_argument
     parser = _Parser(prog="sddhopf",
                      description="Analysis pipeline for a two-component "
                                  "feedback loop with threshold-type "
-                                 "state-dependent delay.")
+                                 "state-dependent delay.",
+                     formatter_class=functools.partial(
+                         argparse.HelpFormatter,
+                         width=shutil.get_terminal_size().columns - 2))
     parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--eps", type=float, help="override model.eps")

@@ -22,8 +22,7 @@ import bisect
 import math
 import struct
 import warnings
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -88,8 +87,7 @@ class _Abort(Exception):
 
 # -- histories ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InitialHistory:
+class InitialHistory(NamedTuple):
     """C^1 initial data on [t0 - span, t0], constant-extended further back.
 
     value(s) and derivative(s) each return the pair (x, y) as floats; a
@@ -397,8 +395,7 @@ def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed,
 
 # -- compatibility -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Residuals of the three conditions tying initial data to the model:
     both state equations at t0- and the threshold equation for tau0."""
 
@@ -443,8 +440,7 @@ def check_compatibility(history: InitialHistory, tau0, params: ModelParams,
 _COLUMNS = {"original": ("t", "x", "y", "tau"), "transformed": ("eta", "r", "xi", "k")}
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """What one run did: accepted and error-rejected steps, tries halved
     because a delayed argument passed the dense frontier, stage (RHS)
     evaluations that returned, the initial slope included, and threshold
@@ -458,8 +454,7 @@ class RunStats:
     slope_bound_hits: int
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     kind: str                  # "original" | "transformed"
     t: np.ndarray
     states: np.ndarray         # shape (n, 2)
@@ -754,8 +749,7 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
 
 # -- oscillation measurement -----------------------------------------------------
 
-@dataclass(frozen=True)
-class OscillationSummary:
+class OscillationSummary(NamedTuple):
     amplitude: float
     period: float
     decay_rate: float     # positive = contracting toward the mean

@@ -18,7 +18,7 @@ DenominatorBreach there and the original-time run ends b2_violation.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DenominatorBreach, NoConvergence, NonPositive
 from .nonlinearity import NonlinearitySpec, hes1_nonlinearity
@@ -31,25 +31,32 @@ from .roots import brentq
 DENOMINATOR_FLOOR = 1e-3
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    mu_m: float
-    mu_p: float
-    c: float
-    eps: float
-    nonlinearity: NonlinearitySpec
+def check_numbers(**numbers):
+    """The checks ModelParams and CharParams share: every number finite,
+    the decay rates mu_m, mu_p and the delay scale eps positive."""
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+    if numbers["mu_m"] <= 0 or numbers["mu_p"] <= 0:
+        raise ValueError("decay rates must be positive")
+    if numbers["eps"] <= 0:
+        raise ValueError("eps must be positive")
 
-    def __post_init__(self):
-        for name in ("mu_m", "mu_p", "c", "eps"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError("%s must be finite, got %r" % (name, value))
-        if self.mu_m <= 0 or self.mu_p <= 0:
-            raise ValueError("decay rates must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.c < 0:
+
+class ModelParams:
+    """The model's numbers and feedback maps, checked when built. Slotted,
+    not a NamedTuple: the integrators read these fields at every stage, and
+    CPython specialises slot reads but not NamedTuple field reads."""
+
+    __slots__ = ("mu_m", "mu_p", "c", "eps", "nonlinearity")
+
+    def __init__(self, mu_m: float, mu_p: float, c: float, eps: float,
+                 nonlinearity: NonlinearitySpec):
+        check_numbers(mu_m=mu_m, mu_p=mu_p, c=c, eps=eps)
+        if c < 0:
             raise ValueError("c must be nonnegative (c = 0 is the constant-delay case)")
+        self.mu_m, self.mu_p, self.c, self.eps = mu_m, mu_p, c, eps
+        self.nonlinearity = nonlinearity
 
     def with_overrides(self, c=None, eps=None, mu_m=None, mu_p=None):
         return ModelParams(self.mu_m if mu_m is None else float(mu_m),
@@ -66,8 +73,7 @@ def hes1_params(c, eps, mu_m=0.03, mu_p=0.04,
                        hes1_nonlinearity(alpha_m, ybar, h, alpha_p))
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     r_star: float
     xi_star: float
     f1: float

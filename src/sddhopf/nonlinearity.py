@@ -6,12 +6,10 @@ those is too noisy, so closed forms are required and cross-checked
 against high-order difference stencils of the value map.
 """
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
-@dataclass(frozen=True)
-class CallableMap:
+class CallableMap(NamedTuple):
     """A scalar map with user-supplied derivative callbacks."""
 
     value: Callable[[float], float]
@@ -98,13 +96,15 @@ class HillRepressor:
                                - sppp / (1 + s) ** 2)
 
 
-@dataclass(frozen=True)
 class NonlinearitySpec:
     """The two feedback maps of the model: f drives the x-equation from
-    delayed y, g drives the y-equation from delayed x."""
+    delayed y, g drives the y-equation from delayed x. Slotted, not a
+    NamedTuple, for the reason ModelParams is: both RHS read it every stage."""
 
-    f: object
-    g: object
+    __slots__ = ("f", "g")
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
 
 
 def hes1_nonlinearity(alpha_m=35.0, ybar=1200.0, h=5.0, alpha_p=10.0) -> NonlinearitySpec:

@@ -18,9 +18,8 @@ entry per summand, so each line can be audited independently.
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (DegenerateProjection, NoConvergence, NoSignChange,
                      ResonanceViolation, SingularFrame)
@@ -49,8 +48,7 @@ def _solve2(A, r):
     return ((r[0] * d - b * r[1]) / det, (a * r[1] - c * r[0]) / det)
 
 
-@dataclass(frozen=True)
-class CriticalFrame:
+class CriticalFrame(NamedTuple):
     """Right/left critical eigendata at the Hopf point.
 
     theta spans the i*omega eigenspace of the delay linearization with
@@ -105,8 +103,7 @@ def critical_frame(eq: Equilibrium, hp: HopfPoint) -> CriticalFrame:
     return frame
 
 
-@dataclass(frozen=True)
-class QuadraticCoeffs:
+class QuadraticCoeffs(NamedTuple):
     """Second-order particular-solution amplitudes: a* multiply
     e^{2 i omega eta}, b* multiply the constant A*conj(A) harmonic."""
 
@@ -172,8 +169,7 @@ def classify_direction(kappa3: complex) -> Direction:
     return Direction.SUPERCRITICAL if kappa3.real < 0 else Direction.SUBCRITICAL
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     kappa1: complex
     kappa3: complex
     direction: Direction
@@ -302,8 +298,7 @@ def _horner(q, c):
     return (q2 * c + q1) * c + q0
 
 
-@dataclass(frozen=True)
-class Kappa3Quadratic:
+class Kappa3Quadratic(NamedTuple):
     """kappa3 as a function of c: exact quadratics for both parts."""
 
     re_coeffs: Tuple[float, float, float]   # (q2, q1, q0)
@@ -354,8 +349,7 @@ def critical_c(poly: Kappa3Quadratic, c_max=1.0) -> float:
     return c0
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(NamedTuple):
     """Everything the normal-form stage knows at one parameter point."""
 
     eq: Equilibrium

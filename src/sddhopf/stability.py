@@ -14,27 +14,22 @@ two-equation solve.
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import HypothesisViolated, NoConvergence, NoRoot, UnhandledRegime
-from .model import Equilibrium
+from .model import Equilibrium, check_numbers
 from .roots import brentq
 
 
-@dataclass(frozen=True)
 class CharParams:
-    mu_m: float
-    mu_p: float
-    p: float
-    eps: float
+    """The numbers of the characteristic function, checked when built."""
 
-    def __post_init__(self):
-        if self.mu_m <= 0 or self.mu_p <= 0:
-            raise ValueError("decay rates must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+    __slots__ = ("mu_m", "mu_p", "p", "eps")
+
+    def __init__(self, mu_m: float, mu_p: float, p: float, eps: float):
+        check_numbers(mu_m=mu_m, mu_p=mu_p, p=p, eps=eps)
+        self.mu_m, self.mu_p, self.p, self.eps = mu_m, mu_p, p, eps
 
 
 def char_eval(lam, cp: CharParams):
@@ -85,8 +80,7 @@ def solve_beta(cp: CharParams) -> float:
     return beta
 
 
-@dataclass(frozen=True)
-class HopfPoint:
+class HopfPoint(NamedTuple):
     mu_m: float
     mu_p: float
     p: float
@@ -163,8 +157,7 @@ class StabilityKind(str, Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class StabilityClassification:
+class StabilityClassification(NamedTuple):
     kind: StabilityKind
     eps0: Optional[float] = None
     hopf: Optional[HopfPoint] = None

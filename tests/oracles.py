@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from sddhopf.dde import classify_run, run_perturbed
+from sddhopf.dde import InitialHistory, bump_history, classify_run, run_perturbed
 from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot
 from sddhopf.model import Equilibrium, ModelParams
 from sddhopf.normalform import QuadraticCoeffs, _quadratic_rhs
@@ -167,6 +167,45 @@ def normal_form_constant_delay(eq, hp, frame, qc: QuadraticCoeffs):
     kappa1 = 1j * w * Ew / (es * shared)
     kappa3 = es * (dbar @ vec) / shared
     return kappa1, kappa3
+
+
+# -- the time change between the two forms ---------------------------------
+
+def threshold_time(eta, r, params: ModelParams):
+    """t(eta) = eps eta + c (r(eta) - r(0)) for a unit-delay run sampled
+    from eta = 0: the threshold-delay time change (H. L. Smith, Math.
+    Biosci. 1993). Forward in time t'(eta) = eps / D, and since
+    dr/deta = eps x'(t) / D with D = 1 - c x'(t), that integrates to this
+    closed form."""
+    return params.eps * eta + params.c * (r - r[0])
+
+
+def threshold_time_history(base, kick, params: ModelParams) -> InitialHistory:
+    """Original-time initial data on [-eps, 0] that the time change maps
+    onto the unit-delay data bump_history(base, kick, span=1).
+
+    On [-1, 0] the map is the same t(eta) = eps eta + c (r(eta) - r(0));
+    it is inverted by a bracketed solve, so x(t) = r(eta(t)), and the slope
+    is x'(t) = r'(eta) / t'(eta) with t'(eta) = eps + c r'(eta).
+    """
+    bump = bump_history(base, kick, span=1.0)
+    eps, c = params.eps, params.c
+    r0 = bump.value(0.0)[0]
+
+    def eta_of(s):
+        if s <= -eps:
+            return -1.0
+        if s >= 0.0:
+            return 0.0
+        return brentq(lambda e: eps * e + c * (bump.value(e)[0] - r0) - s,
+                      -1.0, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+
+    def derivative(s):
+        dr, dxi = bump.derivative(eta_of(s))
+        return dr / (eps + c * dr), dxi / (eps + c * dr)
+
+    return InitialHistory(value=lambda s: bump.value(eta_of(s)),
+                          derivative=derivative, t0=0.0, span=eps)
 
 
 # -- measurement -------------------------------------------------------------

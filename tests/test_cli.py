@@ -1,7 +1,9 @@
+import argparse
 import copy
 import csv
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,17 @@ def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
     assert label == direct == "stable"
 
 
+def test_a_negative_small_kick_is_accepted(tmp_path, capsys):
+    # the labels read |small_kick|, so only a zero kick is refused
+    path = write_cfg(tmp_path, {
+        "analysis": dict(SWEEP_ANALYSIS, small_kick=-0.05,
+                         grid={"eps": [6.7], "c": [0.01]}),
+        "output": {"format": "json"},
+    })
+    assert main(["sweep", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["labels"] == [["stable"]]
+
+
 def test_sweep_c_zero_column_matches_linear_theory(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "analysis": dict(SWEEP_ANALYSIS,
@@ -498,6 +511,15 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
      "config error: analysis.system must be one of original, transformed"),
     ("stability", {"output": {"format": "xml"}}, 1,
      "config error: output.format must be one of csv, json, text"),
+    # a zero kick is no perturbation: it used to label this stable cell
+    # oscillating (small kick) or metastable (probe), with exit 0
+    ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]}, "small_kick": 0}}, 1,
+     "config error: analysis.small_kick must be non-zero, got 0.0"),
+    ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]}, "probe_scales": [0]}}, 1,
+     "config error: analysis.probe_scales[0] must be > 0, got 0.0"),
+    ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]},
+                            "probe_scales": [0.25, -0.5]}}, 1,
+     "config error: analysis.probe_scales[1] must be > 0, got -0.5"),
 ], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
@@ -505,7 +527,7 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
         "rtol-atol-zero", "atol-zero", "c-max-negative", "sweep-c-max-negative",
         "repeated-fit-points",
         "fit-points-nan", "alpha-p-negative", "alpha-m-negative", "system-unknown",
-        "format-unknown"])
+        "format-unknown", "small-kick-zero", "probe-scale-zero", "probe-scale-negative"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
     output = dict(overrides.get("output", {}), path=str(out))
@@ -601,6 +623,24 @@ def test_help_exits_zero_and_lists_the_commands(capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: sddhopf")
     assert all(command in out for command in COMMANDS)
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "132"])
+def test_help_matches_the_stock_formatter(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = _build_parser()
+    ours = parser.format_help()
+    parser.formatter_class = argparse.HelpFormatter
+    assert parser.format_help() == ours
+
+
+def test_a_command_queries_the_terminal_size_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    query = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a: calls.append(a) or query(*a))
+    assert main(["equilibrium", "--config", write_cfg(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import refvals as RV
-from oracles import escape_sweep
+from oracles import escape_sweep, threshold_time, threshold_time_history
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
                      NoBracket, SlopeBoundWarning, Trajectory,
@@ -459,6 +459,28 @@ def test_time_change_is_exact_when_c_is_zero(eq_state):
                          sample_times=etas * p.eps, rtol=1e-10, atol=1e-12)
     assert np.max(np.abs(tr_eta.states[:, 0] - tr_t.states[:, 0])) < 1e-7
     assert np.max(np.abs(tr_eta.states[:, 1] - tr_t.states[:, 1])) < 1e-4
+
+
+@pytest.mark.parametrize("c", [0.005, 0.01, 0.02, 0.05])
+@pytest.mark.parametrize("eps", [EPS_LOW, EPS_HIGH], ids=["below-eps0", "above-eps0"])
+def test_time_change_maps_the_transformed_run_onto_the_original_one(eq_state, c, eps):
+    # the two forms are one system for c > 0 too: the original-time run
+    # from the mapped initial data passes through x(t(eta)) = r(eta), and
+    # its delay tau(t(eta)) is the unit-delay form's k(eta)
+    p = hes1_params(c=c, eps=eps)
+    kick = 0.05 * eq_state
+    etas = np.linspace(0.0, 40.0, 161)
+    tr_eta = integrate_transformed(bump_history(eq_state, kick, span=1.0), p, 40.0,
+                                   sample_times=etas, rtol=1e-10, atol=1e-12)
+    ts = threshold_time(etas, tr_eta.states[:, 0], p)
+    tr_t = integrate_sdd(threshold_time_history(eq_state, kick, p), p.eps, p,
+                         t_end=ts[-1], sample_times=ts, rtol=1e-10, atol=1e-12)
+    assert tr_eta.status == tr_t.status == "completed"
+    assert len(tr_t.t) == len(etas)
+    # measured maxima over the eight cases: 1.2e-8, 6.2e-10 and 7.2e-10
+    assert np.max(np.abs(tr_t.states[:, 0] - tr_eta.states[:, 0])) < 1e-7
+    assert np.max(np.abs(tr_t.states[:, 1] - tr_eta.states[:, 1])) < 5e-9 * eq_state[1]
+    assert np.max(np.abs(tr_t.delay - tr_eta.delay)) < 5e-9
 
 
 def test_matches_independent_segmented_integration(eq_state):

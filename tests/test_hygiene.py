@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never references, and
-only the integrator module loads numpy when it is imported.
+"""Source hygiene: no module imports a name it never references, only
+the integrator module loads numpy when it is imported, and no package
+module uses dataclasses: its records are NamedTuples.
 
 No linter ships with the project, so these are plain `ast` scans over
 src/ and tests/. For unused imports, package `__init__.py` files are
@@ -12,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from sddhopf import dde, model, nonlinearity, normalform, stability
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+PACKAGE_MODULES = sorted((ROOT / "src").rglob("*.py"))
 # every package module but the integrator, which is the one that needs numpy
 ANALYSIS_MODULES = sorted(p for p in (ROOT / "src" / "sddhopf").glob("*.py")
                           if p.name != "dde.py")
@@ -104,3 +108,55 @@ def test_only_dde_imports_numpy_or_dde_at_module_level(path):
     found = module_level_heavy_imports(path.read_text())
     assert not found, "module-level imports past the boundary: %s" % ", ".join(
         "%s (line %d)" % (name, line) for line, name in found)
+
+
+def dataclasses_imports(source):
+    """(line, module) of each import of the dataclasses module, at any
+    depth of the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.partition(".")[0] == "dataclasses"]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.partition(".")[0] == "dataclasses"):
+            found.append((node.lineno, node.module))
+    return found
+
+
+def test_the_dataclasses_scan_flags_every_import_of_it():
+    source = ("import dataclasses\nfrom dataclasses import dataclass, field\n"
+              "import os, dataclasses as dc\nfrom .dataclasses import x\n"
+              "from typing import NamedTuple\ndef f():\n    import dataclasses\n")
+    assert dataclasses_imports(source) == [
+        (1, "dataclasses"), (2, "dataclasses"), (3, "dataclasses"),
+        (7, "dataclasses")]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.name)
+def test_no_package_module_imports_dataclasses(path):
+    found = dataclasses_imports(path.read_text())
+    assert not found, "dataclasses imported at line(s) %s" % ", ".join(
+        str(line) for line, _ in found)
+
+
+# the package's records: every tuple subclass a package module defines
+RECORDS = sorted((obj for mod in (model, nonlinearity, stability, normalform, dde)
+                  for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, tuple)
+                  and obj.__module__ == mod.__name__),
+                 key=lambda cls: cls.__name__)
+
+
+def test_the_records_are_namedtuples():
+    assert [cls.__name__ for cls in RECORDS] == [
+        "CallableMap", "CompatibilityReport", "CriticalFrame", "Equilibrium",
+        "HopfPoint", "InitialHistory", "Kappa3Quadratic", "NormalForm",
+        "NormalFormReport", "OscillationSummary",
+        "QuadraticCoeffs", "RunStats", "StabilityClassification", "Trajectory"]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
+def test_no_record_field_shadows_a_tuple_method(record):
+    # a field named count or index would hide the tuple method of that name
+    assert not set(record._fields) & set(dir(tuple))

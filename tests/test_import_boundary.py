@@ -72,6 +72,14 @@ def test_importing_the_package_and_cli_loads_neither_numpy_nor_dde():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # the records are NamedTuples, so no class is built through dataclasses
+    proc = _run(["-c", "import sys; before = set(sys.modules); import sddhopf.cli; "
+                       "print('dataclasses' in set(sys.modules) - before)"], [SRC])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("name", DDE_NAMES)
 def test_dde_names_are_exported_lazily(name):
     assert getattr(sddhopf, name) is getattr(dde, name)

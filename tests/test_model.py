@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 import refvals as RV
 from hill_sets import hill_params
-from sddhopf import (CallableMap, LinearMap, NonlinearitySpec, ZeroMap,
+from sddhopf import (CallableMap, LinearMap, ModelParams, NonlinearitySpec, ZeroMap,
                      DenominatorBreach, NonPositive,
                      find_equilibrium, hes1_params,
                      rhs_original, rhs_transformed)
@@ -73,6 +73,26 @@ def test_with_overrides_replaces_named_fields(params):
     r = params.with_overrides(mu_m=0.05, mu_p=0.06)
     assert r.mu_m == 0.05 and r.mu_p == 0.06
     assert r.c == params.c
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("mu_m", float("nan"), "mu_m must be finite, got nan"),
+    ("mu_p", float("inf"), "mu_p must be finite, got inf"),
+    ("c", float("nan"), "c must be finite, got nan"),
+    ("eps", float("-inf"), "eps must be finite, got -inf"),
+    ("mu_m", 0.0, "decay rates must be positive"),
+    ("mu_p", -0.04, "decay rates must be positive"),
+    ("eps", 0.0, "eps must be positive"),
+    ("eps", -6.0, "eps must be positive"),
+    ("c", -0.01, "c must be nonnegative"),
+])
+def test_model_params_reject_bad_numbers(params, field, value, message):
+    fields = dict(mu_m=params.mu_m, mu_p=params.mu_p, c=params.c,
+                  eps=params.eps, nonlinearity=params.nonlinearity)
+    with pytest.raises(ValueError, match=message):
+        ModelParams(**dict(fields, **{field: value}))
+    with pytest.raises(ValueError, match=message):
+        params.with_overrides(**{field: value})
 
 
 def test_rhs_original_vanishes_at_equilibrium(params, eq, eq_state):

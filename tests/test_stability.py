@@ -23,6 +23,25 @@ def standard_cp(eps):
     return CharParams(mu_m=0.03, mu_p=0.04, p=RV.P, eps=eps)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("mu_m", float("nan"), "mu_m must be finite, got nan"),
+    ("mu_p", float("-inf"), "mu_p must be finite, got -inf"),
+    ("p", float("nan"), "p must be finite, got nan"),
+    ("eps", float("inf"), "eps must be finite, got inf"),
+    ("mu_m", -0.03, "decay rates must be positive"),
+    ("mu_p", 0.0, "decay rates must be positive"),
+    ("eps", 0.0, "eps must be positive"),
+    ("eps", -1.0, "eps must be positive"),
+])
+def test_char_params_reject_bad_numbers(hopf, field, value, message):
+    fields = dict(mu_m=0.03, mu_p=0.04, p=RV.P, eps=RV.EPS0)
+    with pytest.raises(ValueError, match=message):
+        CharParams(**dict(fields, **{field: value}))
+    if field == "eps":
+        with pytest.raises(ValueError, match=message):
+            hopf.char_params(eps=value)
+
+
 def test_hopf_point_matches_pinned_values(hopf):
     assert hopf.eps0 == pytest.approx(RV.EPS0, rel=1e-12)
     assert hopf.omega == pytest.approx(RV.OMEGA, rel=1e-12)

@@ -33,14 +33,15 @@ _SWEEPABLE = ("mu_m", "mu_p", "c", "eps")
 # allowed values of the config numbers that have a range
 _RANGES = {"alpha_m": (lambda v: v >= 0, ">= 0"),
            "alpha_p": (lambda v: v >= 0, ">= 0"),
+           "ybar": (lambda v: v > 0, "> 0"),
+           "h": (lambda v: v > 0, "> 0"),
            "t_end": (lambda v: v > 0, "> 0"),
            "rtol": (lambda v: v > 0, "> 0"),
            "atol": (lambda v: v > 0, "> 0"),
            "c_max": (lambda v: v >= 0, ">= 0"),
            "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
            "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer"),
-           # a zero kick is no perturbation, and classify_run would call
-           # its flat run escaped
+           # a zero kick is no perturbation (classify_dynamics refuses it)
            "small_kick": (lambda v: v != 0, "non-zero"),
            "probe_scales": (lambda v: v > 0, "> 0")}
 # allowed values of the config strings that name a choice
@@ -481,21 +482,23 @@ def cmd_sweep(cfg: RunConfig):
     except SddhopfError:
         pass
 
-    def cell(rv, cv):
-        # one bad cell (a grid value ModelParams rejects, or one whose
-        # equilibrium solve overflows) is reported in place; the rest of
-        # the grid still runs
-        try:
-            par = base.with_overrides(**{row_name: rv, col_name: cv})
-            eq = find_equilibrium(par)
-            return dde.classify_dynamics(par, eq, small_kick=small_kick,
-                                         probe_scales=probe_scales,
-                                         eta_end=eta_end, rtol=rtol)
-        except (SddhopfError, ValueError, ArithmeticError) as exc:
-            return "error: %s" % (str(exc) or type(exc).__name__)
-
-    # cells are pure Python under the interpreter lock: threads gain nothing
-    labels = [[cell(rv, cv) for cv in col_vals] for rv in row_vals]
+    # one bad cell (a grid value ModelParams rejects, or one whose
+    # equilibrium solve or whose runs fail) is reported in place; the rest
+    # of the grid still runs, every cell that built in one call
+    labels = [[None] * len(col_vals) for _ in row_vals]
+    built, cells = [], []
+    for i, rv in enumerate(row_vals):
+        for j, cv in enumerate(col_vals):
+            try:
+                par = base.with_overrides(**{row_name: rv, col_name: cv})
+                cells.append((par, find_equilibrium(par)))
+                built.append((i, j))
+            except dde.CELL_ERRORS as exc:
+                labels[i][j] = dde.error_label(exc)
+    for (i, j), label in zip(built, dde.classify_dynamics(
+            cells, small_kick=small_kick, probe_scales=probe_scales,
+            eta_end=eta_end, rtol=rtol)):
+        labels[i][j] = label
 
     payload = {"rows": {row_name: list(row_vals)},
                "cols": {col_name: list(col_vals)},

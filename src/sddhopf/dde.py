@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DenominatorBreach, HistoryTooShort, IncompatibleData,
                      InsufficientCycles, NoBracket, NoConvergence,
-                     SlopeBoundWarning)
+                     SddhopfError, SlopeBoundWarning)
 from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams, rhs_original,
                     rhs_transformed)
 from .roots import brentq
@@ -779,10 +779,16 @@ def measure_oscillation(traj: Trajectory, component=0,
     crossings, the decay rate from a log-linear fit through the extremum
     magnitudes (positive slope of -log means contraction).
     """
-    t, v = traj.t, traj.states[:, component]
+    t = traj.t
+    return _oscillation(t, traj.states[:, component],
+                        t[0] + transient_fraction * (t[-1] - t[0]) if len(t) else 0.0)
+
+
+def _oscillation(t, v, cut):
+    """measure_oscillation on the samples t, v, of which those at or past
+    the cut time are measured; t and v may start anywhere before the cut."""
     if len(t) < 8:
         raise InsufficientCycles("trajectory has too few samples")
-    cut = t[0] + transient_fraction * (t[-1] - t[0])
     sel = t >= cut
     t, v = t[sel], v[sel]
     dev = v - np.mean(v)
@@ -821,13 +827,13 @@ def measure_oscillation(traj: Trajectory, component=0,
 
 # -- regime classification helpers ------------------------------------------------
 
-def _tail_mean_deviation(traj: Trajectory, ref, component=0, window=0.25):
-    t = traj.t
+def _tail_mean_deviation(t, v, ref, t_first, window=0.25):
+    """Mean |v - ref| over the last window of a run sampled from t_first;
+    t, v may hold only the samples of its later part."""
     if len(t) == 0:
         return math.inf
-    cut = t[-1] - window * (t[-1] - t[0])
-    sel = t >= cut
-    return float(np.mean(np.abs(traj.states[sel, component] - ref[component])))
+    cut = t[-1] - window * (t[-1] - t_first)
+    return float(np.mean(np.abs(v[t >= cut] - ref)))
 
 
 def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale,
@@ -840,16 +846,33 @@ def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale,
                                  sample_times=np.linspace(0.0, eta_end, n_samples))
 
 
+def _check_kick(name, value):
+    # a zero kick is no perturbation: its flat run would be labelled escaped
+    if value == 0:
+        raise ValueError("%s must be non-zero, got %r" % (name, float(value)))
+
+
 def classify_run(traj: Trajectory, eq: Equilibrium, kick_scale) -> str:
     """'decaying' | 'oscillating' | 'growing' | 'escaped' for one run."""
-    if traj.status != STATUS_COMPLETED:
+    _check_kick("kick_scale", kick_scale)
+    t = traj.t
+    return _run_label(traj.status, t, traj.states[:, 0], t[0] if len(t) else 0.0,
+                      eq.r_star, kick_scale)
+
+
+def _run_label(status, t, r, t_first, r_star, kick_scale):
+    """classify_run on a run's status and its r samples at the times t,
+    from a sample grid that starts at t_first and ends at t[-1]. t and r
+    may leave out the samples before the transient cut of
+    measure_oscillation."""
+    if status != STATUS_COMPLETED:
         return "escaped"
-    kick_size = abs(kick_scale) * eq.state[0]
-    tail = _tail_mean_deviation(traj, eq.state)
-    if tail > max(kick_size, 0.5 * eq.state[0]):
+    kick_size = abs(kick_scale) * r_star
+    tail = _tail_mean_deviation(t, r, r_star, t_first)
+    if tail > max(kick_size, 0.5 * r_star):
         return "escaped"
     try:
-        osc = measure_oscillation(traj)
+        osc = _oscillation(t, r, t_first + 0.5 * (t[-1] - t_first))
     except InsufficientCycles:
         return "decaying" if tail < 0.1 * kick_size else "escaped"
     rate_floor = 0.005 / max(osc.period, 1e-9)   # half a percent per cycle
@@ -860,27 +883,65 @@ def classify_run(traj: Trajectory, eq: Equilibrium, kick_scale) -> str:
     return "oscillating"
 
 
-def classify_dynamics(params: ModelParams, eq: Equilibrium,
-                      small_kick=0.05, probe_scales=(0.25, 0.5, 1.0),
-                      eta_end=400.0, rtol=1e-7) -> str:
-    """Cell label: 'stable' | 'metastable' | 'oscillating' | 'unstable'.
+# A grid with fewer runs than this runs them one after another: below it the
+# per-step cost of numpy calls on short arrays outweighs what the lanes share.
+LANES_FROM = 24
+
+# what a cell's failure may raise; the cell reads "error: <message>"
+CELL_ERRORS = (SddhopfError, ValueError, ArithmeticError)
+
+
+def error_label(exc) -> str:
+    return "error: %s" % (str(exc) or type(exc).__name__)
+
+
+def classify_dynamics(cells, small_kick=0.05, probe_scales=(0.25, 0.5, 1.0),
+                      eta_end=400.0, rtol=1e-7) -> List[str]:
+    """Label of every (ModelParams, Equilibrium) cell of a grid: 'stable' |
+    'metastable' | 'oscillating' | 'unstable', or 'error: <message>' when
+    one of the cell's runs raised.
 
     A small same-side kick probes the local regime. The basin probe kicks
     toward the positivity edge (scale 1 grazes zero); escape inside that
     ladder means the basin boundary sits within physically admissible
     perturbations, marking a locally stable cell metastable and a locally
-    oscillating one unstable.
+    oscillating one unstable. The ladder stops at the first escape.
+
+    From LANES_FROM runs on, every run of the grid steps at once as a lane
+    (lanes.lane_runs); a lane that does not complete, and every run below
+    that count, is a run_perturbed run.
     """
-    small = classify_run(run_perturbed(params, eq, small_kick, eta_end, rtol),
-                         eq, small_kick)
-    basin_ok = True
-    for scale in probe_scales:
-        label = classify_run(run_perturbed(params, eq, -scale,
-                                           min(eta_end, 300.0), rtol),
-                             eq, -scale)
-        if label == "escaped":
-            basin_ok = False
-            break
-    if small == "decaying":
-        return "stable" if basin_ok else "metastable"
-    return "oscillating" if basin_ok else "unstable"
+    _check_kick("small_kick", small_kick)
+    for i, scale in enumerate(probe_scales):
+        if not scale > 0:
+            raise ValueError("probe_scales[%d] must be > 0, got %r" % (i, float(scale)))
+    kicks = [(small_kick, eta_end)] + [(-scale, min(eta_end, 300.0))
+                                       for scale in probe_scales]
+    runs = [(p, eq, kick, end) for p, eq in cells for kick, end in kicks]
+    if len(runs) >= LANES_FROM:
+        from .lanes import lane_runs
+        lanes = lane_runs(runs, rtol)
+    else:
+        lanes = [None] * len(runs)
+
+    def run_label(i):
+        p, eq, kick, end = runs[i]
+        lane = lanes[i]
+        if lane is None:
+            return classify_run(run_perturbed(p, eq, kick, end, rtol), eq, kick)
+        return _run_label(STATUS_COMPLETED, lane[0], lane[1], 0.0, eq.r_star, kick)
+
+    labels = []
+    for first in range(0, len(runs), len(kicks)):
+        try:
+            small = run_label(first)
+            basin_ok = all(run_label(first + k) != "escaped"
+                           for k in range(1, len(kicks)))
+        except CELL_ERRORS as exc:
+            labels.append(error_label(exc))
+            continue
+        if small == "decaying":
+            labels.append("stable" if basin_ok else "metastable")
+        else:
+            labels.append("oscillating" if basin_ok else "unstable")
+    return labels

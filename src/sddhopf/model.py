@@ -162,11 +162,21 @@ def rhs_transformed(state_now, state_delayed, params: ModelParams):
     r, xi = state_now
     r1, xi1 = state_delayed
     f, g = params.nonlinearity.f, params.nonlinearity.g
-    Fx = -params.mu_m * r + f.value(xi1)
-    Gy = -params.mu_p * xi + g.value(r1)
-    D = 1.0 - params.c * Fx
+    dr, dxi, D = transformed_slopes(r, xi, f.value(xi1), g.value(r1), params)
     if D <= DENOMINATOR_FLOOR:
         raise DenominatorBreach("denominator %.6g at state (%.6g, %.6g)" % (D, r, xi))
-    k = params.eps + params.c * (r - r1)
-    return params.eps * Fx / D, params.eps * Gy / D, k, D
+    return dr, dxi, params.eps + params.c * (r - r1), D
 
+
+def transformed_slopes(r, xi, f_delayed, g_delayed, params):
+    """(r', xi', D) of the unit-delay system from the state now and the
+    feedback values f(xi(eta - 1)) and g(r(eta - 1)); D is not checked.
+
+    The arguments may be numpy arrays over many runs, with the fields of
+    params arrays or floats: the sweep's lanes evaluate the feedback once
+    for all stages of a try and call this for each stage.
+    """
+    Fx = -params.mu_m * r + f_delayed
+    Gy = -params.mu_p * xi + g_delayed
+    D = 1.0 - params.c * Fx
+    return params.eps * Fx / D, params.eps * Gy / D, D

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from sddhopf.dde import InitialHistory, bump_history, classify_run, run_perturbed
-from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot
+from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot, SddhopfError
 from sddhopf.model import Equilibrium, ModelParams
 from sddhopf.normalform import QuadraticCoeffs, _quadratic_rhs
 from sddhopf.roots import brentq
@@ -227,3 +227,26 @@ def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
             return scale, records
         scale *= factor
     return None, records
+
+
+def scalar_cell_label(params: ModelParams, eq: Equilibrium, small_kick=0.05,
+                      probe_scales=(0.25, 0.5, 1.0), eta_end=400.0, rtol=1e-7):
+    """A sweep cell's label from one run_perturbed run after another, as
+    classify_dynamics labelled a cell before its runs became lanes: the
+    small kick first, then the probe ladder up to its first escape; a run
+    that raises makes the cell 'error: <message>'."""
+    try:
+        small = classify_run(run_perturbed(params, eq, small_kick, eta_end, rtol),
+                             eq, small_kick)
+        basin_ok = True
+        for scale in probe_scales:
+            end = min(eta_end, 300.0)
+            if classify_run(run_perturbed(params, eq, -scale, end, rtol),
+                            eq, -scale) == "escaped":
+                basin_ok = False
+                break
+    except (SddhopfError, ValueError, ArithmeticError) as exc:
+        return "error: %s" % (str(exc) or type(exc).__name__)
+    if small == "decaying":
+        return "stable" if basin_ok else "metastable"
+    return "oscillating" if basin_ok else "unstable"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import refvals as RV
+from oracles import scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
 from sddhopf import dde, model, roots
@@ -308,9 +309,9 @@ def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)["results"]
     label = payload["labels"][0][0]
     p = hes1_params(c=0.01, eps=RV.EPS0 - 0.1)
-    direct = classify_dynamics(p, find_equilibrium(p), small_kick=0.05,
-                               probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
-                               rtol=1e-7)
+    direct, = classify_dynamics([(p, find_equilibrium(p))], small_kick=0.05,
+                                probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
+                                rtol=1e-7)
     assert label == direct == "stable"
 
 
@@ -408,6 +409,51 @@ def test_bad_sweep_cell_is_reported_in_place(tmp_path, capsys, fmt, grid, error)
     else:
         labels = [row[1:] for row in csv.reader(io.StringIO(captured.out))][1:]
     assert labels == [[error], ["stable"]]
+
+
+def test_lanes_fall_back_per_run_and_keep_cells_apart(tmp_path, capsys, monkeypatch):
+    # one grid with an invalid eps, cells whose equilibrium overflows, and
+    # cells whose 1.45 probe escapes (its lane breaches the floor and is run
+    # again alone); every entry is what the runs one after another give
+    eps = [-1.0, RV.EPS0 - 0.1, RV.EPS0 + 0.1]
+    mu_m = [1e-300, 0.03]
+    probes = [0.5, 1.45]
+    path = write_cfg(tmp_path, {
+        "model": {"c": 0.025},
+        "analysis": dict(SWEEP_ANALYSIS, probe_scales=probes,
+                         grid={"mu_m": mu_m, "eps": eps}),
+        "output": {"format": "json"}})
+    rerun = []
+    run_perturbed = dde.run_perturbed
+
+    def recorded(params, eq, kick_scale, *args, **kwargs):
+        rerun.append(kick_scale)
+        return run_perturbed(params, eq, kick_scale, *args, **kwargs)
+
+    monkeypatch.setattr(dde, "LANES_FROM", 1)
+    monkeypatch.setattr(dde, "run_perturbed", recorded)
+    assert main(["sweep", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    labels = json.loads(captured.out)["results"]["labels"]
+    monkeypatch.undo()
+
+    def reference(m, e):
+        try:
+            p = hes1_params(c=0.025, eps=e, mu_m=m)
+            eq = find_equilibrium(p)
+        except (ValueError, ArithmeticError) as exc:
+            return "error: %s" % exc
+        return scalar_cell_label(p, eq, small_kick=0.05, probe_scales=probes,
+                                 eta_end=400.0, rtol=1e-7)
+
+    assert labels == [[reference(m, e) for e in eps] for m in mu_m]
+    assert labels[0] == ["error: eps must be positive"] + [
+        "error: (34, 'Numerical result out of range')"] * 2
+    assert labels[1][0] == "error: eps must be positive"
+    assert labels[1][1:] == ["metastable", "unstable"]
+    # only the two escaping probes ran again outside the lanes
+    assert rerun == [-1.45, -1.45]
 
 
 # -- config validation ------------------------------------------------------------
@@ -520,6 +566,15 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]},
                             "probe_scales": [0.25, -0.5]}}, 1,
      "config error: analysis.probe_scales[1] must be > 0, got -0.5"),
+    # HillRepressor refuses them too, in words that did not name the field
+    ("equilibrium", {"model": {"nonlinearity": {"kind": "hes1", "ybar": -1.0}}}, 1,
+     "config error: nonlinearity.ybar must be > 0, got -1.0"),
+    ("simulate", {"model": {"nonlinearity": {"kind": "hes1", "h": -2}},
+                  "analysis": SIM_ANALYSIS}, 1,
+     "config error: nonlinearity.h must be > 0, got -2.0"),
+    ("sweep", {"model": {"nonlinearity": {"kind": "hes1", "h": 0}},
+               "analysis": {"grid": {"eps": [6.7], "c": [0.01]}}}, 1,
+     "config error: nonlinearity.h must be > 0, got 0.0"),
 ], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
@@ -527,7 +582,8 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
         "rtol-atol-zero", "atol-zero", "c-max-negative", "sweep-c-max-negative",
         "repeated-fit-points",
         "fit-points-nan", "alpha-p-negative", "alpha-m-negative", "system-unknown",
-        "format-unknown", "small-kick-zero", "probe-scale-zero", "probe-scale-negative"])
+        "format-unknown", "small-kick-zero", "probe-scale-zero", "probe-scale-negative",
+        "ybar-negative", "hill-exponent-negative", "hill-exponent-zero"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
     output = dict(overrides.get("output", {}), path=str(out))

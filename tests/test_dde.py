@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import refvals as RV
-from oracles import escape_sweep, threshold_time, threshold_time_history
+from oracles import (escape_sweep, scalar_cell_label, threshold_time,
+                     threshold_time_history)
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
                      NoBracket, SlopeBoundWarning, Trajectory,
@@ -21,7 +22,7 @@ from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      hes1_params, integrate_sdd, integrate_transformed,
                      measure_oscillation, rhs_transformed, run_perturbed,
                      solve_delay)
-from sddhopf import dde
+from sddhopf import dde, lanes
 from sddhopf.dde import History
 
 EPS_LOW = RV.EPS0 - 0.1
@@ -691,27 +692,21 @@ def test_original_time_run_ends_at_the_same_floor(eq_state, c, status):
         assert traj.events[-1]["kind"] == "b2_violation"
 
 
-def test_sweep_grid_runs_stay_clear_of_the_floor(monkeypatch):
+def test_sweep_grid_runs_stay_clear_of_the_floor():
     # every run the hes1-sweep grid makes completes with D at least ten
     # floors from zero (0.196 here; 0.0136 over the benchmark's grids), so
     # the floor ends only runs that are already on their way to the pole
-    runs = []
-    integrate = dde.integrate_transformed
-
-    def recorded(*args, **kwargs):
-        runs.append(integrate(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(dde, "integrate_transformed", recorded)
     cfg = json.loads((RECIPES / "hes1-sweep.json").read_text())
     base = hes1_params(c=cfg["model"]["c"], eps=cfg["model"]["eps"])
     analysis = cfg["analysis"]
+    kicks = [(analysis["small_kick"], analysis["t_end"])] + [
+        (-scale, min(analysis["t_end"], 300.0)) for scale in analysis["probe_scales"]]
+    runs = []
     for eps in analysis["grid"]["eps"]:
         for c in analysis["grid"]["c"]:
             p = base.with_overrides(c=c, eps=eps)
-            dde.classify_dynamics(p, find_equilibrium(p), small_kick=analysis["small_kick"],
-                                  probe_scales=analysis["probe_scales"],
-                                  eta_end=analysis["t_end"], rtol=analysis["rtol"])
+            eq = find_equilibrium(p)
+            runs += [run_perturbed(p, eq, kick, end, analysis["rtol"]) for kick, end in kicks]
     completed = [t for t in runs if t.status == "completed"]
     assert len(completed) == 16
     assert min(t.monitors["min_denominator"] for t in completed) \
@@ -830,3 +825,122 @@ def test_escape_sweep_finds_a_threshold():
     assert labels[-1] == "escaped"
     assert all(lab == "decaying" for lab in labels[:-1])
     assert threshold == scales[-1]
+
+
+# -- the sweep's runs as lockstep lanes ---------------------------------------------
+
+# the benchmark's seed-0 sweep grid (perfbench/workloads.py), its values
+# written out so the test does not depend on the benchmark's code
+SEED0_GRID = {"eps": [6.643278086193754, 6.660571575910703,
+                      6.963945806557357, 6.996276772664933],
+              "c": [0.007669120820529128, 0.01740889745949505,
+                    0.045016311523717906]}
+SWEEP = json.loads((RECIPES / "hes1-sweep.json").read_text())["analysis"]
+
+
+def sweep_runs(grid):
+    """(params, eq, kick_scale, eta_end) of every run a sweep of the grid
+    makes, cell by cell, with hes1-sweep.json's kicks."""
+    kicks = [(SWEEP["small_kick"], SWEEP["t_end"])] + [
+        (-scale, min(SWEEP["t_end"], 300.0)) for scale in SWEEP["probe_scales"]]
+    runs = []
+    for eps in grid["eps"]:
+        for c in grid["c"]:
+            p = hes1_params(c=c, eps=eps)
+            eq = find_equilibrium(p)
+            runs += [(p, eq, kick, end) for kick, end in kicks]
+    return runs
+
+
+# The largest relative difference of the sampled r from its scalar run,
+# measured: 5.0e-14 on hes1-sweep.json and 2.7e-10 on the seed-0 grid
+# (seeds 1 and 7: 2.1e-8 and 1.9e-11). The lanes differ from the scalar
+# loop only where numpy's power, sine and vector products round differently
+# from Python's scalar arithmetic.
+@pytest.mark.parametrize("grid,bound", [(SWEEP["grid"], 5e-13), (SEED0_GRID, 2e-9)],
+                         ids=["hes1-sweep", "benchmark-seed-0"])
+def test_every_lane_takes_its_scalar_runs_steps(grid, bound):
+    runs = sweep_runs(grid)
+    done = lanes.lane_runs(runs, SWEEP["rtol"])
+    worst = 0.0
+    for (p, eq, kick, end), lane in zip(runs, done):
+        traj = run_perturbed(p, eq, kick, end, SWEEP["rtol"])
+        assert traj.status == "completed" and lane is not None
+        t, r, accepted, rejected = lane
+        assert (accepted, rejected) == (traj.stats.steps_accepted,
+                                        traj.stats.steps_rejected)
+        assert np.array_equal(t, traj.t[-len(t):])
+        assert 2 * len(t) == len(traj.t)
+        ref = traj.states[-len(t):, 0]
+        worst = max(worst, float(np.max(np.abs(r - ref) / np.abs(ref))))
+        assert dde._run_label("completed", t, r, 0.0, eq.r_star, kick) \
+            == classify_run(traj, eq, kick)
+    assert worst <= bound < SWEEP["rtol"]
+
+
+def test_lane_grid_labels_match_the_scalar_loop(monkeypatch):
+    cells = [(p, eq) for p, eq, _, _ in sweep_runs(SWEEP["grid"])[::4]]
+    kw = dict(small_kick=SWEEP["small_kick"], probe_scales=SWEEP["probe_scales"],
+              eta_end=SWEEP["t_end"], rtol=SWEEP["rtol"])
+    # hes1-sweep's 16 runs are below the crossover: the scalar loop labels them
+    assert 4 * len(cells) < dde.LANES_FROM
+    scalar = dde.classify_dynamics(cells, **kw)
+    monkeypatch.setattr(dde, "LANES_FROM", 1)
+    assert dde.classify_dynamics(cells, **kw) == scalar \
+        == [scalar_cell_label(p, eq, **kw) for p, eq in cells]
+
+
+def test_zero_kicks_are_refused():
+    # they used to label this stable cell oscillating (a zero small kick)
+    # or metastable (a zero probe)
+    p = hes1_params(c=0.01, eps=6.7)
+    cells = [(p, find_equilibrium(p))]
+    with pytest.raises(ValueError, match=r"^small_kick must be non-zero, got 0\.0$"):
+        dde.classify_dynamics(cells, small_kick=0.0)
+    with pytest.raises(ValueError, match=r"^probe_scales\[1\] must be > 0, got 0\.0$"):
+        dde.classify_dynamics(cells, probe_scales=(0.25, 0.0))
+    with pytest.raises(ValueError, match=r"^probe_scales\[0\] must be > 0, got -0\.5$"):
+        dde.classify_dynamics(cells, probe_scales=(-0.5,))
+    t = np.linspace(0.0, 100.0, 64)
+    with pytest.raises(ValueError, match=r"^kick_scale must be non-zero, got 0\.0$"):
+        classify_run(synthetic_trajectory(t, np.sin(t)), cells[0][1], 0.0)
+
+
+def test_the_lanes_hold_under_a_megabyte():
+    # the lanes keep a delay unit of segments each and r from the transient
+    # cut on (0.39 MB for 48 lanes), not whole histories: measured 0.68 MB
+    # at the peak for this 12-cell grid, against 0.51 MB for the scalar
+    # loop's cell after cell
+    import tracemalloc
+
+    cells = [(p, eq) for p, eq, _, _ in sweep_runs(SEED0_GRID)[::4]]
+    assert 4 * len(cells) >= dde.LANES_FROM
+    tracemalloc.start()
+    try:
+        labels = dde.classify_dynamics(cells, **{k: SWEEP[k] for k in (
+            "small_kick", "probe_scales", "rtol")}, eta_end=SWEEP["t_end"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels == ["stable"] * 6 + ["oscillating"] * 6
+    assert peak <= 1.0e6
+
+
+@pytest.mark.parametrize("lanes_from", [1, 10**9], ids=["lanes", "scalar"])
+def test_a_run_that_raises_marks_only_its_cell(monkeypatch, lanes_from):
+    # each cell's 1.45 probe escapes, so under lanes too it runs again
+    # through run_perturbed, which raises for the second cell
+    kw = dict(small_kick=0.05, probe_scales=(0.5, 1.45), eta_end=400.0, rtol=1e-7)
+    cells = [(p, find_equilibrium(p)) for p in (hes1_params(c=0.025, eps=EPS_LOW),
+                                                hes1_params(c=0.025, eps=EPS_HIGH))]
+    expected = [scalar_cell_label(*cells[0], **kw), "error: step budget exhausted"]
+    run = dde.run_perturbed
+
+    def failing(params, *args, **kwargs):
+        if params is cells[1][0]:
+            raise dde.NoConvergence("step budget exhausted")
+        return run(params, *args, **kwargs)
+
+    monkeypatch.setattr(dde, "run_perturbed", failing)
+    monkeypatch.setattr(dde, "LANES_FROM", lanes_from)
+    assert dde.classify_dynamics(cells, **kw) == expected

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (DenominatorBreach, HistoryTooShort, IncompatibleData,
                      InsufficientCycles, NoBracket, NoConvergence,
                      SddhopfError, SlopeBoundWarning)
-from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams, rhs_original,
-                    rhs_transformed)
+from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams, checked_slopes,
+                    rhs_original)
 from .roots import brentq
 
 # Dormand-Prince 5(4) tableau with the Shampine quartic interpolant,
@@ -302,9 +302,6 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     if c == 0.0:
         return (eps,) + history.eval(t - eps) if in_run else eps
 
-    def g(tau):
-        return tau - eps - c * (x_now - history.eval(t - tau)[0])
-
     tau = float(tau_prev) if tau_prev and tau_prev > 0 else eps
     converged = False
     damp = 1.0
@@ -325,6 +322,9 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         tau = new
 
     if not converged:
+        def g(tau):
+            return tau - eps - c * (x_now - history.eval(t - tau)[0])
+
         lo = max(1e-12 * eps, t - history.frontier)
         hi = 10.0 * (eps + c * history.x_span())
         hi = min(hi, t - (history.t0 - history.initial.span) + 10 * eps)
@@ -477,15 +477,16 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     sampled Trajectory.
 
     system(hist, events, monitors) returns the form's own parts:
-    stage(t, x, y) -> (x', y', delay value) as floats; cap_h(t, h, delay)
-    -> the step to try; on_accept(t_new, x, y, K, delay) for its extra
-    monitors; delay_column(ts, states) -> the delay at the samples. The
-    loop itself records the two component minima, the positivity event and
-    the RunStats, and turns an abort into the run's status and its last
-    event, after any events the sampling adds. A run with slope_bound events
-    warns once for all of them. fixed_h disables error control (every step
-    accepted at that size, still capped by the frontier rules); used for
-    order studies.
+    stage(t, x, y) -> (x', y', aux) as floats, aux being the original
+    form's delay and the transformed form's denominator; cap_h(t, h, aux)
+    -> the step to try; on_accept(t_new, x, y, K, aux) for its extra
+    monitors; delay_column(ts, states) -> the delay at the samples, called
+    once after the step loop. The loop itself records the two component
+    minima, the positivity event and the RunStats, and turns an abort into
+    the run's status and its last event, after any events the sampling
+    adds. A run with slope_bound events warns once for all of them. fixed_h
+    disables error control (every step accepted at that size, still capped
+    by the frontier rules); used for order studies.
     """
     hist = History(initial)
     events: List[dict] = []
@@ -503,7 +504,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
     h_next = fixed_h if fixed_h else h0
     stop = None
     try:
-        f1x, f1y, delay_now = stage(t, x, y)
+        f1x, f1y, aux_now = stage(t, x, y)
         stage_evals = 1
         if not (math.isfinite(f1x) and math.isfinite(f1y)):
             raise _Abort(STATUS_NONFINITE, t, "nonfinite initial slope")
@@ -511,7 +512,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
         while t < t_end - 1e-12 * max(1.0, abs(t_end)):
             if steps >= _MAX_STEPS:
                 raise NoConvergence("step budget exhausted at t = %.6g" % t)
-            h = cap_h(t, min(h_next, t_end - t), delay_now)
+            h = cap_h(t, min(h_next, t_end - t), aux_now)
             while True:
                 steps += 1
                 k2x = k3x = k4x = k5x = k6x = k7x = None
@@ -544,7 +545,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                     y_new = y + h * (_B1 * f1y + _B3 * k3y + _B4 * k4y
                                      + _B5 * k5y + _B6 * k6y)
                     t_new = t + h
-                    k7x, k7y, delay_new = stage(t_new, x_new, y_new)
+                    k7x, k7y, aux_new = stage(t_new, x_new, y_new)
                 except _BeyondFrontier:
                     halvings += 1
                     stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
@@ -579,9 +580,9 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                 events.append({"t": t_new, "kind": "positivity",
                                "detail": (x_new, y_new)})
             positive = now_positive
-            on_accept(t_new, x_new, y_new, K, delay_new)
+            on_accept(t_new, x_new, y_new, K, aux_new)
             t, x, y = t_new, x_new, y_new
-            f1x, f1y, delay_now = k7x, k7y, delay_new
+            f1x, f1y, aux_now = k7x, k7y, aux_new
             h_next = fixed_h if fixed_h else h * (
                 _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
         t_reached = t
@@ -642,10 +643,10 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
                        f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf)
         monitors.update(min_tau=math.inf, max_dx=-math.inf, dx_bound=dx_bound,
                         max_threshold_residual=0.0)
-        tau_hint = tau0
+        tau_hint, max_residual = tau0, 0.0
 
         def stage(t, x, y):
-            nonlocal tau_hint
+            nonlocal tau_hint, max_residual
             tau, x_back, y_back = solve_delay(t, x, hist, params, tau_prev=tau_hint,
                                               events=events, in_run=True)
             tau_hint = tau
@@ -656,8 +657,7 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
             if 1.0 - params.c * dx <= DENOMINATOR_FLOOR:
                 raise _Abort(STATUS_B2, t, "c x' = %.6g >= 1 - %g"
                              % (params.c * dx, DENOMINATOR_FLOOR))
-            monitors["max_threshold_residual"] = max(
-                monitors["max_threshold_residual"], abs(resid))
+            max_residual = max(max_residual, abs(resid))
             return dx, dy, tau
 
         # image of the initial discontinuity point and its first generations
@@ -680,6 +680,7 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
             monitors["max_dx"] = max(monitors["max_dx"], max(K[0::2]))
 
         def delay_column(ts, states):
+            monitors["max_threshold_residual"] = max_residual
             return _sample_delays(hist, params, ts, states[:, 0], tau_hint, events)
 
         return stage, cap_h, on_accept, delay_column
@@ -705,27 +706,27 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
 
     def system(hist, events, monitors):
         monitors["min_denominator"] = math.inf
-        denominator = math.inf      # D of the last stage, the one at t_new on accept
         # the last lookup: stages 6 and 7 of a try both take t + h, and no
         # other stage of the run repeats a t
         looked_up, delayed = None, None
 
         def stage(t, r, xi):
-            nonlocal denominator, looked_up, delayed
+            # the local delay k is left out: the samples' delay column
+            # recomputes it
+            nonlocal looked_up, delayed
             if t != looked_up:
                 delayed = hist.eval(t - 1.0)
                 looked_up = t
             try:
-                dr, dxi, k, denominator = rhs_transformed((r, xi), delayed, params)
+                return checked_slopes((r, xi), delayed, params)
             except OverflowError:
                 raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
             except DenominatorBreach as exc:
                 raise _Abort(STATUS_BREACH, t, str(exc))
-            return dr, dxi, k
 
         breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
 
-        def cap_h(t, h, _delay):
+        def cap_h(t, h, _denominator):
             h = min(h, 1.0)
             while breakpoints and t >= breakpoints[0] - 1e-9:
                 breakpoints.pop(0)
@@ -733,7 +734,8 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
                 h = breakpoints[0] - t
             return h
 
-        def on_accept(t_new, r, xi, K, k_new):
+        def on_accept(t_new, r, xi, K, denominator):
+            # D of the try's last stage, the one at t_new
             if params.c > 0:
                 monitors["min_denominator"] = min(monitors["min_denominator"],
                                                   denominator)
@@ -884,8 +886,9 @@ def _run_label(status, t, r, t_first, r_star, kick_scale):
 
 
 # A grid with fewer runs than this runs them one after another: below it the
-# per-step cost of numpy calls on short arrays outweighs what the lanes share.
-LANES_FROM = 24
+# per-step cost of numpy calls on short arrays outweighs what the lanes share
+# (measured in the README's sweep section).
+LANES_FROM = 16
 
 # what a cell's failure may raise; the cell reads "error: <message>"
 CELL_ERRORS = (SddhopfError, ValueError, ArithmeticError)

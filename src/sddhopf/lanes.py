@@ -22,14 +22,12 @@ import math
 from .model import DENOMINATOR_FLOOR, transformed_slopes
 from .nonlinearity import HillRepressor, LinearMap
 
-# Places in a lane's ring of segments (its last delay unit and the current
-# step), and rows of the pool they share per lane: right after the kick a
-# unit may take about a hundred steps, and once the first samples are due
-# a few.
-_RING_EARLY, _POOL_EARLY = 128, 64
-_RING, _POOL_SPARE = 32, 4
-_WINDOW = 8         # ring places a lookup compares at a time
-_FLUSH_ROUNDS = 4   # rounds of accepted segments between two sample writes
+# Pool places per lane once the samples are due (before, the pool fills the
+# samples' buffer: a lane of the kick's short steps holds a hundred
+# segments, most hold a few), and the places a lookup compares at a time; a
+# lane keeps at least that many free places after its segments.
+_PLACES, _WINDOW = 24, 8
+_FLUSH_ROUNDS = 6   # rounds of segments between two sample writes
 _ARRAY_MAPS = (HillRepressor, LinearMap)    # feedback maps that take arrays
 
 
@@ -37,12 +35,11 @@ class _LaneParams:
     """ModelParams' fields over lanes, for transformed_slopes: a float where
     every lane has the same value, else an array."""
 
-    __slots__ = ("mu_m", "mu_p", "c", "eps", "nonlinearity")
+    __slots__ = ("mu_m", "mu_p", "c", "eps")
 
-    def __init__(self, numbers, nonlinearity):
+    def __init__(self, numbers):
         self.mu_m, self.mu_p, self.c, self.eps = (
             float(v[0]) if (v == v[0]).all() else v for v in numbers)
-        self.nonlinearity = nonlinearity
 
 
 def _map_key(m):
@@ -78,8 +75,9 @@ def lane_runs(runs, rtol, atol=1e-8, n_samples=2048):
 def _tableau():
     """The Dormand-Prince rows the lanes take as arrays: the five distinct
     stage times of a try as fractions of h (stages 6 and 7 share t + h),
-    the stage rows a21..a65, and the rows b, e and P over the stage slopes
-    k1..k7 (zero entries kept)."""
+    the rows over the slopes before each stage, a21..a65 and then b (the
+    last stage's state is x_new), and the rows e and P over the stage
+    slopes k1..k7 (zero entries kept)."""
     import numpy as np
 
     from .dde import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -90,174 +88,164 @@ def _tableau():
     return (np.array([[_C2], [_C3], [_C4], [_C5], [1.0]]),
             [np.array(row) for row in ([_A21], [_A31, _A32], [_A41, _A42, _A43],
                                        [_A51, _A52, _A53, _A54],
-                                       [_A61, _A62, _A63, _A64, _A65])],
-            np.array([_B1, 0.0, _B3, _B4, _B5, _B6]),
+                                       [_A61, _A62, _A63, _A64, _A65],
+                                       [_B1, 0.0, _B3, _B4, _B5, _B6])],
             np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7]),
             np.array([[_P11, 0.0, _P31, _P41, _P51, _P61, _P71],
                       [_P12, 0.0, _P32, _P42, _P52, _P62, _P72],
                       [_P13, 0.0, _P33, _P43, _P53, _P63, _P73]]))
 
 
-class _SegmentRings:
+class _SegmentStore:
     """The segments each lane's lookups can still reach, in one pool.
 
-    A pool row is a segment as History packs it. Each lane has a ring of
-    pool rows in time order, from head on for count places, with the
-    segments' end times beside them and +inf at a free place. Freed rows go
-    on a stack and are used again, so the pool never grows: a lane whose
-    ring is full or that finds no free row is refused.
+    A pool column is a segment as History packs it, and its end. A lane's
+    segments lie in time order in its own span of the pool: from its
+    cursor, the segment its last accepted step's fifth lookup found (the
+    one at t_new - 1), to last, its newest. The places after them end at
+    +inf, but for a rejected try's column at last + 1, which ends at the
+    try's t + h, past the lane's t. So a lookup looks from the cursor on,
+    and an accept only writes after last and moves the cursor. Every few
+    rounds, and when lanes leave, repack moves each lane's segments from
+    its cursor on to the front of a new span, in the same pool or a new
+    one, and shares the free places out evenly.
     """
 
-    def __init__(self, n, cap, size, buf):
-        """Rings of cap places for n lanes and a pool of size rows, all held
-        in the float buffer buf."""
+    def __init__(self, n, data):
+        """A pool for n lanes in data, an array (13, places). A lane starts
+        with a placeholder that ends at eta = 0, where the initial data
+        takes over."""
         import numpy as np
 
-        self.cap = cap
-        self.pool = buf[:12 * size].reshape(12, size)
-        self.free, self.n_free = np.arange(size), size
-        self.end = buf[12 * size:12 * size + n * cap].reshape(n, cap)
+        self.cur = self.last = self.origin = np.arange(n)  # last - origin: pushes kept
+        self.data = data
+        data[12, :n] = 0.0
+        self.repack(self.cur, data)
+
+    def _use(self, data):
+        # an empty pool in data
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        self.data, self.segs, self.end = data, data[:12], data[12]
         self.end[:] = math.inf
-        self.ring = buf[12 * size + n * cap:12 * size + 2 * n * cap].view(np.int64).reshape(n, cap)
-        self.ring[:] = 0
-        self.head = np.zeros(n, dtype=int)
-        self.count = np.zeros(n, dtype=int)
-        self.first_place = np.arange(n) * cap
-        self.window = np.arange(_WINDOW)
+        # windows[k, i] is end[i + k]: the ends a lookup compares, from i on
+        self.windows = sliding_window_view(self.end, _WINDOW).T
 
     def lookup(self, at):
-        """The rows (12, *at.shape) of the segments the lanes' times at
-        (..., lanes) fall in: the first that ends at or after the time, else
-        the last, as History.eval picks them.
-
-        A try's times lie a few segments from the head of the ring, so the
-        search counts the ends below each time a window at a time, from the
-        head on, while some window is all below.
-        """
+        """The columns (12, 5 * lanes) of the segments the lanes' times at
+        (5, lanes) fall in: the first that ends at or after the time, else
+        the lane's newest, as History.eval picks them. A lane keeps
+        _WINDOW free places, so a window from its cursor stays in its span."""
         import numpy as np
 
-        below = 0
-        for start in range(0, self.cap, _WINDOW):
-            window = self.first_place[:, None] + (
-                self.head[:, None] + start + self.window) % self.cap
-            counted = np.where(np.take(self.end, window) < at[..., None], 1, 0).sum(-1)
-            below = below + counted
-            if counted.max() < _WINDOW:
-                break
-        place = self.first_place + (self.head + np.minimum(below, self.count - 1)) % self.cap
-        return np.take(self.pool, np.take(self.ring, place), axis=1)
+        start = self.cur
+        ends = self.windows[:, start]
+        # the first place of the window that ends at or after each time
+        below = (ends[:, None] < at).argmin(0)
+        more = ends[-1] < at[-1]        # lanes whose last time is past the window
+        past = 0
+        while more[more.argmax()]:
+            # look on for the times past the window
+            beyond = ends[-1] < at
+            start = np.where(more, start + _WINDOW, start)
+            ends = self.windows[:, start]
+            past += _WINDOW
+            below = np.where(beyond, past + (ends[:, None] < at).argmin(0), below)
+            more &= ends[-1] < at[-1]
+        below += self.cur
+        # only t + h - 1 may pass the newest end, t; the others lie 0.11 h before it
+        np.minimum(below[-1], self.last, out=below[-1])
+        self.found = below[-1]
+        return self.segs.take(below.reshape(-1), axis=1)
 
-    def _release(self, rows):
-        self.free[self.n_free:self.n_free + len(rows)] = rows
-        self.n_free += len(rows)
-
-    def drop(self, before):
-        """Free every lane's segments that end before its time in before."""
+    def push(self, acc, columns):
+        """Write columns (13, lanes) after every lane's newest segment; keep
+        them, and move the cursor to the last lookup's segment, for the
+        lanes acc."""
         import numpy as np
 
-        old = self.end < before[:, None]
-        self._release(self.ring[old])
-        self.end[old] = math.inf
-        n_old = np.where(old, 1, 0).sum(1)
-        self.head = (self.head + n_old) % self.cap
-        self.count -= n_old
+        top = self.last + 1
+        self.data[:, top] = columns
+        np.copyto(self.cur, self.found, where=acc)
+        np.copyto(self.last, top, where=acc)
+        self.rounds_left -= 1
 
-    def push(self, w, rows, ends):
-        """Store rows as the newest segments of the lanes w, ending at ends;
-        return the lanes that found room."""
+    def repack(self, keep, data=None):
+        """Keep the lanes keep, in that order, each with its segments from
+        its cursor on, in the pool data if given; return the lanes kept.
+        While the pool would leave a lane fewer than _WINDOW + 4 free
+        places, the lane with the most segments is refused."""
         import numpy as np
 
-        pos = (self.head[w] + self.count[w]) % self.cap
-        # the next place is free (+inf) unless the ring is full
-        room = np.flatnonzero(~np.isfinite(self.end[w, pos]))[:self.n_free]
-        w, ends, pos = w[room], ends[room], pos[room]
-        taken = self.free[self.n_free - len(w):self.n_free]
-        self.n_free -= len(w)
-        self.pool[:, taken] = rows[:, room]
-        self.ring[w, pos] = taken
-        self.end[w, pos] = ends
-        self.count[w] += 1
-        return w
-
-    def keep(self, keep):
-        """Keep the lanes keep, in that order, and free the others' rows."""
-        import numpy as np
-
-        gone = np.ones(len(self.count), dtype=bool)
-        gone[keep] = False
-        self._release(self.ring[gone][np.isfinite(self.end[gone])])
-        self.ring, self.end, self.head, self.count = (
-            a[keep] for a in (self.ring, self.end, self.head, self.count))
-        self.first_place = np.arange(len(keep)) * self.cap
-
-    def shrink(self, cap, spare):
-        """Repack, out of the buffer, into rings of cap places and a pool of
-        the live rows plus spare free ones; return the lanes that fit."""
-        import numpy as np
-
-        n = len(self.count)
-        lanes = np.arange(n)[:, None]
-        pos = (self.head[:, None] + np.arange(cap + 1)) % self.cap
-        end = self.end[lanes, pos]              # +inf past a lane's count
-        fits = ~np.isfinite(end[:, cap])
-        end = np.ascontiguousarray(end[:, :cap])
-        pos = pos[:, :cap]
-        live = np.isfinite(end)
-        rows = self.ring[lanes, pos][live]
-        pool = np.empty((12, len(rows) + spare))
-        pool[:, :len(rows)] = self.pool[:, rows]
-        ring = np.zeros((n, cap), dtype=int)
-        ring[live] = np.arange(len(rows))
-        self.pool, self.ring, self.end, self.cap = pool, ring, end, cap
-        self.free = np.arange(len(rows) + spare)[::-1].copy()     # stack: top at the end
-        self.n_free = spare
-        self.head = np.zeros(n, dtype=int)
-        self.first_place = np.arange(n) * cap
-        return fits
+        places = (self.data if data is None else data).shape[1]
+        count = (self.last - self.cur + 1)[keep]
+        while len(keep) and (places - sum(count.tolist())) // len(keep) < _WINDOW + 4:
+            refused = count.argmax()
+            keep, count = np.delete(keep, refused), np.delete(count, refused)
+        room = (places - sum(count.tolist())) // max(len(keep), 1)
+        first = (count + room).cumsum() - (count + room)
+        src = np.arange(sum(count.tolist())) + (
+            self.cur[keep] - (count.cumsum() - count)).repeat(count)
+        columns = self.data[:, src]
+        self._use(self.data if data is None else data)
+        self.data[:, src + (first - self.cur[keep]).repeat(count)] = columns
+        self.origin = self.origin[keep] + (first - self.cur[keep])
+        self.cur, self.last = first, first + count - 1
+        self.rounds_left = room - _WINDOW      # pushes until a repack
+        return keep
 
 
 def _step_lanes(runs, rtol, atol, n_samples):
     """The step loop of integrate_transformed over lanes, one per run.
 
     Each round makes one try of every live lane. A lane keeps only the
-    segments its lookups can still reach, those of its last delay unit and
-    the current step (_SegmentRings). Once the first lane nears its samples
-    the rings and their pool shrink, to make room for the samples: r at the
-    sample times from the transient cut of measure_oscillation on,
-    evaluated every _FLUSH_ROUNDS rounds on the segments accepted since.
+    segments its lookups can still reach (_SegmentStore), and r at the
+    sample times from the transient cut of measure_oscillation on, written
+    every _FLUSH_ROUNDS rounds. A lane's two components lie in one flat
+    array, r then xi, and the five lookup times of a try in five blocks of
+    lanes: numpy's calls cost less on flat arrays than on ones that broadcast.
 
     A lane ends, and is dropped, when it completes or when its scalar run
     would stop early or raise: a denominator at the floor, a nonfinite
-    value, a stalled step or the step budget; also when it finds no room
-    for a segment.
+    value, a stalled step or the step budget; also when the pool has no
+    room for its segments.
     """
     import numpy as np
 
     from .dde import _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _SAFETY
 
-    c_try, a_rows, b_row, e_row, p_rows = _tableau()
+    c_try, a_rows, e_row, p_rows = _tableau()
+    # the slopes k2..k7: the slopes before each, its row and its lookup time
+    stages = list(zip(range(1, 7), a_rows, (0, 1, 2, 3, 4, 4)))
     n = len(runs)
     nl = runs[0][0].nonlinearity
     lane_ids = np.arange(n)
     numbers = np.array([[p.mu_m, p.mu_p, p.c, p.eps] for p, _, _, _ in runs]).T
-    base = np.array([eq.state for _, eq, _, _ in runs]).T
-    kick = np.array([k * eq.state for _, eq, k, _ in runs]).T
+    base = np.array([eq.state for _, eq, _, _ in runs]).T.reshape(-1)
+    kick = np.array([k * eq.state for _, eq, k, _ in runs]).T.reshape(-1)
     t_end = np.array([float(e) for _, _, _, e in runs])
     t_stop = t_end - 1e-12 * np.maximum(1.0, t_end)
     stall_at = 1e-12 * max(1.0, t_end.max())    # no step is stalled above this
-    # one sample grid per distinct end, as run_perturbed makes them
+    # one sample grid per distinct end, as run_perturbed makes them, each
+    # followed by +inf past the most samples one step may take
     ends_of = sorted(set(t_end.tolist()))
-    grids = np.array([np.linspace(0.0, e, n_samples) for e in ends_of])
+    per_unit = (n_samples - 1) / t_end
+    grids = np.full((len(ends_of), n_samples + int(per_unit.max()) + 3), math.inf)
+    for grid, e in zip(grids, ends_of):
+        grid[:n_samples] = np.linspace(0.0, e, n_samples)
     gid = np.searchsorted(ends_of, t_end)
-    first = np.array([np.searchsorted(grid, 0.5 * grid[-1]) for grid in grids])[gid]
-    cut = grids[gid, first]                   # time of a lane's first sample
-    samples, srow, pending, completed = None, lane_ids, [], []
-    accepted = np.zeros(n, dtype=int)       # a live lane makes one try a round
-    # the early rings and then the samples take turns in one buffer: the
-    # rings move out before the first sample is written
+    first = np.array([np.searchsorted(grid, 0.5 * e) for grid, e in zip(grids, ends_of)])[gid]
     width = n_samples - first.min()
-    buf = np.empty(max(12 * _POOL_EARLY * n + 2 * _RING_EARLY * n, n * width))
-    rings = _SegmentRings(n, _RING_EARLY, _POOL_EARLY * n, buf)
+    # one buffer holds the pool of the kicks' many short steps, and then the
+    # samples, a row per lane and a place for the rest: every lane is long
+    # past its kick when the first samples are due
+    buf = np.empty(max(n * width + 1, 13 * _PLACES * n))
+    store, samples = _SegmentStore(n, buf[:len(buf) // 13 * 13].reshape(13, -1)), None
+    # per lane, where _write_samples finds its grid (flat), the samples per
+    # unit, the samples before and at the cut, and its row of samples
+    grid_info = np.array([gid * grids.shape[1], per_unit, grids[gid, first - 1],
+                          grids[gid, first], lane_ids * width - first])
+    pending, completed = [], []
     next_break, breaks_left = np.ones(n), True    # the next of eta = 1, 2, 3
 
     def capped(t, h):
@@ -267,155 +255,167 @@ def _step_lanes(runs, rtol, atol, n_samples):
         if breaks_left:
             while True:
                 passed = t >= next_break - 1e-9
-                if not passed.any():
+                if not passed[passed.argmax()]:
                     break
                 next_break = np.where(passed, np.where(next_break < 3.0, next_break + 1.0,
                                                        math.inf), next_break)
             h = np.where(t + h > next_break, next_break - t, h)
-            breaks_left = next_break.min() < math.inf
+            breaks_left = next_break[next_break.argmin()] < math.inf
         return h
 
-    lp = _LaneParams(numbers, nl)
+    lp = _LaneParams(numbers)
     t = np.zeros(n)
     x = base + kick * 0.0
     start = base + kick * np.sin(np.pi * -1.0) ** 2       # the data at eta = -1
-    f1x, f1y, d = transformed_slopes(x[0], x[1], nl.f.value(start[1]), nl.g.value(start[0]),
-                                     lp)
-    f1 = np.array([f1x, f1y])
-    alive = np.isfinite(f1).all(0) & (d > DENOMINATOR_FLOOR)
+    kf = np.empty((7, 2 * n))       # the stage slopes k1..k7; k1 is the last k7
+    kf[0, :n], kf[0, n:], d = transformed_slopes(x[:n], x[n:], nl.f.value(start[n:]),
+                                                 nl.g.value(start[:n]), lp)
+    alive = np.isfinite(kf[0, :n]) & np.isfinite(kf[0, n:]) & (d > DENOMINATOR_FLOOR)
     h = capped(t, np.minimum(np.minimum(0.1, t_end), t_end - t))
-    initial = True              # some lookup may still reach the initial data
-    rounds = 0
+    rounds, initial = 0, True   # initial: some lookup may still reach the initial data
+    dot, cat, copyto, where, minimum = np.dot, np.concatenate, np.copyto, np.where, np.minimum
     while True:
-        if samples is None and (cut <= t + 1.5).any():
-            # the first samples are due, and the short steps after the kick
-            # are behind every lane
-            alive &= rings.shrink(_RING, _POOL_SPARE * n)
-            samples = buf[:n * width].reshape(n, width)
-            srow = np.arange(n)
-        if not alive.all():
-            keep = np.flatnonzero(alive)
-            (lane_ids, srow, numbers, base, kick, t_end, t_stop, gid, first, cut,
-             accepted, next_break, t, h, x, f1) = (
-                a[..., keep] for a in (
-                    lane_ids, srow, numbers, base, kick, t_end, t_stop, gid, first, cut,
-                    accepted, next_break, t, h, x, f1))
-            rings.keep(keep)
-            n = len(keep)
-            if not n:
-                break
-            lp = _LaneParams(numbers, nl)
+        move = samples is None and rounds and rounds >= samples_from   # the pool out of buf
+        if store.rounds_left <= 0 or not alive[alive.argmin()] or not rounds or move:
+            pool = np.empty((13, _PLACES * n)) if move else None
+            keep = store.repack(alive.nonzero()[0], pool)
+            samples = buf[:len(runs) * width + 1] if move else samples
+            if len(keep) < n:
+                x, base, kick = (a.reshape(2, n)[:, keep].reshape(-1) for a in (x, base, kick))
+                kf = kf.reshape(7, 2, n)[:, :, keep].reshape(7, -1)
+                (lane_ids, gid, first, numbers, grid_info, t_end, t_stop, next_break, t, h) = (
+                    a[..., keep] for a in (lane_ids, gid, first, numbers, grid_info, t_end,
+                                           t_stop, next_break, t, h))
+                n = len(keep)
+                if not n:
+                    break
+                lp = _LaneParams(numbers)
+            # views of the slopes' r and xi halves; the initial data's base
+            # and kick at each lookup time; the rounds before which no lane
+            # nears its end or its first sample, as a step is at most a unit
+            kr, kx = [k[:n] for k in kf], [k[n:] for k in kf]
+            at_lag = [(np.ones((5, 1)) * a.reshape(2, 1, n)).reshape(-1) for a in (base, kick)]
+            end_from = rounds + int(np.minimum.reduce(t_stop - t))
+            samples_from = rounds + int(np.minimum.reduce(grid_info[3] - t)) - 1
+            alive = np.ones(n, dtype=bool)
         rounds += 1
         if rounds > _MAX_STEPS:
             break
 
         # one lookup for the try's five delayed times t + c h - 1
         lag = (t + c_try * h) - 1.0
-        seg = rings.lookup(lag)
-        u = (lag - seg[0]) / seg[1]
-        delayed = seg[2:4] + (seg[1] * u) * (seg[4:6] + u * (
-            seg[6:8] + u * (seg[8:10] + u * seg[10:12])))
+        m = 5 * n
+        seg = store.lookup(lag).reshape(-1)
+        lag = lag.reshape(-1)
+        u = (lag - seg[:m]) / seg[m:2 * m]
+        hu, u = cat((seg[m:2 * m] * u,) * 2), cat((u, u))
+        delayed = seg[2 * m:4 * m] + hu * (seg[4 * m:6 * m] + u * (
+            seg[6 * m:8 * m] + u * (seg[8 * m:10 * m] + u * seg[10 * m:12 * m])))
         if initial:
-            early = lag <= 0.0
             bump = np.sin(np.pi * np.maximum(lag, -1.0)) ** 2
-            delayed = np.where(early, base[:, None] + kick[:, None] * bump, delayed)
-            initial = t.min() <= 1.0
+            copyto(delayed, at_lag[0] + at_lag[1] * cat((bump, bump)),
+                   where=cat((lag <= 0.0,) * 2))
+            initial = t[t.argmin()] <= 1.0
 
         # the feedback at all five delayed times at once: f(xi), g(r)
-        f_delayed, g_delayed = nl.f.value(delayed[1]), nl.g.value(delayed[0])
-        k = np.empty((7, 2, n))
-        k[0] = f1
-        kf = k.reshape(7, 2 * n)
-        stage = x + h * (a_rows[0][0] * f1)
-        k[1, 0], k[1, 1], d_min = transformed_slopes(stage[0], stage[1], f_delayed[0],
-                                                     g_delayed[0], lp)
-        for s, a_row in enumerate(a_rows[1:], start=2):
-            stage = x + h * np.dot(a_row, kf[:s]).reshape(2, n)
-            k[s, 0], k[s, 1], d = transformed_slopes(stage[0], stage[1], f_delayed[s - 1],
-                                                     g_delayed[s - 1], lp)
-            np.minimum(d_min, d, out=d_min)
-        x_new = x + h * np.dot(b_row, kf[:6]).reshape(2, n)
-        k[6, 0], k[6, 1], d = transformed_slopes(x_new[0], x_new[1], f_delayed[4],
-                                                 g_delayed[4], lp)
-        np.minimum(d_min, d, out=d_min)
-        e = h * np.dot(e_row, kf).reshape(2, n)
+        f_at = nl.f.value(delayed[m:]).reshape(5, n)
+        g_at = nl.g.value(delayed[:m]).reshape(5, n)
+        h2 = cat((h, h))
+        d_min = math.inf
+        for s, a_row, at in stages:
+            stage = x + h2 * dot(a_row, kf[:s])
+            kr[s][...], kx[s][...], d = transformed_slopes(stage[:n], stage[n:], f_at[at],
+                                                           g_at[at], lp)
+            d_min = minimum(d_min, d)
+        x_new = stage
+        e = h2 * dot(e_row, kf)
         e /= atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = np.sqrt((e[0] * e[0] + e[1] * e[1]) / 2)
+        e *= e
+        err = np.sqrt((e[:n] + e[n:]) / 2)
 
         ok = np.isfinite(err) & (d_min > DENOMINATOR_FLOOR)
-        if h.min() <= stall_at:
+        if h[h.argmin()] <= stall_at:     # argmin costs less than a reduction
             ok &= h > 1e-12 * np.maximum(1.0, t)
         acc = ok & (err <= 1.0)
         # min(MAX, grow) after an accept (err <= 1), max(MIN, grow) after a reject
-        h_next = h * np.clip(_SAFETY * err ** -0.2, _MIN_FACTOR, _MAX_FACTOR)
+        h_next = h * minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR)
         t_new = t + h
 
-        # store the accepted steps, first dropping the segments no later
-        # lookup reaches: those that end before t_new - 1
-        rings.drop(np.where(acc, t_new - 1.0, -math.inf))
-        w = np.flatnonzero(acc)
-        # one vector product per row of P: a matrix product would page in
+        # the segments as History packs them, and their ends; one vector
+        # product per row of P, as a matrix product would page in
         # OpenBLAS's gemm kernels, another 0.2 MB of resident code
-        new = np.concatenate([t[None], h[None], x, f1] + [
-            np.dot(p_row, kf).reshape(2, n) for p_row in p_rows])
-        stored = rings.push(w, new[:, w], t_new[w])
-        if len(stored) < len(w):
-            acc[w] = ok[w] = False
-            acc[stored] = ok[stored] = True
-        accepted += np.where(acc, 1, 0)
-        done = acc & (t_new >= t_stop)
-        if samples is not None:
-            pending.append((new, acc & (t_new >= cut), done, srow, gid, first))
-            if len(pending) == _FLUSH_ROUNDS:
-                _write_samples(samples, pending, grids)
-                pending = []
-        if done.any():
-            completed += zip(lane_ids[done], srow[done], gid[done], first[done],
-                             accepted[done], rounds - accepted[done])
-        alive = ok & ~done
+        new = cat([t, h, x, kf[0]] + [dot(p_row, kf) for p_row in p_rows]
+                  + [t_new]).reshape(13, n)
+        store.push(acc, new)
+        alive = ok
+        if rounds >= end_from and np.logical_or.reduce(t_new >= t_stop):
+            done = acc & (t_new >= t_stop)
+            accepted = (store.last - store.origin)[done]
+            completed += zip(lane_ids[done], gid[done], first[done], accepted,
+                             rounds - accepted)
+            # their last segments take the samples within the frontier's tolerance
+            new[12, done] += 1e-10 * np.maximum(1.0, t_new[done])
+            alive = ok & ~done
+        pending.append((new, acc, grid_info))
+        if len(pending) == _FLUSH_ROUNDS:
+            _write_samples(samples, pending, grids.reshape(-1))
+            pending = []
 
-        t = np.where(acc, t_new, t)
-        x = np.where(acc, x_new, x)
-        f1 = np.where(acc, k[6], f1)
-        h = np.where(acc, capped(t, np.minimum(h_next, t_end - t)), h_next)
+        acc2 = cat((acc, acc))
+        copyto(x, x_new, where=acc2)
+        copyto(kf[0], kf[6], where=acc2)
+        copyto(t, t_new, where=acc)
+        h = where(acc, capped(t, h_next if rounds < end_from else minimum(h_next, t_end - t)),
+                  h_next)
 
     if pending:
-        _write_samples(samples, pending, grids)
+        _write_samples(samples, pending, grids.reshape(-1))
     result: list = [None] * len(runs)
-    for lane, row, g, j, acc_n, rej_n in completed:
-        result[lane] = (grids[g, j:], samples[row, :n_samples - j], int(acc_n), int(rej_n))
+    for lane, g, j, acc_n, rej_n in completed:
+        row = samples[lane * width:]
+        result[lane] = (grids[g, j:n_samples], row[:n_samples - j], int(acc_n), int(rej_n))
     return result
 
 
 def _write_samples(samples, pending, grids):
-    """r at the sample times on the segments accepted over some rounds, as
+    """r at the sample times on the segments of some rounds, as
     History.eval_many evaluates it: a sample time s > the start of a
     segment and <= its end goes to that segment, and the last segment of a
-    completed lane also takes those within the frontier's tolerance."""
+    completed lane also takes those within the frontier's tolerance.
+
+    pending holds per round its segments (13, lanes), which of them were
+    accepted, and grid_info. samples is flat: a row per lane, and a last
+    place for what is not due.
+    """
     import numpy as np
 
-    seg, take, done, srow, gid, first = (np.concatenate(part, axis=-1)
-                                         for part in zip(*pending))
-    take = np.flatnonzero(take)
-    if not len(take):
+    segs, accs, infos = zip(*pending)
+    seg, acc = np.concatenate(segs, axis=1), np.concatenate(accs)
+    offset, per_unit, before, cut, row = np.concatenate(infos, axis=1)
+    reach = np.where(acc, seg[12], -math.inf)     # the last sample time a segment takes
+    due = reach >= cut
+    if not due[due.argmax()]:
         return
-    seg, done, srow, gid, first = seg[:, take], done[take], srow[take], gid[take], first[take]
-    end = seg[0] + seg[1]
-    limit = end + np.where(done, 1e-10 * np.maximum(1.0, end), 0.0)
-    lo, hi = np.empty(len(take), dtype=int), np.empty(len(take), dtype=int)
-    grid_end = grids[gid, -1]
-    for grid in grids:
-        on = grid_end == grid[-1]
-        lo[on] = np.searchsorted(grid, seg[0, on], "right")
-        hi[on] = np.searchsorted(grid, limit[on], "right")
-    lo = np.maximum(lo, first)
-    # the times decide what is due (integer comparisons would page in more
-    # of numpy); indices past the grid repeat its last sample
-    j = np.minimum(lo[:, None] + np.arange(max(1, (hi - lo).max())), grids.shape[1] - 1)
-    at = grids[gid[:, None], j]
-    due = (at > seg[0, :, None]) & (at <= limit[:, None])
-    seg = seg[:, :, None]
-    u = (at - seg[0]) / seg[1]
-    r = seg[2] + (seg[1] * u) * (seg[4] + u * (seg[6] + u * (seg[8] + u * seg[10])))
-    lane, col = np.nonzero(due)
-    samples[srow[lane], j[lane, col] - first[lane]] = r[lane, col]
+    # the candidates, a row per place from the sample at or before each
+    # segment's start on, as many as the longest segment may take
+    j = (seg[0] * per_unit).astype(int)
+    span = (seg[12] * per_unit).astype(int) - j
+    j = j + np.arange(span[span.argmax()] + 2)[:, None]
+    at = grids[j + offset.astype(int)]
+    due = (at > np.maximum(seg[0], before)) & (at <= reach)
+    j += row.astype(int)
+    dest = np.where(due, j, len(samples) - 1)
+    del j, due
+    # History's r + h u (a0 + u (a1 + u (a2 + u a3))), in place
+    u = at
+    u -= seg[0]
+    u /= seg[1]
+    r = u * seg[10]
+    for coeff in seg[8], seg[6]:
+        r += coeff
+        r *= u
+    r += seg[4]
+    u *= seg[1]
+    r *= u
+    r += seg[2]
+    samples[dest] = r

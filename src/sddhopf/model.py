@@ -153,7 +153,15 @@ def rhs_original(state_now, state_delayed, tau, params: ModelParams):
 
 def rhs_transformed(state_now, state_delayed, params: ModelParams):
     """Unit-delay RHS in eta-time, the local delay value k(eta) and the
-    denominator D of the time change.
+    denominator D of the time change: checked_slopes, which raises
+    DenominatorBreach at the floor, and k."""
+    dr, dxi, D = checked_slopes(state_now, state_delayed, params)
+    return dr, dxi, params.eps + params.c * (state_now[0] - state_delayed[0]), D
+
+
+def checked_slopes(state_now, state_delayed, params: ModelParams):
+    """(r', xi', D) of the unit-delay system at one state, the feedback
+    taken at the delayed state.
 
     Raises DenominatorBreach when D = 1 - c(-mu_m r + f(xi_1)) falls to
     DENOMINATOR_FLOOR or below, i.e. c x'(t) >= 1 - DENOMINATOR_FLOOR: the
@@ -165,7 +173,7 @@ def rhs_transformed(state_now, state_delayed, params: ModelParams):
     dr, dxi, D = transformed_slopes(r, xi, f.value(xi1), g.value(r1), params)
     if D <= DENOMINATOR_FLOOR:
         raise DenominatorBreach("denominator %.6g at state (%.6g, %.6g)" % (D, r, xi))
-    return dr, dxi, params.eps + params.c * (r - r1), D
+    return dr, dxi, D
 
 
 def transformed_slopes(r, xi, f_delayed, g_delayed, params):

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never references, only
-the integrator module loads numpy when it is imported, and no package
-module uses dataclasses: its records are NamedTuples.
+the integrator module loads numpy when it is imported, no package
+module uses dataclasses (its records are NamedTuples), and the sweep's
+lanes call none of numpy's Python-level wrappers.
 
 No linter ships with the project, so these are plain `ast` scans over
 src/ and tests/. For unused imports, package `__init__.py` files are
@@ -138,6 +139,53 @@ def test_no_package_module_imports_dataclasses(path):
     found = dataclasses_imports(path.read_text())
     assert not found, "dataclasses imported at line(s) %s" % ", ".join(
         str(line) for line, _ in found)
+
+
+# numpy functions that are Python wrappers around a C entry point (an
+# ndarray method, a ufunc or its reduce); each costs microseconds more per
+# call on short arrays, and the lanes make a few hundred calls a round
+NUMPY_WRAPPERS = frozenset(("take", "clip", "flatnonzero", "nonzero", "ravel",
+                            "sum", "any", "all"))
+
+
+def numpy_wrapper_uses(source):
+    """(line, name) of each reference to one of NUMPY_WRAPPERS through the
+    numpy module, under any alias, or through a name imported from it."""
+    tree = ast.parse(source)
+    modules, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or "numpy" for a in node.names
+                        if (a.name if a.asname else a.name.partition(".")[0]) == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and not node.level:
+            imported.update((a.asname or a.name, a.name) for a in node.names
+                            if a.name in NUMPY_WRAPPERS)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_WRAPPERS
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in imported:
+            found.append((node.lineno, imported[node.id]))
+    return sorted(found)
+
+
+def test_the_scan_flags_only_numpy_wrapper_uses():
+    source = ("import numpy as np\nimport numpy\nimport numpy.linalg as la\n"
+              "from numpy import clip as cl, where\n"
+              "def f(a, m):\n    b = np.take(a, m)\n    c = a.take(m)\n"
+              "    d = np.add.reduce(a) + np.logical_or.reduce(m)\n"
+              "    e = numpy.ravel(a)\n    g = cl(a, 0, 1)\n    s = np.sum\n"
+              "    i = m.nonzero()[0], np.nonzero(m)\n    j = where(m, a, b)\n"
+              "    k = la.norm(a), np.count_nonzero(m), m.any(), np.argmax(a)\n")
+    assert numpy_wrapper_uses(source) == [
+        (6, "take"), (9, "ravel"), (10, "clip"), (11, "sum"), (12, "nonzero")]
+
+
+def test_the_lanes_call_no_numpy_wrapper():
+    found = numpy_wrapper_uses((ROOT / "src" / "sddhopf" / "lanes.py").read_text())
+    assert not found, "numpy wrappers in the lanes: %s" % ", ".join(
+        "%s (line %d)" % (name, line) for line, name in found)
 
 
 # the package's records: every tuple subclass a package module defines

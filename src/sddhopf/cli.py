@@ -18,7 +18,7 @@ from .errors import (ConfigError, InsufficientCycles, IntegrationError,
                      ResonanceViolation, SddhopfError)
 from .model import ModelParams, find_equilibrium
 from .nonlinearity import NonlinearitySpec, ZeroMap, hes1_nonlinearity
-from .normalform import analyze_normal_form
+from .normalform import C_MAX, analyze_normal_form
 from .stability import StabilityKind, classify_stability
 
 _TOP_KEYS = {"model", "analysis", "output"}
@@ -337,7 +337,7 @@ def cmd_stability(cfg: RunConfig):
 
 def cmd_normal_form(cfg: RunConfig):
     params = cfg.params()
-    rep = analyze_normal_form(params, c_max=cfg.number("c_max", 1.0))
+    rep = analyze_normal_form(params, c_max=cfg.number("c_max", C_MAX))
     payload = {"eps0": rep.hopf.eps0, "omega": rep.hopf.omega,
                "kappa1": rep.kappa1, "kappa3": rep.kappa3,
                "direction": rep.direction.value, "c": rep.c, "c0": rep.c0,
@@ -465,7 +465,7 @@ def cmd_sweep(cfg: RunConfig):
     small_kick = cfg.number("small_kick", 0.05)
     probe_scales = cfg.numbers("probe_scales", (0.25, 0.5, 1.0))
     rtol = cfg.number("rtol", 1e-7)
-    c_max = cfg.number("c_max", 1.0)
+    c_max = cfg.number("c_max", C_MAX)
 
     # the overlays first, after every config number above: a solver
     # failure leaves its overlay n/a, and the grid still runs

@@ -13,25 +13,21 @@ import numpy as np
 from sddhopf.dde import InitialHistory, bump_history, classify_run, run_perturbed
 from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot, SddhopfError
 from sddhopf.model import Equilibrium, ModelParams
-from sddhopf.normalform import QuadraticCoeffs, _quadratic_rhs
+from sddhopf.normalform import QuadraticCoeffs, _first_order, _forcing
 from sddhopf.roots import brentq
 from sddhopf.stability import (CharParams, HopfPoint, _validate_hopf, char_eval,
                                solve_beta, transversality)
 
 
 def smul(s1, s2):
-    """Full product of two harmonic signals {(harmonic, powA, powAbar): coeff}."""
+    """Full product of two signals {(harmonic, powA, powAbar, powc): coeff},
+    with nothing dropped."""
     out = {}
     for k1, v1 in s1.items():
         for k2, v2 in s2.items():
-            k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
+            k = tuple(a + b for a, b in zip(k1, k2))
             out[k] = out.get(k, 0.0) + v1 * v2
     return out
-
-
-def resonant_by_full_product(coeff, sa, sb, sc):
-    """coeff times the (1, 2, 1) coefficient of the full triple product."""
-    return coeff * smul(smul(sa, sb), sc).get((1, 2, 1), 0.0)
 
 
 # -- stability ---------------------------------------------------------------
@@ -124,14 +120,16 @@ def winding_count(cp: CharParams, re_range=(0.0, 1.0),
 
 def quadratic_coeffs_closed_form(eq, hp, frame, c) -> QuadraticCoeffs:
     """(a, b) from the explicit inverse formulas: the a-pair via the
-    characteristic value at 2 i omega as determinant, the b-pair via the
-    rationalized fractions over eps^2 f'^2 (mu_m mu_p - f' g')."""
+    characteristic value at 2 i omega as determinant, applied to the 2 omega
+    forcing of the package's series pass, the b-pair via the rationalized
+    fractions over eps^2 f'^2 (mu_m mu_p - f' g'), forcing included."""
     es, w = hp.eps0, hp.omega
     mu_m, mu_p = hp.mu_m, hp.mu_p
     f1, f2 = eq.f1, eq.f2
     gp, gpp = eq.g1, eq.g2
     E2 = cmath.exp(-2j * w)
-    Ra, _ = _quadratic_rhs(eq, hp, frame, c)
+    Fu, Fv = _forcing(eq, hp, {(0, 0, 0, 0): c}, *_first_order(frame))
+    Ra = (Fu[2, 2, 0, 0], Fv[2, 2, 0, 0])
     det = char_eval(2j * w, hp.char_params())
     a1 = (Ra[0] * (2j * w + es * mu_p) + Ra[1] * es * f1 * E2) / det
     a2 = (Ra[1] * (2j * w + es * mu_m) + Ra[0] * es * gp * E2) / det

@@ -32,12 +32,31 @@ D2 = -6.5777179083724166e-06 - 0.0038578333787710533j
 
 # amplitude-equation coefficients
 KAPPA1 = 0.01841158246680658 + 0.04829902971352043j
+# KAPPA3 at c = 0.01 and 0.05, the kappa3(c) coefficients and C0 come
+# from the hand-written cubic forcing term lists of the earlier normal form
+# with one summand corrected: the c^2 part of its v1 v1d v1d term of the
+# second component carries -2 c^2 mu_p f1 ** 2 (from c^2 G F^2 in
+# G/D = G (1 + cF + c^2 F^2)), where those lists had f1. The values are
+# pointwise evaluations of the lists at each c; C0 is a bracketed root of
+# the pointwise Re kappa3(c), and the coefficients (q2, q1, q0) a
+# least-squares fit to 41 pointwise values on [-2, 2], nodes far enough
+# apart that roundoff barely moves them. The uncorrected lists gave
+# C0 = 0.02394886238700986, and mapped back to these units 0.0139, 0.0091
+# and 0.1429 when time, y, and (time, x, y) were measured in units 3, 7 and
+# (0.5, 4, 0.2) times smaller; the corrected one reads 1.05833960426 in
+# all four (tests/test_normalform.py checks this over random sets). At
+# c = 0.05 the corrected Re kappa3 predicts the r-amplitude a direct run
+# saturates at (tests/test_dde.py); the uncorrected one was positive there.
 KAPPA3 = {
     0.0: -0.0012333366304739383 - 0.0035999966549152963j,
-    0.01: -0.0010133039454526475 - 0.003772331883858693j,
-    0.05: 0.004095915460655672 - 0.007401529830015087j,
+    0.01: -0.00122472932141079 - 0.0036254603477907676j,
+    0.05: -0.0011897189382979022 - 0.003729741428316941j,
 }
-C0 = 0.02394886238700986
+KAPPA3_RE_COEFFS = (0.00029057343014076374, 0.0008578251720136671,
+                    -0.0012333366304739396)
+KAPPA3_IM_COEFFS = (-0.0012131545121497112, -0.002534237742425394,
+                    -0.0035999966549152985)
+C0 = 1.0583396042640731
 
 # second-order response coefficients (a1, a2) and (b1, b2)
 A_COEFF = {

@@ -99,7 +99,8 @@ def test_stability_text_has_crossing_values(tmp_path, capsys):
     assert "0.4703832245" in out
 
 
-@pytest.mark.parametrize("c,word", [(None, "supercritical"), (0.025, "subcritical")])
+@pytest.mark.parametrize("c,word", [(None, "supercritical"), (0.05, "supercritical"),
+                                    (1.2, "subcritical")])
 def test_normal_form_direction(tmp_path, capsys, c, word):
     argv = ["normal-form", "--config", write_cfg(tmp_path)]
     if c is not None:
@@ -508,7 +509,8 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     # f(0)/mu_m brackets the equilibrium; (y/ybar)**h overflows inside it
     ("equilibrium", {"model": {"mu_m": 1e-300}}, 2, "solver error: OverflowError"),
     ("simulate", {"analysis": dict(SIM_ANALYSIS, rtol="x")}, 1, "config error"),
-    # kappa3(c) is read at fixed nodes: fit_points is refused whatever its value
+    # kappa3(c) comes out of one series pass, fit at no points: fit_points
+    # is refused whatever its value
     ("normal-form", {"analysis": {"fit_points": [0.0, 0.01]}}, 1,
      "config error: unknown key(s) fit_points in analysis block"),
     ("simulate", {"analysis": dict(SIM_ANALYSIS, transient_fraction=2)}, 1,

@@ -17,8 +17,8 @@ from oracles import (escape_sweep, scalar_cell_label, threshold_time,
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
                      NoBracket, SlopeBoundWarning, Trajectory,
-                     bump_history, check_compatibility, classify_run,
-                     constant_history, find_equilibrium,
+                     analyze_normal_form, bump_history, check_compatibility,
+                     classify_run, constant_history, find_equilibrium,
                      hes1_params, integrate_sdd, integrate_transformed,
                      measure_oscillation, rhs_transformed, run_perturbed,
                      solve_delay)
@@ -812,6 +812,23 @@ def test_saturated_amplitude_matches_the_weakly_nonlinear_scale():
     delta = 0.1
     predicted = 2.0 * np.sqrt(delta * RV.KAPPA1.real / (-RV.KAPPA3[0.01].real))
     assert 0.5 * predicted <= s.amplitude <= 2.0 * predicted
+
+
+def test_saturated_amplitude_at_c_0_05_is_the_one_kappa3_predicts():
+    # Just past eps0 the cycle's r-amplitude is 2 sqrt(Re kappa1 delta /
+    # -Re kappa3(c)). Runs relax onto it at the rate 2 Re kappa1 delta,
+    # about 1/10900 per eta here, so one kick that starts below the cycle
+    # and one above it are run for three such times: they bracket it.
+    delta = 0.0025
+    p = hes1_params(c=0.05, eps=RV.EPS0 + delta)
+    rep = analyze_normal_form(p)
+    predicted = 2.0 * math.sqrt(rep.kappa1.real * delta / -rep.kappa3.real)
+    eq = find_equilibrium(p)
+    below, above = (measure_oscillation(
+        run_perturbed(p, eq, kick, eta_end=32000.0, rtol=1e-8, atol=1e-9,
+                      n_samples=16000), transient_fraction=0.9).amplitude
+        for kick in (0.07, 0.1))
+    assert 0.99 * predicted <= below <= predicted <= above <= 1.01 * predicted
 
 
 def test_escape_sweep_finds_a_threshold():

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never references, only
 the integrator module loads numpy when it is imported, no package
-module uses dataclasses (its records are NamedTuples), and the sweep's
-lanes call none of numpy's Python-level wrappers.
+module uses dataclasses (its records are NamedTuples), the sweep's
+lanes call none of numpy's Python-level wrappers, and tests/refvals.py
+imports nothing, so no pin in it can be computed by the package.
 
 No linter ships with the project, so these are plain `ast` scans over
 src/ and tests/. For unused imports, package `__init__.py` files are
@@ -139,6 +140,26 @@ def test_no_package_module_imports_dataclasses(path):
     found = dataclasses_imports(path.read_text())
     assert not found, "dataclasses imported at line(s) %s" % ", ".join(
         str(line) for line, _ in found)
+
+
+def import_lines(source):
+    """Line of each import statement, at any depth of the source, and of
+    each reference to __import__."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  or (isinstance(node, ast.Name) and node.id == "__import__"))
+
+
+def test_the_import_scan_flags_every_import():
+    source = ("X = 1\nimport math\nfrom sddhopf import model\n"
+              "def f():\n    from . import dde\n    return __import__('os')\n"
+              "Y = {'import': 2}\n")
+    assert import_lines(source) == [2, 3, 5, 6]
+
+
+def test_refvals_imports_nothing():
+    found = import_lines((ROOT / "tests" / "refvals.py").read_text())
+    assert not found, "tests/refvals.py imports at line(s) %s" % found
 
 
 # numpy functions that are Python wrappers around a C entry point (an

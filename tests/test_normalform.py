@@ -1,17 +1,20 @@
 """Amplitude-equation coefficients: pinned values, closed-vs-direct routes,
-the exact three-node read of kappa3(c), and the constant-delay reduction
-as an external cross-check."""
+the kappa3(c) quadratic of the series pass against pointwise evaluation,
+unit covariance, and the constant-delay reduction as an external
+cross-check."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import refvals as RV
 from hill_sets import draw_hill_params, hill_params
-from oracles import (normal_form_constant_delay, quadratic_coeffs_closed_form,
-                     resonant_by_full_product)
+from oracles import normal_form_constant_delay, quadratic_coeffs_closed_form, smul
 from sddhopf import normalform
-from sddhopf import (Direction, ResonanceViolation, SddhopfError,
+from sddhopf import (Direction, NoSignChange, ResonanceViolation, SddhopfError,
                      analyze_normal_form, classify_direction, critical_c,
                      critical_frame, find_equilibrium, hes1_params,
                      kappa3_quadratic, normal_form, quadratic_coeffs,
@@ -78,10 +81,10 @@ def test_direct_and_closed_routes_agree_on_random_sets(eq, hopf, frame):
     assert checked == 100, "only %d of %d draws were usable" % (checked, draws)
 
 
-def _check_read_matches_pointwise(rep):
-    """analyze_normal_form's kappa3(c), read from the three nodes, against
-    a pointwise quadratic_coeffs + normal_form evaluation, off the nodes
-    and far outside their span."""
+def _check_quadratic_matches_pointwise(rep):
+    """analyze_normal_form's kappa3(c), from the series pass with c as its
+    variable, against a pointwise quadratic_coeffs + normal_form evaluation
+    at c values from near 0 to past the standard set's c0."""
     eq, hp = rep.eq, rep.hopf
     fr = critical_frame(eq, hp)
     for c in (0.025, 0.03, 0.3, 1.2, rep.c):
@@ -90,22 +93,8 @@ def _check_read_matches_pointwise(rep):
         assert abs(got - want) <= 1e-10 * abs(want), (rep.eq, rep.hopf, c, got, want)
 
 
-def test_kappa3_read_from_the_nodes_is_exact_on_the_standard_set():
-    _check_read_matches_pointwise(analyze_normal_form(hes1_params(c=0.01, eps=6.0)))
-
-
-def test_kappa3_read_from_the_nodes_is_exact_on_random_sets():
-    rng = np.random.default_rng(20261018)
-    checked, draws = 0, 0
-    while checked < 50 and draws < 200:
-        draws += 1
-        try:
-            rep = analyze_normal_form(draw_hill_params(rng))
-        except SddhopfError:
-            continue
-        _check_read_matches_pointwise(rep)
-        checked += 1
-    assert checked == 50, "only %d of %d draws were usable" % (checked, draws)
+def test_kappa3_quadratic_matches_pointwise_on_the_standard_set():
+    _check_quadratic_matches_pointwise(analyze_normal_form(hes1_params(c=0.01, eps=6.0)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -115,7 +104,7 @@ def test_kappa3_is_exactly_quadratic_in_c_property(p):
         rep = analyze_normal_form(p)
     except SddhopfError:
         assume(False)
-    _check_read_matches_pointwise(rep)
+    _check_quadratic_matches_pointwise(rep)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.01, 0.05])
@@ -135,6 +124,9 @@ def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
     im_fit = np.polyfit(cs, [v.imag for v in vals], 2)
     assert np.allclose(poly.re_coeffs, re_fit, rtol=1e-8)
     assert np.allclose(poly.im_coeffs, im_fit, rtol=1e-8)
+    # and the coefficients of the wide-node fit, which roundoff barely moves
+    assert poly.re_coeffs == pytest.approx(RV.KAPPA3_RE_COEFFS, rel=1e-12)
+    assert poly.im_coeffs == pytest.approx(RV.KAPPA3_IM_COEFFS, rel=1e-12)
     # a fourth point must sit on the same parabola if the dependence
     # really is quadratic
     c4 = 0.03
@@ -144,42 +136,28 @@ def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
     assert np.polyval(poly.im_coeffs, c4) == pytest.approx(k4.imag, rel=1e-10)
 
 
-@pytest.mark.parametrize("c", [0.0, 0.01, 0.05])
-def test_resonant_read_matches_the_full_product_on_every_chi_triple(
-        monkeypatch, eq, hopf, frame, c):
-    triples = []
-
-    def recorded(coeff_and_signals):
-        triples.extend(coeff_and_signals)
-        return resonant(coeff_and_signals)
-
-    resonant = normalform._resonant
-    monkeypatch.setattr(normalform, "_resonant", recorded)
-    normal_form(eq, hopf, frame, quadratic_coeffs(eq, hopf, frame, c))
-    assert len(triples) == 27
-    for _, *signals in triples:
-        # unit coefficient: the c-multiplied ones vanish at c = 0
-        triple = (1.0, *signals)
-        want = resonant_by_full_product(*triple)
-        assert abs(resonant([triple]) - want) <= 1e-14 * abs(want), triple
-
-
-def test_resonant_read_matches_the_full_product_on_random_signals():
+def test_pruned_product_matches_the_full_product_on_random_signals():
     rng = np.random.default_rng(7)
 
     def signal():
-        keys = {(int(rng.integers(-2, 3)), int(rng.integers(0, 3)),
-                 int(rng.integers(0, 2))) for _ in range(rng.integers(1, 9))}
+        keys = {(int(rng.integers(-2, 3)), int(rng.integers(0, 4)),
+                 int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+                for _ in range(rng.integers(1, 9))}
         return {k: complex(*rng.normal(size=2)) for k in keys}
 
-    hits = 0
+    resonant = pruned = 0
     for _ in range(500):
-        triple = (complex(*rng.normal(size=2)), signal(), signal(), signal())
-        want = resonant_by_full_product(*triple)
-        got = normalform._resonant([triple])
-        assert abs(got - want) <= 1e-14 * abs(want), triple
-        hits += want != 0
-    assert hits >= 100          # enough draws with a resonant term
+        s1, s2 = signal(), signal()
+        full = smul(s1, s2)
+        want = {k: v for k, v in full.items() if k[1] <= 2 and k[2] <= 1}
+        got = normalform._mul(s1, s2)
+        assert got.keys() == want.keys()
+        for k, v in want.items():
+            assert abs(got[k] - v) <= 1e-14 * max(1.0, abs(v)), (s1, s2, k)
+        resonant += any(k[:3] == (1, 2, 1) for k in want)
+        pruned += len(full) > len(want)
+    # enough draws that reach the resonant key, and that drop keys
+    assert resonant >= 40 and pruned >= 100
 
 
 def test_critical_c_matches_pinned(eq, hopf, frame):
@@ -198,7 +176,8 @@ def test_direction_classification():
 
 @pytest.mark.parametrize("c,expected", [
     (0.01, Direction.SUPERCRITICAL),
-    (0.025, Direction.SUBCRITICAL),
+    (0.05, Direction.SUPERCRITICAL),
+    (1.2, Direction.SUBCRITICAL),
 ])
 def test_report_direction_flips_across_critical_c(c, expected):
     rep = analyze_normal_form(hes1_params(c=c, eps=6.0))
@@ -206,6 +185,41 @@ def test_report_direction_flips_across_critical_c(c, expected):
     assert rep.c == c
     assert rep.c0 == pytest.approx(RV.C0, rel=1e-10)
     assert rep.kappa1 == pytest.approx(RV.KAPPA1, rel=1e-12)
+
+
+def rescaled(p, k, sx, sy):
+    """p in the units where time, x and y read k, sx and sy times smaller:
+    t = k T, x = sx X, y = sy Y. The Hill feedback and the linear
+    production keep their form, and the threshold law
+    tau / k = eps / k + (c sx / k)(X - X(T - tau / k)) sets eps and c."""
+    f, g = p.nonlinearity.f, p.nonlinearity.g
+    return hes1_params(c=p.c * sx / k, eps=p.eps / k, mu_m=k * p.mu_m,
+                       mu_p=k * p.mu_p, alpha_m=k * f.alpha_m / sx,
+                       ybar=f.ybar / sy, h=f.h, alpha_p=k * g.slope * sx / sy)
+
+
+def _c0(rep):
+    try:
+        return critical_c(rep.poly, c_max=math.inf)
+    except NoSignChange:
+        return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(hill_params(), st.tuples(*[st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)] * 3))
+def test_hopf_point_and_direction_do_not_depend_on_the_units(p, scales):
+    k, sx, sy = scales
+    try:
+        rep = analyze_normal_form(p)
+    except SddhopfError:
+        assume(False)
+    other = analyze_normal_form(rescaled(p, k, sx, sy))
+    assert other.hopf.eps0 * k == pytest.approx(rep.hopf.eps0, rel=1e-9)
+    assert other.direction is rep.direction
+    c0, c0_other = _c0(rep), _c0(other)
+    assert (c0 is None) == (c0_other is None)
+    if c0 is not None:
+        assert c0_other * k / sx == pytest.approx(c0, rel=1e-8)
 
 
 def test_constant_delay_reduction_matches_general_pipeline(eq, hopf, frame):

@@ -1,21 +1,20 @@
 """Time-domain integration of the delayed systems.
 
 Method of steps with an explicit Dormand-Prince 5(4) pair and a quartic
-dense-output interpolant. Delay lookups always go through the dense
-history, never raw sample points; for the state-dependent system every
-stage solves its own threshold equation tau = eps + c (x(t) - x(t-tau)).
-Steps are capped so no delayed argument lands beyond the dense frontier,
-and the first few generations of the initial discontinuity get a step-size
-cap near their predicted images rather than exact tracking (the error
-control absorbs the residue).
+dense-output interpolant on the unit-delay system. Delay lookups go
+through the dense history, steps are capped so no delayed argument passes
+its frontier, and the first three unit breakpoints are hit exactly. A run
+ends at D = 1 - c x' <= 1e-3 (model.DENOMINATOR_FLOOR) with status
+denominator_breach.
+
+An original-time run is the time map of one such run: t(eta) = t0 + eps eta
++ c (r(eta) - r(0)) (H. L. Smith, Math. Biosci. 1993) takes the unit-delay
+system exactly onto the threshold-delay one, with x(t(eta)) = r(eta) and
+tau(t(eta)) = eps + c (r(eta) - r(eta - 1)).
 
 The step loop runs on plain floats: for a two-component state the
 per-call overhead of numpy outweighs its arithmetic. Everything after
 integration (sampling, the delay column) is vectorised over the samples.
-
-Both forms end a run at one bound, D = 1 - c x' <= 1e-3
-(model.DENOMINATOR_FLOOR), i.e. c x' >= 1 - 1e-3: the original-time run
-with status b2_violation, the transformed one with denominator_breach.
 """
 
 import bisect
@@ -65,7 +64,6 @@ _MAX_STEPS = 2_000_000      # step budget of one run, rejected tries included
 _COMPAT_TOL = 1e-8          # bound on the scaled compatibility residuals
 
 STATUS_COMPLETED = "completed"
-STATUS_B2 = "b2_violation"
 STATUS_BREACH = "denominator_breach"
 STATUS_NONFINITE = "nonfinite"
 STATUS_STALLED = "stalled"
@@ -76,13 +74,13 @@ class _BeyondFrontier(Exception):
 
 
 class _Abort(Exception):
-    """Internal: terminate the run with a status instead of raising."""
+    """Internal: end the run with a status at (t, r) instead of raising."""
 
-    def __init__(self, status, t, detail):
+    def __init__(self, status, t, r, detail):
         super().__init__(detail)
         self.status = status
         self.t = t
-        self.detail = detail
+        self.r = r
 
 
 # -- histories ----------------------------------------------------------------
@@ -272,42 +270,33 @@ class History:
 
 # -- threshold-delay solve ------------------------------------------------------
 
-def _slope_bound_hit(t, c, slope, events, warn):
-    if warn:
-        warnings.warn("c|x'| = %.3f >= 1 at t = %.6g; threshold root "
-                      "may be non-unique" % (c * abs(slope), t), SlopeBoundWarning)
-    if events is not None:
-        events.append({"t": t, "kind": "slope_bound",
-                       "detail": float(c * abs(slope))})
-
-
 def solve_delay(t, x_now, history: History, params: ModelParams,
-                tau_prev=None, events=None, in_run=False):
+                tau_prev=None, events=None):
     """Solve tau = eps + c (x_now - x(t - tau)) to |residual| <= 1e-12 max(eps, tau).
 
     Newton iteration on g(tau) = tau - eps - c (x_now - x(t - tau)),
-    g' = 1 - c x'(t - tau), seeded at the previous stage's tau. Each
-    iteration makes one history lookup, which gives x and x' together. A
-    step falls back to the damped fixed-point step tau - damp g once g'
-    drops below 1/2 or |g| stops shrinking; a bracketed scalar solve is
-    the last resort. The contraction constant is c |x'| over the delay
-    interval; when it reaches 1 at the root the root may not be unique,
-    which is reported as a SlopeBoundWarning, not an error.
+    g' = 1 - c x'(t - tau), seeded at tau_prev. Each iteration makes one
+    history lookup, which gives x and x' together. A step falls back to
+    the damped fixed-point step tau - damp g once g' drops below 1/2 or |g|
+    stops shrinking; a bracketed scalar solve is the last resort. The root
+    is simple while g' > 0 there, i.e. c x' < 1, the model's D > 0; a root
+    with c x' >= 1 may not be unique, which is reported as a
+    SlopeBoundWarning and a slope_bound event whose detail is the signed
+    c x', not an error.
 
-    A run's stage passes in_run: it gets (tau, x, y), the state at t - tau
-    from the converged lookup, and a slope-bound hit goes to events alone
-    (the run warns once for all its hits). Otherwise tau is returned.
+    No run calls this: an original-time run is the time map of a unit-delay
+    run (integrate_sdd). It solves the threshold equation on a history.
     """
     eps, c = params.eps, params.c
     if c == 0.0:
-        return (eps,) + history.eval(t - eps) if in_run else eps
+        return eps
 
     tau = float(tau_prev) if tau_prev and tau_prev > 0 else eps
     converged = False
     damp = 1.0
     prev_abs = math.inf
     for _ in range(60):
-        x_back, y_back, slope = history.eval(t - tau, True)
+        x_back, _, slope = history.eval(t - tau, True)
         gv = tau - eps - c * (x_now - x_back)
         if abs(gv) <= 1e-13 * max(eps, tau):
             converged = True
@@ -336,60 +325,15 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
         if abs(g(tau)) > 1e-12 * max(eps, tau):
             raise NoConvergence("threshold residual %.3e at t = %.6g"
                                 % (g(tau), t))
-        x_back, y_back, slope = history.eval(t - tau, True)
+        slope = history.eval(t - tau, True)[2]
 
-    # uniqueness bound: c |x'| < 1 at the root
-    if c * abs(slope) >= 1.0:
-        _slope_bound_hit(t, c, slope, events, warn=not in_run)
-    return (tau, x_back, y_back) if in_run else tau
-
-
-def _sample_delays(history: History, params: ModelParams, ts, xs, tau_seed,
-                   events):
-    """solve_delay at every sample at once, slope-bound hits going to
-    events as in a run's stages.
-
-    One vectorised sweep over all samples, each element following the
-    scalar iteration and stopping on the scalar criterion; samples it
-    leaves unconverged go to solve_delay, seeded with the previous
-    sample's delay.
-    """
-    eps, c = params.eps, params.c
-    n = len(ts)
-    if c == 0.0 or not n:
-        return np.full(n, eps)
-    tau = np.full(n, float(tau_seed) if tau_seed and tau_seed > 0 else eps)
-    damp = np.ones(n)
-    prev_abs = np.full(n, math.inf)
-    slope = np.zeros(n)         # x' at each converged root
-    active = np.arange(n)
-    for _ in range(60):
-        if not len(active):
-            break
-        ta = tau[active]
-        back = history.eval_many(ts[active] - ta, slope=True)
-        gv = ta - eps - c * (xs[active] - back[:, 0])
-        abs_g = np.abs(gv)
-        going = abs_g > 1e-13 * np.maximum(eps, ta)
-        damp[active] = np.where(abs_g >= prev_abs[active], 0.5, damp[active])
-        prev_abs[active] = abs_g
-        dg = 1.0 - c * back[:, 2]
-        use_newton = (damp[active] == 1.0) & (dg >= 0.5)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = np.where(use_newton, ta - gv / dg, ta - damp[active] * gv)
-        new = np.where(new > 0, new, 0.5 * ta)
-        slope[active[~going]] = back[~going, 2]
-        active = active[going]
-        tau[active] = new[going]
-
-    for k in active:
-        tau[k] = solve_delay(float(ts[k]), float(xs[k]), history, params,
-                             tau_prev=tau[k - 1] if k else tau_seed,
-                             events=events, in_run=True)[0]
-    checked = np.ones(n, dtype=bool)
-    checked[active] = False                 # solve_delay checked these itself
-    for k in np.flatnonzero(checked & (c * np.abs(slope) >= 1.0)):
-        _slope_bound_hit(float(ts[k]), c, float(slope[k]), events, warn=False)
+    # a simple root needs g' = 1 - c x' > 0 there
+    if c * slope >= 1.0:
+        warnings.warn("c x' = %.3f >= 1 at t = %.6g; threshold root may be "
+                      "non-unique" % (c * slope, t), SlopeBoundWarning)
+        if events is not None:
+            events.append({"t": t, "kind": "slope_bound",
+                           "detail": float(c * slope)})
     return tau
 
 
@@ -442,16 +386,13 @@ _COLUMNS = {"original": ("t", "x", "y", "tau"), "transformed": ("eta", "r", "xi"
 
 class RunStats(NamedTuple):
     """What one run did: accepted and error-rejected steps, tries halved
-    because a delayed argument passed the dense frontier, stage (RHS)
-    evaluations that returned, the initial slope included, and threshold
-    roots found with c|x'| >= 1 (the run's slope_bound events, stages and
-    samples)."""
+    because a delayed argument passed the dense frontier, and stage (RHS)
+    evaluations that returned, the initial slope included."""
 
     steps_accepted: int
     steps_rejected: int
     frontier_halvings: int
     stage_evals: int
-    slope_bound_hits: int
 
 
 class Trajectory(NamedTuple):
@@ -462,7 +403,7 @@ class Trajectory(NamedTuple):
     status: str
     events: List[dict]
     monitors: dict
-    history: History
+    history: History           # the unit-delay run's, in eta for both kinds
     t_final: float
     stats: Optional[RunStats] = None    # None when no step loop made it
 
@@ -471,56 +412,84 @@ class Trajectory(NamedTuple):
         return _COLUMNS[self.kind]
 
 
-def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
-               sample_times, system) -> Trajectory:
-    """The embedded-pair loop both systems share, from initial data to the
-    sampled Trajectory.
+def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
+               fixed_h, eta_end, t_map=None):
+    """The embedded-pair loop of the unit-delay system, from initial data on
+    [t0 - 1, t0] to eta_end. With t_map = (t_origin, t_end), t0 = 0 and
+    eta_end = inf, it runs until t(eta) = t_origin + eps eta + c (r(eta) -
+    r(0)) reaches t_end, and its event and end times are t(eta).
 
-    system(hist, events, monitors) returns the form's own parts:
-    stage(t, x, y) -> (x', y', aux) as floats, aux being the original
-    form's delay and the transformed form's denominator; cap_h(t, h, aux)
-    -> the step to try; on_accept(t_new, x, y, K, aux) for its extra
-    monitors; delay_column(ts, states) -> the delay at the samples, called
-    once after the step loop. The loop itself records the two component
-    minima, the positivity event and the RunStats, and turns an abort into
-    the run's status and its last event, after any events the sampling
-    adds. A run with slope_bound events warns once for all of them. fixed_h
-    disables error control (every step accepted at that size, still capped
-    by the frontier rules); used for order studies.
+    Returns the history, the events (an abort's last), the monitors, the
+    status, the time reached and the RunStats. fixed_h disables error
+    control (used for order studies).
     """
     hist = History(initial)
     events: List[dict] = []
-    min_x_key, min_y_key = ("min_" + col for col in _COLUMNS[kind][1:3])
-    monitors = {min_x_key: math.inf, min_y_key: math.inf}
-    stage, cap_h, on_accept, delay_column = system(hist, events, monitors)
+    eps, c = params.eps, params.c
+    t0 = initial.t0
     stage_evals = rejected = halvings = 0
     # a try's stage slopes stay None until their stage returns, so a try
     # cut short still tells how many stages it evaluated
     k2x = k3x = k4x = k5x = k6x = k7x = None
-    min_x = min_y = math.inf
+    min_x = min_y = min_denominator = math.inf
     positive = True
-    t = initial.t0
+    t = t0
     x, y = (float(v) for v in initial.value(t))
-    h_next = fixed_h if fixed_h else h0
-    stop = None
+    r0 = x
+    if t_map is None:
+        end = eta_end - 1e-12 * max(1.0, abs(eta_end))
+
+        def clock(eta, r):
+            return eta
+    else:
+        t_origin, end = t_map
+
+        def clock(eta, r):
+            return t_origin + eps * eta + c * (r - r0)
+
+    breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
+    # the last lookup: stages 6 and 7 of a try both take t + h, and no
+    # other stage of the run repeats a t
+    looked_up = delayed = None
+
+    def stage(s, r, xi):
+        # (r', xi', D); the local delay k is left out: the samples' delay
+        # column recomputes it
+        nonlocal looked_up, delayed
+        if s != looked_up:
+            delayed = hist.eval(s - 1.0)
+            looked_up = s
+        try:
+            return checked_slopes((r, xi), delayed, params)
+        except OverflowError:
+            raise _Abort(STATUS_NONFINITE, s, r, "feedback overflow")
+        except DenominatorBreach as exc:
+            raise _Abort(STATUS_BREACH, s, r, str(exc))
+
+    h_next = fixed_h if fixed_h else min(0.1, eta_end - t0)
+    status = STATUS_COMPLETED
     try:
-        f1x, f1y, aux_now = stage(t, x, y)
+        f1x, f1y, _ = stage(t, x, y)
         stage_evals = 1
         if not (math.isfinite(f1x) and math.isfinite(f1y)):
-            raise _Abort(STATUS_NONFINITE, t, "nonfinite initial slope")
+            raise _Abort(STATUS_NONFINITE, t, x, "nonfinite initial slope")
         steps = 0
-        while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+        while clock(t, x) < end:
             if steps >= _MAX_STEPS:
-                raise NoConvergence("step budget exhausted at t = %.6g" % t)
-            h = cap_h(t, min(h_next, t_end - t), aux_now)
+                raise NoConvergence("step budget exhausted at t = %.6g" % clock(t, x))
+            h = min(min(h_next, eta_end - t), 1.0)
+            while breakpoints and t >= breakpoints[0] - 1e-9:
+                breakpoints.pop(0)
+            if breakpoints and t + h > breakpoints[0]:
+                h = breakpoints[0] - t
             while True:
                 steps += 1
                 k2x = k3x = k4x = k5x = k6x = k7x = None
                 if h <= 1e-12 * max(1.0, abs(t)):
                     # forced singularity in the feedback, typically the
                     # repression pole swept by non-positive initial data
-                    raise _Abort(STATUS_STALLED, t,
-                                 "step size underflow at t = %.6g" % t)
+                    raise _Abort(STATUS_STALLED, t, x,
+                                 "step size underflow at t = %.6g" % clock(t, x))
                 try:
                     k2x, k2y, _ = stage(t + _C2 * h, x + h * (_A21 * f1x),
                                         y + h * (_A21 * f1y))
@@ -545,7 +514,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                     y_new = y + h * (_B1 * f1y + _B3 * k3y + _B4 * k4y
                                      + _B5 * k5y + _B6 * k6y)
                     t_new = t + h
-                    k7x, k7y, aux_new = stage(t_new, x_new, y_new)
+                    k7x, k7y, d_new = stage(t_new, x_new, y_new)
                 except _BeyondFrontier:
                     halvings += 1
                     stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
@@ -555,7 +524,7 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
                      k6x, k6y, k7x, k7y)
                 if not (all(map(math.isfinite, K)) and math.isfinite(x_new)
                         and math.isfinite(y_new)):
-                    raise _Abort(STATUS_NONFINITE, t,
+                    raise _Abort(STATUS_NONFINITE, t, x,
                                  "state or slope became nonfinite")
                 stage_evals += 6
                 if fixed_h:
@@ -577,117 +546,135 @@ def _integrate(kind, initial: InitialHistory, t_end, rtol, atol, h0, fixed_h,
             min_y = min(min_y, y_new)
             now_positive = x_new > 0 and y_new > 0
             if positive and not now_positive:
-                events.append({"t": t_new, "kind": "positivity",
+                events.append({"t": clock(t_new, x_new), "kind": "positivity",
                                "detail": (x_new, y_new)})
             positive = now_positive
-            on_accept(t_new, x_new, y_new, K, aux_new)
+            if c > 0:
+                # D of the try's last stage, the one at t_new
+                min_denominator = min(min_denominator, d_new)
             t, x, y = t_new, x_new, y_new
-            f1x, f1y, aux_now = k7x, k7y, aux_new
+            f1x, f1y = k7x, k7y
             h_next = fixed_h if fixed_h else h * (
                 _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2))
-        t_reached = t
     except _Abort as abort:
         # the stages the aborted try evaluated, none when it is the
         # initial slope or a stall
         stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
-        stop = abort
-        t_reached = hist.frontier
-    monitors[min_x_key], monitors[min_y_key] = min_x, min_y
+        status = abort.status
+        events.append({"t": clock(abort.t, abort.r), "kind": abort.status,
+                       "detail": str(abort)})
+    monitors = {"min_r": min_x, "min_xi": min_y, "min_denominator": min_denominator}
+    stats = RunStats(steps_accepted=len(hist._ends), steps_rejected=rejected,
+                     frontier_halvings=halvings, stage_evals=stage_evals)
+    return hist, events, monitors, status, clock(t, x), stats
 
+
+def _sample_times(sample_times, first, reached):
+    """The sample times up to the time reached, by default 513 from first."""
     if sample_times is None:
-        sample_times = np.linspace(initial.t0, t_reached, 513)
+        sample_times = np.linspace(first, reached, 513)
     ts = np.asarray(sample_times, dtype=float)
-    ts = ts[ts <= t_reached + 1e-10 * max(1.0, abs(t_reached))]
-    states = hist.eval_many(ts)
-    delay = delay_column(ts, states)
-    hits = [ev["detail"] for ev in events if ev["kind"] == "slope_bound"]
-    if hits:
-        warnings.warn("%d threshold roots with c|x'| >= 1 (up to %.3f) in "
-                      "this run; the delay may be non-unique there"
-                      % (len(hits), max(hits)), SlopeBoundWarning)
-    if stop is not None:
-        events.append({"t": stop.t, "kind": stop.status, "detail": stop.detail})
-    return Trajectory(kind=kind, t=ts, states=states, delay=delay,
-                      status=stop.status if stop else STATUS_COMPLETED,
-                      events=events, monitors=monitors, history=hist,
-                      t_final=t_reached,
-                      stats=RunStats(steps_accepted=len(hist._ends),
-                                     steps_rejected=rejected,
-                                     frontier_halvings=halvings,
-                                     stage_evals=stage_evals,
-                                     slope_bound_hits=len(hits)))
+    return ts[ts <= reached + 1e-10 * max(1.0, abs(reached))]
+
+
+def _delays(hist: History, etas, r, params: ModelParams):
+    """k(eta) = eps + c (r(eta) - r(eta - 1)), which is also tau at t(eta)."""
+    return params.eps + params.c * (r - hist.eval_many(etas - 1.0)[:, 0])
+
+
+def _eta_history(history: InitialHistory, params: ModelParams) -> InitialHistory:
+    """The unit-delay data on [-1, 0] that t(eta) maps onto original-time
+    data: r(eta) = x(s) where h(s) = s - t0 - c (x(s) - x(t0)) - eps eta = 0,
+    by Newton's method kept inside [s_min, t0], where h changes sign (data
+    with c x' >= 1 still maps). Its slope is eps x'(s) / (1 - c x'(s))."""
+    source = History(history)     # x' at s, the constant extension included
+    eps, c, t0 = params.eps, params.c, history.t0
+    x0 = source.eval(t0)[0]
+    s_min = t0 - 2.0 * (eps + c * source.x_span())
+
+    def point(eta):
+        eta = min(max(eta, -1.0), 0.0)
+        lo, hi, s = s_min, t0, t0 + eps * eta
+        for _ in range(100):
+            x, y, dx = source.eval(s, True)
+            h = s - t0 - c * (x - x0) - eps * eta
+            step = h / (1.0 - c * dx) if c * dx < 1.0 else math.inf
+            if abs(step) <= 1e-14 * max(eps, abs(s)):
+                return s, x, y, dx
+            lo, hi = (s, hi) if h < 0 else (lo, s)
+            s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+        raise NoConvergence("the initial data has no time change onto "
+                            "eta = %.6g" % eta)
+
+    def derivative(eta):
+        s, _, _, dx = point(eta)
+        dy = history.derivative(s)[1] if s >= t0 - history.span else 0.0
+        rate = eps / (1.0 - c * dx)
+        return dx * rate, dy * rate
+
+    return InitialHistory(value=lambda eta: point(eta)[1:3],
+                          derivative=derivative if history.derivative else None,
+                          t0=0.0, span=1.0)
 
 
 def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
-                  rtol=1e-8, atol=1e-9, sample_times=None, force=False,
-                  fixed_h=None) -> Trajectory:
-    """Integrate the original threshold-delay system from C^1 initial data.
+                  rtol=1e-8, atol=1e-9, sample_times=None, force=False) -> Trajectory:
+    """Integrate the original threshold-delay system from C^1 initial data
+    as the time map of one unit-delay run (see the module docstring).
 
-    Every stage solves its own threshold equation against the dense
-    history. A stage with D = 1 - c x' <= DENOMINATOR_FLOOR, i.e.
-    c x' >= 1 - DENOMINATOR_FLOOR, ends the run with status b2_violation:
-    the delay law degenerates at D = 0, and the transformed form stops at
-    the same bound. Positivity and slope monitors are recorded per
-    accepted step.
+    It ends denominator_breach where integrate_transformed does. Event
+    times and t_final are in t; Trajectory.history is the unit-delay run's.
+    Monitors: the component minima, tau and x' = r' / t'(eta) at the step
+    ends, the bound on x', and the largest |t(eta) - t| at the samples.
     """
     report = check_compatibility(history, tau0, params)
     if not report.passed and not force:
         raise IncompatibleData("compatibility residuals (%.2e, %.2e, %.2e) "
                                "exceed %g" % (report.residual_x, report.residual_y,
                                               report.residual_tau, _COMPAT_TOL))
+    eps, c, t0 = params.eps, params.c, history.t0
+    mapped = _eta_history(history, params)
+    hist, events, loop, status, t_reached, stats = _integrate(
+        mapped, params, rtol, atol, None, math.inf, (t0, t_end))
+    t_final = min(t_end, t_reached)
+    ts = _sample_times(sample_times, t0, t_final)
 
-    def system(hist, events, monitors):
-        f_map = params.nonlinearity.f
-        dx_bound = min((1.0 - DENOMINATOR_FLOOR) / params.c if params.c > 0
-                       else math.inf,
-                       f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf)
-        monitors.update(min_tau=math.inf, max_dx=-math.inf, dx_bound=dx_bound,
-                        max_threshold_residual=0.0)
-        tau_hint, max_residual = tau0, 0.0
+    # eta at every sample: Newton on the rising t(eta) = t, bisecting the
+    # bracket of the points tried where a step leaves it; it ends one step
+    # after the first that moves no eta by more than 1e-8 relative
+    r0 = mapped.value(0.0)[0]
+    dt = ts - t0
+    lo, hi = np.full(len(ts), -np.inf), np.full(len(ts), hist.frontier)
+    eta = np.minimum(dt / eps, hi)
+    done = False
+    for _ in range(100):
+        rows = hist.eval_many(eta, slope=True)
+        resid = eps * eta + c * (rows[:, 0] - r0) - dt
+        if done:
+            break
+        lo = np.where(resid < 0.0, eta, lo)
+        hi = np.where(resid > 0.0, eta, hi)
+        new = eta - resid / (eps + c * rows[:, 2])
+        new = np.where((new > lo) & (new < hi) | (new == eta), new, 0.5 * (lo + hi))
+        done = not np.any(np.abs(new - eta) > 1e-8 * (1.0 + np.abs(eta)))
+        eta = new
 
-        def stage(t, x, y):
-            nonlocal tau_hint, max_residual
-            tau, x_back, y_back = solve_delay(t, x, hist, params, tau_prev=tau_hint,
-                                              events=events, in_run=True)
-            tau_hint = tau
-            try:
-                (dx, dy), resid = rhs_original((x, y), (x_back, y_back), tau, params)
-            except OverflowError:
-                raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
-            if 1.0 - params.c * dx <= DENOMINATOR_FLOOR:
-                raise _Abort(STATUS_B2, t, "c x' = %.6g >= 1 - %g"
-                             % (params.c * dx, DENOMINATOR_FLOOR))
-            max_residual = max(max_residual, abs(resid))
-            return dx, dy, tau
-
-        # image of the initial discontinuity point and its first generations
-        pending = [[history.t0, 0]]
-
-        def cap_h(t, h, tau_now):
-            h = min(h, 0.85 * tau_now)
-            while pending and t - tau_now >= pending[0][0] - 1e-12:
-                b, gen = pending.pop(0)
-                if gen < 3:
-                    pending.append([t, gen + 1])
-            if pending:
-                image = pending[0][0] + tau_now
-                if t < image < t + h:
-                    h = max(image - t, 1e-3 * tau_now)
-            return h
-
-        def on_accept(t_new, x, y, K, tau_new):
-            monitors["min_tau"] = min(monitors["min_tau"], tau_new)
-            monitors["max_dx"] = max(monitors["max_dx"], max(K[0::2]))
-
-        def delay_column(ts, states):
-            monitors["max_threshold_residual"] = max_residual
-            return _sample_delays(hist, params, ts, states[:, 0], tau_hint, events)
-
-        return stage, cap_h, on_accept, delay_column
-
-    return _integrate("original", history, t_end, rtol, atol,
-                      min(0.1 * tau0, t_end - history.t0), fixed_h, sample_times,
-                      system)
+    ends = np.array(hist._ends)
+    at_ends = hist.eval_many(ends, slope=True)
+    f_map = params.nonlinearity.f
+    monitors = {
+        "min_x": loop["min_r"], "min_y": loop["min_xi"],
+        "min_tau": float(np.min(_delays(hist, ends, at_ends[:, 0], params),
+                                initial=math.inf)),
+        "max_dx": float(np.max(at_ends[:, 2] / (eps + c * at_ends[:, 2]),
+                               initial=-math.inf)),
+        "dx_bound": min((1.0 - DENOMINATOR_FLOOR) / c if c > 0 else math.inf,
+                        f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf),
+        "max_threshold_residual": float(np.max(np.abs(resid), initial=0.0))}
+    return Trajectory(kind="original", t=ts, states=rows[:, :2].copy(),
+                      delay=_delays(hist, eta, rows[:, 0], params), status=status,
+                      events=events, monitors=monitors, history=hist,
+                      t_final=t_final, stats=stats)
 
 
 def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
@@ -697,56 +684,19 @@ def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
 
     Initial data covers [t0 - 1, t0]. The first three unit breakpoints are
     hit exactly. A stage with D <= DENOMINATOR_FLOOR (c x' >= 1 -
-    DENOMINATOR_FLOOR, the bound integrate_sdd ends at) ends the run with
-    status denominator_breach, keeping the partial trajectory.
+    DENOMINATOR_FLOOR) ends the run with status denominator_breach,
+    keeping the partial trajectory.
     """
     if history.span < 1.0 - 1e-12:
         raise HistoryTooShort("transformed system needs one delay unit of data")
-    t0 = history.t0
-
-    def system(hist, events, monitors):
-        monitors["min_denominator"] = math.inf
-        # the last lookup: stages 6 and 7 of a try both take t + h, and no
-        # other stage of the run repeats a t
-        looked_up, delayed = None, None
-
-        def stage(t, r, xi):
-            # the local delay k is left out: the samples' delay column
-            # recomputes it
-            nonlocal looked_up, delayed
-            if t != looked_up:
-                delayed = hist.eval(t - 1.0)
-                looked_up = t
-            try:
-                return checked_slopes((r, xi), delayed, params)
-            except OverflowError:
-                raise _Abort(STATUS_NONFINITE, t, "feedback overflow")
-            except DenominatorBreach as exc:
-                raise _Abort(STATUS_BREACH, t, str(exc))
-
-        breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
-
-        def cap_h(t, h, _denominator):
-            h = min(h, 1.0)
-            while breakpoints and t >= breakpoints[0] - 1e-9:
-                breakpoints.pop(0)
-            if breakpoints and t + h > breakpoints[0]:
-                h = breakpoints[0] - t
-            return h
-
-        def on_accept(t_new, r, xi, K, denominator):
-            # D of the try's last stage, the one at t_new
-            if params.c > 0:
-                monitors["min_denominator"] = min(monitors["min_denominator"],
-                                                  denominator)
-
-        def delay_column(ts, states):
-            return params.eps + params.c * (states[:, 0] - hist.eval_many(ts - 1.0)[:, 0])
-
-        return stage, cap_h, on_accept, delay_column
-
-    return _integrate("transformed", history, eta_end, rtol, atol,
-                      min(0.1, eta_end - t0), fixed_h, sample_times, system)
+    hist, events, monitors, status, eta_reached, stats = _integrate(
+        history, params, rtol, atol, fixed_h, eta_end)
+    etas = _sample_times(sample_times, history.t0, eta_reached)
+    states = hist.eval_many(etas)
+    return Trajectory(kind="transformed", t=etas, states=states,
+                      delay=_delays(hist, etas, states[:, 0], params),
+                      status=status, events=events, monitors=monitors,
+                      history=hist, t_final=eta_reached, stats=stats)
 
 
 # -- oscillation measurement -----------------------------------------------------

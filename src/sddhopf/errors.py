@@ -84,5 +84,6 @@ class IncompatibleData(IntegrationError):
 
 
 class SlopeBoundWarning(UserWarning):
-    """c * |slope of x over the delay interval| >= 1: the threshold equation
-    may have multiple roots. Solve proceeds; result recorded with a warning."""
+    """c x' >= 1 at a threshold root, where g'(tau) = 1 - c x'(t - tau) <= 0:
+    the threshold equation may have multiple roots. Solve proceeds; result
+    recorded with a warning."""

@@ -9,12 +9,13 @@ The original system in t-time:
 Rescaling time by the threshold condition turns it into a unit-delay
 system in eta-time with a shared denominator D = 1 - c(-mu_m r + f(xi_1));
 setting c = 0 gives the plain constant-delay system. Both RHS evaluations
-live here so every downstream stage pulls from one place.
+live here. Every run steps the unit-delay one, an original-time run being
+the time map of a unit-delay run (dde.integrate_sdd); the original one
+checks initial data (dde.check_compatibility).
 
 The threshold law defines the delay uniquely only while D = 1 - c x' > 0.
-Both forms end a run at one bound short of that pole, D <= 1e-3
-(DENOMINATOR_FLOOR), i.e. c x' >= 1 - 1e-3: the transformed RHS raises
-DenominatorBreach there and the original-time run ends b2_violation.
+A run ends at one bound short of that pole, D <= 1e-3 (DENOMINATOR_FLOOR),
+i.e. c x' >= 1 - 1e-3, where the transformed RHS raises DenominatorBreach.
 """
 
 import math

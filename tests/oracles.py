@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from sddhopf.dde import InitialHistory, bump_history, classify_run, run_perturbed
+from sddhopf.dde import classify_run, run_perturbed
 from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot, SddhopfError
 from sddhopf.model import Equilibrium, ModelParams
 from sddhopf.normalform import QuadraticCoeffs, _first_order, _forcing
@@ -167,43 +167,68 @@ def normal_form_constant_delay(eq, hp, frame, qc: QuadraticCoeffs):
     return kappa1, kappa3
 
 
-# -- the time change between the two forms ---------------------------------
+# -- the original-time system by the method of steps ------------------------
 
-def threshold_time(eta, r, params: ModelParams):
-    """t(eta) = eps eta + c (r(eta) - r(0)) for a unit-delay run sampled
-    from eta = 0: the threshold-delay time change (H. L. Smith, Math.
-    Biosci. 1993). Forward in time t'(eta) = eps / D, and since
-    dr/deta = eps x'(t) / D with D = 1 - c x'(t), that integrates to this
-    closed form."""
-    return params.eps * eta + params.c * (r - r[0])
+def method_of_steps(params: ModelParams, base, kick, grid, rtol=1e-12, atol=1e-12):
+    """States (x, y) and delays tau at the times grid (from 0 on) of the
+    threshold-delay system from the data base + kick sin^2(pi s / eps) on
+    [-eps, 0], constant before it (dde.bump_history with span eps).
 
-
-def threshold_time_history(base, kick, params: ModelParams) -> InitialHistory:
-    """Original-time initial data on [-eps, 0] that the time change maps
-    onto the unit-delay data bump_history(base, kick, span=1).
-
-    On [-1, 0] the map is the same t(eta) = eps eta + c (r(eta) - r(0));
-    it is inverted by a bracketed solve, so x(t) = r(eta(t)), and the slope
-    is x'(t) = r'(eta) / t'(eta) with t'(eta) = eps + c r'(eta).
+    scipy's DOP853 runs over segments no longer than half the delay at
+    their start (one delay at c = 0), so every delayed lookup lands in the
+    stitched dense output of the segments before. Each right-hand side
+    finds its delay as the root of tau - eps - c (x(t) - x(t - tau)) with
+    scipy's brentq on that output. Nothing here calls sddhopf.dde.
     """
-    bump = bump_history(base, kick, span=1.0)
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq as scipy_brentq
+
     eps, c = params.eps, params.c
-    r0 = bump.value(0.0)[0]
+    f, g = params.nonlinearity.f, params.nonlinearity.g
+    base, kick = np.asarray(base, dtype=float), np.asarray(kick, dtype=float)
+    segs = []                       # (start, end, dense output), in time order
+    x_scale = float(np.max(np.abs(base[0] + kick[0] * np.array([0.0, 1.0]))))
 
-    def eta_of(s):
-        if s <= -eps:
-            return -1.0
-        if s >= 0.0:
-            return 0.0
-        return brentq(lambda e: eps * e + c * (bump.value(e)[0] - r0) - s,
-                      -1.0, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    def lookup(s):
+        if s <= 0.0:
+            return base + kick * math.sin(math.pi * max(s, -eps) / eps) ** 2
+        for a, b, sol in reversed(segs):
+            if s >= a - 1e-12:
+                assert s <= b + 1e-12, "lookup past the last segment"
+                return sol(s)
+        raise AssertionError("lookup before the first segment")
 
-    def derivative(s):
-        dr, dxi = bump.derivative(eta_of(s))
-        return dr / (eps + c * dr), dxi / (eps + c * dr)
+    def delay(t, x_now, covered):
+        # the root lies where t - tau is already covered: g < 0 at the
+        # segment start, and g > 0 once tau passes eps + 2 c max|x|
+        if c == 0.0:
+            return eps
 
-    return InitialHistory(value=lambda s: bump.value(eta_of(s)),
-                          derivative=derivative, t0=0.0, span=eps)
+        def gap(tau):
+            return tau - eps - c * (x_now - lookup(t - tau)[0])
+        hi = eps + 4.0 * c * max(x_scale, abs(x_now)) + 1.0
+        return scipy_brentq(gap, t - covered, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+    def rhs(t, state, covered):
+        tau = delay(t, state[0], covered)
+        back = lookup(t - tau)
+        return [-params.mu_m * state[0] + f.value(back[1]),
+                -params.mu_p * state[1] + g.value(back[0])]
+
+    t_end = float(grid[-1])
+    t_seg, y0 = 0.0, base.copy()
+    while t_seg < t_end:
+        length = eps if c == 0.0 else 0.5 * delay(t_seg, y0[0], t_seg)
+        t_next = min(t_seg + length, t_end)
+        sol = solve_ivp(rhs, (t_seg, t_next), y0, method="DOP853", dense_output=True,
+                        rtol=rtol, atol=atol, args=(t_seg,))
+        assert sol.success, sol.message
+        segs.append((t_seg, t_next, sol.sol))
+        x_scale = max(x_scale, float(np.max(np.abs(sol.y[0]))))
+        y0, t_seg = sol.y[:, -1], t_next
+    states = np.array([lookup(t) for t in grid])
+    taus = np.array([delay(t, x, t) if t > 0 else eps for t, x in zip(grid, states[:, 0])])
+    return states, taus
 
 
 # -- measurement -------------------------------------------------------------

@@ -18,10 +18,9 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import refvals as RV
-from oracles import (characteristic_root_near, escape_sweep,
+from oracles import (characteristic_root_near, escape_sweep, method_of_steps,
                      normal_form_constant_delay, quadratic_coeffs_closed_form,
                      solve_hopf_direct)
 from sddhopf import (CharParams, char_eval,
@@ -250,42 +249,13 @@ def test_criterion_7c_independent_integration():
     p = hes1_params(c=0.0, eps=RV.EPS0 - 0.1, **STANDARD)
     eq = find_equilibrium(p)
     base = np.array([eq.r_star, eq.xi_star])
-    kick, eps, spec = 0.2 * base, p.eps, p.nonlinearity
-
-    def bump(s):
-        if s <= -eps:
-            return base.copy()
-        return base + kick * np.sin(np.pi * s / eps) ** 2
-
-    segs = []
-
-    def lookup(s):
-        if s <= 0.0:
-            return bump(s)
-        for a, b, sol in segs:
-            if s <= b + 1e-12:
-                return sol(s)
-        raise AssertionError("lookup past the last segment")
-
-    def rhs(t, y):
-        yd = lookup(t - eps)
-        return [-p.mu_m * y[0] + spec.f.value(yd[1]),
-                -p.mu_p * y[1] + spec.g.value(yd[0])]
-
-    t_seg, y0 = 0.0, base.copy()
-    while t_seg < 200.0:
-        t_next = min(t_seg + eps, 200.0)
-        sol = solve_ivp(rhs, (t_seg, t_next), y0, method="DOP853",
-                        dense_output=True, rtol=1e-13, atol=[1e-13, 1e-11])
-        assert sol.success
-        segs.append((t_seg, t_next, sol.sol))
-        y0, t_seg = sol.y[:, -1], t_next
-
+    kick, eps = 0.2 * base, p.eps
     grid = np.linspace(0.0, 200.0, 401)
+    theirs, _ = method_of_steps(p, base, kick, grid, rtol=1e-13, atol=(1e-13, 1e-11))
     traj = integrate_sdd(bump_history(base, kick, span=eps), eps, p,
                          t_end=200.0, rtol=1e-12, atol=1e-13,
                          sample_times=grid)
-    gap = np.max(np.abs(traj.states - np.array([lookup(t) for t in grid])))
+    gap = np.max(np.abs(traj.states - theirs))
     assert gap < 1e-6
     print("criterion 7c: max gap to the independent integration %.2e" % gap)
 

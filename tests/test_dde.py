@@ -3,17 +3,17 @@ integration as oracle, convergence-order and invariant checks."""
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 import refvals as RV
-from oracles import (escape_sweep, scalar_cell_label, threshold_time,
-                     threshold_time_history)
+from oracles import escape_sweep, method_of_steps, scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
                      NoBracket, SlopeBoundWarning, Trajectory,
@@ -142,9 +142,11 @@ def test_run_without_a_derivative_follows_the_closed_form_one(eq_state):
 
 
 def test_newton_delay_matches_the_fixed_point_on_a_dense_history(eq_state):
-    p = hes1_params(c=0.02, eps=EPS_HIGH)
-    traj = integrate_sdd(bump_history(eq_state, 0.2 * eq_state, span=p.eps),
-                         p.eps, p, t_end=200.0)
+    # a run's dense history, its stored steps read as x(s): delays of four
+    # units reach back across many segments
+    p = hes1_params(c=0.02, eps=4.0)
+    traj = integrate_transformed(bump_history(eq_state, 0.2 * eq_state, span=1.0),
+                                 p, 200.0)
     hist = traj.history
     ts = np.linspace(0.0, 200.0, 151)
     xs = hist.eval_many(ts)[:, 0]
@@ -193,26 +195,51 @@ def test_no_bracket_when_slope_exceeds_the_bound():
         solve_delay(0.0, 0.0, History(init), p)
 
 
+def steep_sine(eps):
+    """x = 2 sin(3 s) at c = 1. At t = 0 the seed tau = eps is a root on a
+    rising slope (c x' = +6) when eps = 2 pi / 3; at eps = 1 the root found
+    lies on a falling one (c x' = -6)."""
+    return (hes1_params(c=1.0, eps=eps),
+            InitialHistory(value=lambda s: (2.0 * math.sin(3.0 * s), 0.0),
+                           derivative=lambda s: (6.0 * math.cos(3.0 * s), 0.0),
+                           t0=0.0, span=200.0))
+
+
+def fast_sine():
+    """x = sin(20 s) at c = 1, eps = 1: the iteration wanders for its 60
+    steps, and brentq finds a root at c x' = -19.9."""
+    return (hes1_params(c=1.0, eps=1.0),
+            InitialHistory(value=lambda s: (math.sin(20.0 * s), 0.0),
+                           derivative=lambda s: (20.0 * math.cos(20.0 * s), 0.0),
+                           t0=0.0, span=200.0))
+
+
 def test_slope_bound_warning_on_steep_history():
-    p = hes1_params(c=1.0, eps=1.0)
-    init = InitialHistory(value=lambda s: np.array([2.0 * np.sin(3.0 * s), 0.0]),
-                          derivative=lambda s: np.array([6.0 * np.cos(3.0 * s), 0.0]),
-                          t0=0.0, span=200.0)
+    p, init = steep_sine(2.0 * math.pi / 3.0)
     events = []
     with pytest.warns(SlopeBoundWarning):
         tau = solve_delay(0.0, 0.0, History(init), p, events=events)
-    # whatever root was picked, it satisfies the equation
-    assert tau - 1.0 - (0.0 - 2.0 * np.sin(-3.0 * tau)) == pytest.approx(0.0, abs=1e-10)
-    assert events and events[0]["kind"] == "slope_bound"
+    assert abs(tau - p.eps + 2.0 * math.sin(-3.0 * tau)) <= 1e-12 * tau
+    assert [ev["kind"] for ev in events] == ["slope_bound"]
+    assert events[0]["detail"] == pytest.approx(6.0 * math.cos(-3.0 * tau), rel=1e-12)
+    assert events[0]["detail"] > 1.0
 
 
 def test_bracketed_fallback_reports_the_slope_at_its_root(monkeypatch):
-    # x = sin(20 s): the iteration wanders for its 60 steps and brentq
-    # finds the root; the uniqueness check must use x' at that root
+    # x(s) = 1 + s + h(-s), h(u) = (u - 0.6)^3 past 0.6, (u - 0.4)^3 below
+    # 0.4 and 0 between: at c = 1, g(tau) = tau - 1 + x(-tau) = h(tau), so
+    # every tau in [0.4, 0.6] is a root, with c x' = 1. The iteration creeps
+    # toward 0.6 where c x' < 1, and brentq lands inside the stretch: the
+    # check must use x' at brentq's root
+    def h(u, slope=False):
+        u = min(u, 2.0)                 # the data is constant before s = -2
+        edge = min(max(u, 0.4), 0.6)
+        return 3.0 * (u - edge) ** 2 if slope else (u - edge) ** 3
+
     p = hes1_params(c=1.0, eps=1.0)
-    init = InitialHistory(value=lambda s: (math.sin(20.0 * s), 0.0),
-                          derivative=lambda s: (20.0 * math.cos(20.0 * s), 0.0),
-                          t0=0.0, span=200.0)
+    init = InitialHistory(value=lambda s: (1.0 + max(s, -2.0) + h(-s), 0.0),
+                          derivative=lambda s: (1.0 - h(-s, True), 0.0),
+                          t0=0.0, span=2.0)
     calls = []
     bracketed = dde.brentq
     monkeypatch.setattr(dde, "brentq",
@@ -221,9 +248,21 @@ def test_bracketed_fallback_reports_the_slope_at_its_root(monkeypatch):
     with pytest.warns(SlopeBoundWarning):
         tau = solve_delay(0.0, 0.0, History(init), p, events=events)
     assert calls
-    assert abs(tau - 1.0 + math.sin(-20.0 * tau)) <= 1e-12 * tau
-    assert events[0]["detail"] == pytest.approx(abs(20.0 * math.cos(20.0 * tau)),
-                                                rel=1e-12)
+    assert 0.4 < tau < 0.6
+    assert [ev["detail"] for ev in events] == [1.0]
+
+
+@pytest.mark.parametrize("case", ["newton", "bracketed"])
+def test_a_root_on_a_falling_slope_does_not_warn(case):
+    # g' = 1 - c x'(t - tau) >= 2 at these roots, so each is simple
+    p, init = steep_sine(1.0) if case == "newton" else fast_sine()
+    events = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SlopeBoundWarning)
+        tau = solve_delay(0.0, 0.0, History(init), p, events=events)
+    assert p.c * init.derivative(-tau)[0] <= -1.0
+    assert abs(tau - p.eps + init.value(-tau)[0]) <= 1e-12 * tau
+    assert events == []
 
 
 # -- compatibility --------------------------------------------------------------
@@ -300,27 +339,42 @@ def test_monitors_certify_positivity_and_slope_bound(eq_state):
     assert m["max_threshold_residual"] <= 1e-12
 
 
+def eta_at(traj, p, t):
+    """The eta at which an original-time run from t0 = 0 reaches t: the
+    root of t(eta) = eps eta + c (r(eta) - r(0)) on its unit-delay history,
+    found by scipy's brentq."""
+    hist = traj.history
+    r0 = hist.eval(0.0)[0]
+    return scipy_brentq(lambda e: p.eps * e + p.c * (hist.eval(e)[0] - r0) - t,
+                        -2.0, hist.frontier, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
 def test_threshold_residual_recomputed_from_dense_history(eq_state):
+    # through the map: each sample is the run's state at eta(t), and its
+    # delay reaches back to t(eta - 1)
     p = hes1_params(c=0.01, eps=EPS_HIGH)
     hist = bump_history(eq_state, 0.2 * eq_state, span=p.eps)
     grid = np.linspace(0.0, 120.0, 49)
     traj = integrate_sdd(hist, p.eps, p, t_end=120.0, sample_times=grid)
     for t, row, tau in zip(traj.t, traj.states, traj.delay):
-        x_back = traj.history.eval(t - tau)[0]
-        res = tau - p.eps - p.c * (row[0] - x_back)
-        assert abs(res) < 1e-10
+        eta = eta_at(traj, p, t)
+        assert np.allclose(traj.history.eval(eta), row, rtol=1e-12, atol=0.0)
+        assert abs(eta_at(traj, p, t - tau) - (eta - 1.0)) < 1e-10
 
 
 def test_every_sample_delay_solves_the_threshold_equation(eq_state):
+    # x(t - tau) read through the map, t - tau inverted apart from the
+    # package's own inversion of the sample times
     p = hes1_params(c=0.02, eps=EPS_HIGH)
     hist = bump_history(eq_state, 0.2 * eq_state, span=p.eps)
     traj = integrate_sdd(hist, p.eps, p, t_end=300.0,
                          sample_times=np.linspace(0.0, 300.0, 1001))
-    x_back = np.array([traj.history.eval(t - tau)[0]
+    x_back = np.array([traj.history.eval(eta_at(traj, p, t - tau))[0]
                        for t, tau in zip(traj.t, traj.delay)])
     res = traj.delay - p.eps - p.c * (traj.states[:, 0] - x_back)
     assert np.all(np.abs(res) <= 1e-12 * np.maximum(p.eps, traj.delay))
     assert np.ptp(traj.delay) > 1e-3          # the delay really varies
+    assert traj.monitors["max_threshold_residual"] <= 1e-12 * p.eps
 
 
 def test_transformed_min_denominator_is_taken_at_each_accepted_step(eq_state):
@@ -399,12 +453,12 @@ def test_x_span_covers_the_initial_data_and_every_step_end(dense_history):
 
 
 def test_lookups_per_stage_on_the_original_time_recipe(eq_state, monkeypatch):
-    # recipes/hes1-original.json: about 1400 stages, each one threshold
-    # solve (x and x' from one lookup per Newton iteration) whose
-    # converged lookup is also the delayed state the stage uses
+    # recipes/hes1-original.json: about 1300 stages of the unit-delay run,
+    # one lookup each but for the shared sixth and seventh, plus the Newton
+    # lookups that map the initial data onto eta in the first delay unit
     p = hes1_params(c=0.01, eps=6.762162456498764)
     counts = {"eval": 0, "stage": 0}
-    lookup, rhs = History.eval, dde.rhs_original
+    lookup, rhs = History.eval, dde.checked_slopes
 
     def counted_eval(self, *args, **kwargs):
         counts["eval"] += 1
@@ -415,12 +469,12 @@ def test_lookups_per_stage_on_the_original_time_recipe(eq_state, monkeypatch):
         return rhs(*args, **kwargs)
 
     monkeypatch.setattr(History, "eval", counted_eval)
-    monkeypatch.setattr(dde, "rhs_original", counted_rhs)
+    monkeypatch.setattr(dde, "checked_slopes", counted_rhs)
     traj = integrate_sdd(bump_history(eq_state, 0.05 * eq_state, span=p.eps),
                          p.eps, p, t_end=1200.0, rtol=1e-8, atol=1e-9,
                          sample_times=np.linspace(0.0, 1200.0, 4096))
     assert traj.status == "completed"
-    assert counts["stage"] > 1000
+    assert counts["stage"] == traj.stats.stage_evals > 1000
     assert counts["eval"] <= 2.5 * counts["stage"], counts
 
 
@@ -464,69 +518,31 @@ def test_time_change_is_exact_when_c_is_zero(eq_state):
 
 @pytest.mark.parametrize("c", [0.005, 0.01, 0.02, 0.05])
 @pytest.mark.parametrize("eps", [EPS_LOW, EPS_HIGH], ids=["below-eps0", "above-eps0"])
-def test_time_change_maps_the_transformed_run_onto_the_original_one(eq_state, c, eps):
-    # the two forms are one system for c > 0 too: the original-time run
-    # from the mapped initial data passes through x(t(eta)) = r(eta), and
-    # its delay tau(t(eta)) is the unit-delay form's k(eta)
+def test_original_time_run_matches_the_scipy_method_of_steps(eq_state, c, eps):
+    # the time map of the unit-delay run against a separately coded method
+    # of steps in t, its delays solved on scipy's dense output. Measured
+    # over the eight cases: 1.3e-9 relative in x and y, 5.7e-10 in tau
     p = hes1_params(c=c, eps=eps)
     kick = 0.05 * eq_state
-    etas = np.linspace(0.0, 40.0, 161)
-    tr_eta = integrate_transformed(bump_history(eq_state, kick, span=1.0), p, 40.0,
-                                   sample_times=etas, rtol=1e-10, atol=1e-12)
-    ts = threshold_time(etas, tr_eta.states[:, 0], p)
-    tr_t = integrate_sdd(threshold_time_history(eq_state, kick, p), p.eps, p,
-                         t_end=ts[-1], sample_times=ts, rtol=1e-10, atol=1e-12)
-    assert tr_eta.status == tr_t.status == "completed"
-    assert len(tr_t.t) == len(etas)
-    # measured maxima over the eight cases: 1.2e-8, 6.2e-10 and 7.2e-10
-    assert np.max(np.abs(tr_t.states[:, 0] - tr_eta.states[:, 0])) < 1e-7
-    assert np.max(np.abs(tr_t.states[:, 1] - tr_eta.states[:, 1])) < 5e-9 * eq_state[1]
-    assert np.max(np.abs(tr_t.delay - tr_eta.delay)) < 5e-9
+    grid = np.linspace(0.0, 20.0 * eps, 161)
+    states, taus = method_of_steps(p, eq_state, kick, grid, rtol=1e-11, atol=1e-11)
+    traj = integrate_sdd(bump_history(eq_state, kick, span=eps), eps, p,
+                         t_end=grid[-1], sample_times=grid, rtol=1e-10, atol=1e-12)
+    assert traj.status == "completed" and len(traj.t) == len(grid)
+    assert np.max(np.abs(traj.states - states) / np.abs(states)) < 1e-8
+    assert np.max(np.abs(traj.delay - taus)) < 5e-9
+    assert np.ptp(taus) > 0.1 * c             # the delay really varies
 
 
 def test_matches_independent_segmented_integration(eq_state):
-    # constant-delay case checked against a separately coded method of
-    # steps built on scipy's DOP853
+    # constant-delay case checked against the scipy method of steps
     p = hes1_params(c=0.0, eps=EPS_LOW)
-    eps = p.eps
     base, kick = eq_state, 0.2 * eq_state
-    spec = p.nonlinearity
-
-    def bump(s):
-        if s <= -eps:
-            return base.copy()
-        return base + kick * np.sin(np.pi * s / eps) ** 2
-
-    segs = []
-
-    def lookup(s):
-        if s <= 0.0:
-            return bump(s)
-        for a, b, sol in segs:
-            if s <= b + 1e-12:
-                return sol(s)
-        raise AssertionError("lookup past the last segment")
-
-    def rhs(t, y):
-        yd = lookup(t - eps)
-        return [-p.mu_m * y[0] + spec.f.value(yd[1]),
-                -p.mu_p * y[1] + spec.g.value(yd[0])]
-
-    t_seg, y0 = 0.0, base.copy()
-    while t_seg < 200.0:
-        t_next = min(t_seg + eps, 200.0)
-        sol = solve_ivp(rhs, (t_seg, t_next), y0, method="DOP853",
-                        dense_output=True, rtol=1e-13, atol=[1e-13, 1e-11])
-        assert sol.success
-        segs.append((t_seg, t_next, sol.sol))
-        y0 = sol.y[:, -1]
-        t_seg = t_next
-
     grid = np.linspace(0.0, 200.0, 401)
-    traj = integrate_sdd(bump_history(base, kick, span=eps), eps, p,
+    theirs, _ = method_of_steps(p, base, kick, grid, rtol=1e-13, atol=(1e-13, 1e-11))
+    traj = integrate_sdd(bump_history(base, kick, span=p.eps), p.eps, p,
                          t_end=200.0, rtol=1e-12, atol=1e-13,
                          sample_times=grid)
-    theirs = np.array([lookup(t) for t in grid])
     assert np.max(np.abs(traj.states - theirs)) < 1e-6
 
 
@@ -605,15 +621,17 @@ def test_fragment_shorter_than_a_cycle_is_refused():
 # -- abnormal terminations ------------------------------------------------------
 
 def test_b2_violation_is_reported(eq_state):
-    # 1/c below the reachable slope: integration must stop with the
-    # named status rather than continue past the validity bound
+    # 1/c below the reachable slope (the bound c x' < 1 broken): the
+    # original-time run must stop with the floor's status rather than
+    # continue past the validity bound
     p = hes1_params(c=2.0, eps=1.0)
     hist = bump_history(eq_state, np.array([0.0, -0.5 * eq_state[1]]),
                         span=1.0)
     traj = integrate_sdd(hist, 1.0, p, t_end=50.0, rtol=1e-7, atol=1e-9)
-    assert traj.status == "b2_violation"
+    assert traj.status == "denominator_breach"
     assert traj.t_final < 50.0
-    assert traj.events[-1]["kind"] == "b2_violation"
+    assert traj.events[-1]["kind"] == "denominator_breach"
+    assert 0.0 <= traj.events[-1]["t"] - traj.t_final < 1.0
 
 
 def test_forced_singularity_stalls_at_c_zero(eq_state):
@@ -677,19 +695,20 @@ def test_transformed_rhs_raises_at_the_floor():
             assert rhs_transformed((0.0, 0.0), (0.0, 0.0), p)[3] == pytest.approx(d)
 
 
-@pytest.mark.parametrize("c,status", [(0.3, "completed"), (0.35, "b2_violation")])
+@pytest.mark.parametrize("c,status", [(0.3, "completed"), (1.5, "denominator_breach")])
 def test_original_time_run_ends_at_the_same_floor(eq_state, c, status):
     # x' rises toward 1/c as the kicked y(t - tau) falls. At c = 0.3 the
-    # run peaks at c x' = 0.99835, inside the floor; at c = 0.35 it would
-    # peak at 0.99915, past 1 - DENOMINATOR_FLOOR though short of 1
+    # run peaks at c x' = 0.99766 and at c = 1.0 at 0.99897, inside the
+    # floor; at c = 1.5 it would peak past 1 - DENOMINATOR_FLOOR though
+    # short of 1
     p = hes1_params(c=c, eps=1.0)
     hist = bump_history(eq_state, np.array([0.0, -0.5 * eq_state[1]]), span=1.0)
     traj = integrate_sdd(hist, 1.0, p, t_end=50.0, rtol=1e-7, atol=1e-9)
     assert traj.status == status
     assert c * traj.monitors["max_dx"] < 1.0 - DENOMINATOR_FLOOR
-    if status == "b2_violation":
+    if status == "denominator_breach":
         assert traj.t_final < 50.0
-        assert traj.events[-1]["kind"] == "b2_violation"
+        assert traj.events[-1]["kind"] == "denominator_breach"
 
 
 def test_sweep_grid_runs_stay_clear_of_the_floor():
@@ -749,46 +768,41 @@ def test_run_stats_count_the_step_loop(eq_state, monkeypatch):
     assert traj.stats.stage_evals == len(rhs_calls) - 1
 
 
-def _slope_bound_run(eq_state):
-    # c|x'| passes 1 at the delayed point between t = 39 and 46
-    p = hes1_params(c=0.25, eps=1.0)
-    hist = bump_history(eq_state, np.array([0.0, -0.5 * eq_state[1]]), span=1.0)
-    with pytest.warns(SlopeBoundWarning) as caught:
-        traj = integrate_sdd(hist, 1.0, p, t_end=50.0, rtol=1e-7, atol=1e-9)
-    return traj, [w for w in caught if issubclass(w.category, SlopeBoundWarning)]
+def test_a_run_ending_early_keeps_its_end_event_last(monkeypatch):
+    # a deep original-time kick at c = 0.05 loses positivity and completes;
+    # an overflow injected into its last stage ends it there instead, after
+    # the positivity event
+    p = hes1_params(c=0.05, eps=EPS_LOW)
+    eq = find_equilibrium(p)
+    hist = bump_history(eq.state, -1.45 * eq.state, span=p.eps)
+    rhs, calls = dde.checked_slopes, []
 
+    def run():
+        return integrate_sdd(hist, p.eps, p, t_end=100.0, rtol=1e-7, atol=1e-8)
 
-def test_a_run_counts_its_slope_bound_hits_and_warns_once(eq_state):
-    # pytest.warns records every warning, whatever the filters
-    traj, warned = _slope_bound_run(eq_state)
-    hits = [ev for ev in traj.events if ev["kind"] == "slope_bound"]
-    assert traj.status == "completed"
-    assert traj.stats.slope_bound_hits == len(hits) > 100
-    assert all(ev["detail"] >= 1.0 for ev in hits)
-    # hits of the delay column, solved again at the sample times, count too
-    sampled = set(traj.t.tolist())
-    assert sum(ev["t"] in sampled for ev in hits) > 10
-    assert len(warned) == 1
-    assert str(warned[0].message).startswith("%d threshold roots" % len(hits))
-
-
-def test_a_run_ending_early_keeps_its_end_event_last(eq_state, monkeypatch):
-    # an overflow injected near t = 47, after the slope-bound hits began
-    rhs, calls = dde.rhs_original, []
-
-    def overflow_late(*args):
+    def counted(*args):
         calls.append(None)
-        if len(calls) == 1150:
+        return rhs(*args)
+
+    monkeypatch.setattr(dde, "checked_slopes", counted)
+    completed = run()
+    assert completed.status == "completed"
+    assert [ev["kind"] for ev in completed.events] == ["positivity"]
+    last = len(calls)
+
+    def overflow_there(*args):
+        calls.append(None)
+        if len(calls) == 2 * last:
             raise OverflowError("injected")
         return rhs(*args)
 
-    monkeypatch.setattr(dde, "rhs_original", overflow_late)
-    traj, warned = _slope_bound_run(eq_state)
+    monkeypatch.setattr(dde, "checked_slopes", overflow_there)
+    traj = run()
     assert traj.status == "nonfinite"
+    assert traj.events[:-1] == completed.events
     assert traj.events[-1]["kind"] == "nonfinite"
-    assert traj.stats.slope_bound_hits == sum(
-        ev["kind"] == "slope_bound" for ev in traj.events) > 0
-    assert len(warned) == 1
+    assert traj.events[-1]["t"] > traj.events[0]["t"] and traj.t_final < 100.0
+    assert traj.stats.stage_evals == last - 1
 
 
 def test_classify_run_labels(eq_state):

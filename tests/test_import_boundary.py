@@ -3,9 +3,12 @@ standard library, and only the integrator module loads numpy.
 
 The analysis commands run in a fresh interpreter whose PYTHONPATH starts
 with a `numpy` package that raises ImportError, and must write the same
-bytes as in this process, where numpy is loaded.
+bytes as in this process, where numpy is loaded. The names the benchmark's
+tracer wraps must also resolve in the package.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -89,3 +92,43 @@ def test_dde_names_are_exported_lazily(name):
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sddhopf.no_such_name
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _load_tracer()
+
+
+def missing_traced_names():
+    """The (module, attribute) pairs of the tracer's SPANS and COUNTS that
+    do not resolve in the package; a "Class.method" attribute must be
+    defined on the class itself, where the tracer wraps it."""
+    missing = []
+    for module_name, attr, _ in TRACER.SPANS + TRACER.COUNTS:
+        owner = importlib.import_module(module_name)
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            found = name in vars(getattr(owner, cls_name, object))
+        else:
+            found = hasattr(owner, name)
+        if not found:
+            missing.append((module_name, attr))
+    return missing
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    assert len(TRACER.SPANS + TRACER.COUNTS) > 10
+    assert missing_traced_names() == []
+
+
+@pytest.mark.parametrize("owner,attr,traced", [
+    (dde, "solve_delay", "solve_delay"), (dde.History, "eval", "History.eval")])
+def test_a_removed_traced_name_is_reported(monkeypatch, owner, attr, traced):
+    monkeypatch.delattr(owner, attr)
+    assert missing_traced_names() == [("sddhopf.dde", traced)]

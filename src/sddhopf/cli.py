@@ -1,8 +1,9 @@
 """Command-line front end for the delayed-feedback analysis pipeline.
 
 One JSON config document drives every subcommand; it has three blocks
-(model, analysis, output) and unknown keys anywhere are rejected so typos
-fail loudly. Individual flags override single fields. Exit codes:
+(model, analysis, output), unknown keys anywhere are rejected so typos
+fail loudly, and every field is checked when the document is read,
+whatever the command. Individual flags override single fields. Exit codes:
 0 success, 1 config error, 2 solver failure, 3 resonance violation,
 4 integration failure.
 """
@@ -18,174 +19,162 @@ from .errors import (ConfigError, InsufficientCycles, IntegrationError,
                      ResonanceViolation, SddhopfError)
 from .model import ModelParams, find_equilibrium
 from .nonlinearity import NonlinearitySpec, ZeroMap, hes1_nonlinearity
-from .normalform import C_MAX, analyze_normal_form
+from .normalform import analyze_normal_form
 from .stability import StabilityKind, classify_stability
 
-_TOP_KEYS = {"model", "analysis", "output"}
-_MODEL_KEYS = {"nonlinearity", "mu_m", "mu_p", "c", "eps"}
-_NONLIN_KEYS = {"hes1": {"kind", "alpha_m", "ybar", "h", "alpha_p"},
-                "zero": {"kind"}}
-_ANALYSIS_KEYS = {"eps_k", "c_max", "system", "t_end",
-                  "kick_scale", "rtol", "atol", "transient_fraction",
-                  "grid", "small_kick", "probe_scales"}
-_OUTPUT_KEYS = {"format", "path", "n_samples"}
 _SWEEPABLE = ("mu_m", "mu_p", "c", "eps")
-# allowed values of the config numbers that have a range
-_RANGES = {"alpha_m": (lambda v: v >= 0, ">= 0"),
-           "alpha_p": (lambda v: v >= 0, ">= 0"),
-           "ybar": (lambda v: v > 0, "> 0"),
-           "h": (lambda v: v > 0, "> 0"),
-           "t_end": (lambda v: v > 0, "> 0"),
-           "rtol": (lambda v: v > 0, "> 0"),
-           "atol": (lambda v: v > 0, "> 0"),
-           "c_max": (lambda v: v >= 0, ">= 0"),
-           "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
-           "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer"),
-           # a zero kick is no perturbation (classify_dynamics refuses it)
-           "small_kick": (lambda v: v != 0, "non-zero"),
-           "probe_scales": (lambda v: v > 0, "> 0")}
-# allowed values of the config strings that name a choice
-_CHOICES = {("analysis", "system"): ("original", "transformed"),
-            ("output", "format"): ("csv", "json", "text")}
-
-
-def _reject_unknown(block, allowed, where):
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError("unknown key(s) %s in %s block"
-                          % (", ".join(sorted(unknown)), where))
 
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _need_number(block, key, where, default=None):
-    if key not in block:
-        if default is None:
-            raise ConfigError("missing required field '%s' in %s block" % (key, where))
-        return default
-    v = block[key]
-    if not _is_number(v):
+def _grid(grid):
+    # non-finite grid values are reported in their sweep cells
+    if (not isinstance(grid, dict) or len(grid) != 2
+            or any(k not in _SWEEPABLE for k in grid)
+            or any(not isinstance(v, list) or not v
+                   or not all(map(_is_number, v)) for v in grid.values())):
+        raise ConfigError("analysis.grid must map exactly two of %s "
+                          "to non-empty lists of numbers" % (_SWEEPABLE,))
+    return grid
+
+
+# a number that must be finite and nothing more
+_FINITE = (lambda v: True, "finite")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+
+# block -> key -> check. A check is a range (test, words) on a finite number,
+# a list [range] of finite numbers, a tuple of allowed strings, str for any
+# string, a dict for a nested block, or a function of the value for the
+# grid. Every field a document gives is checked when it is read.
+_SCHEMA = {
+    "model": {
+        "nonlinearity": {"kind": ("hes1", "zero"), "alpha_m": _NON_NEGATIVE,
+                         "ybar": _POSITIVE, "h": _POSITIVE, "alpha_p": _NON_NEGATIVE},
+        "mu_m": _FINITE, "mu_p": _FINITE, "c": _FINITE, "eps": _FINITE},
+    "analysis": {
+        "eps_k": (lambda v: v >= 0 and v.is_integer(), "a non-negative integer"),
+        "c_max": _NON_NEGATIVE,
+        "system": ("original", "transformed"),
+        "t_end": _POSITIVE, "kick_scale": _FINITE, "rtol": _POSITIVE, "atol": _POSITIVE,
+        "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+        "grid": _grid,
+        # a zero kick is no perturbation (classify_dynamics refuses it)
+        "small_kick": (lambda v: v != 0, "non-zero"),
+        "probe_scales": [_POSITIVE]},
+    "output": {
+        "format": ("csv", "json", "text"), "path": str,
+        "n_samples": (lambda v: v >= 2 and v.is_integer(), "an integer of at least 2")},
+}
+
+
+def _check_block(fields, schema, where):
+    """The fields of one block, each as its check allows it."""
+    if not isinstance(fields, dict):
+        raise ConfigError("%s block must be an object" % where)
+    unknown = set(fields) - set(schema)
+    if unknown:
+        raise ConfigError("unknown key(s) %s in %s block"
+                          % (", ".join(sorted(unknown)), where))
+    return {key: _check(value, schema[key], where, key)
+            for key, value in fields.items()}
+
+
+def _check(value, check, where, key):
+    """value as its check allows it: a number as a float, a list of
+    numbers as a tuple of floats; anything else raises ConfigError."""
+    if isinstance(check, dict):
+        return _check_block(value, check, key)
+    if check is str:
+        if not isinstance(value, str):
+            raise ConfigError("field '%s' in %s block must be a string" % (key, where))
+        return value
+    if callable(check):
+        return check(value)
+    if isinstance(check, list):
+        (test, words), = check
+        if not isinstance(value, list) or not all(
+                _is_number(e) and math.isfinite(e) for e in value):
+            raise ConfigError("field '%s' in %s block must be a list of finite numbers"
+                              % (key, where))
+        for i, e in enumerate(value):
+            if not test(float(e)):
+                raise ConfigError("%s.%s[%d] must be %s, got %r"
+                                  % (where, key, i, words, float(e)))
+        return tuple(float(e) for e in value)
+    if isinstance(check[0], str):
+        if value not in check:
+            raise ConfigError("%s.%s must be one of %s, got %r"
+                              % (where, key, ", ".join(check), value))
+        return value
+    test, words = check
+    if not _is_number(value):
         raise ConfigError("field '%s' in %s block must be a number" % (key, where))
-    if not math.isfinite(v):
-        raise ConfigError("field '%s' in %s block must be finite, got %r" % (key, where, v))
-    v = float(v)
-    if key in _RANGES and not _RANGES[key][0](v):
-        raise ConfigError("%s.%s must be %s, got %r" % (where, key, _RANGES[key][1], v))
-    return v
-
-
-def _need_numbers(block, key, where, default):
-    if key not in block:
-        return default
-    v = block[key]
-    if not isinstance(v, list) or not all(_is_number(e) and math.isfinite(e) for e in v):
-        raise ConfigError("field '%s' in %s block must be a list of finite numbers"
-                          % (key, where))
-    for i, e in enumerate(v):
-        if key in _RANGES and not _RANGES[key][0](e):
-            raise ConfigError("%s.%s[%d] must be %s, got %r"
-                              % (where, key, i, _RANGES[key][1], float(e)))
-    return tuple(float(e) for e in v)
+    if not math.isfinite(value):
+        raise ConfigError("field '%s' in %s block must be finite, got %r"
+                          % (key, where, value))
+    value = float(value)
+    if not test(value):
+        raise ConfigError("%s.%s must be %s, got %r" % (where, key, words, value))
+    return value
 
 
 class RunConfig:
-    """Validated view over the raw config dict. The raw dict is kept verbatim,
-    so serialization round-trips losslessly, apart from the fields that
-    override() sets."""
+    """Checked view over the raw config dict: model, analysis and output
+    hold the checked fields the document gives. The raw dict is kept
+    verbatim, so serialization round-trips losslessly, apart from the
+    fields that override() sets."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "top-level")
+        blocks = _check_block(raw, _SCHEMA, "top-level")
         self.raw = dict(raw)
-        self.model = dict(raw.get("model") or {})
-        self.analysis = dict(raw.get("analysis") or {})
-        self.output = dict(raw.get("output") or {})
-        _reject_unknown(self.model, _MODEL_KEYS, "model")
-        _reject_unknown(self.analysis, _ANALYSIS_KEYS, "analysis")
-        _reject_unknown(self.output, _OUTPUT_KEYS, "output")
-        for (block, key), allowed in _CHOICES.items():
-            fields = getattr(self, block)
-            if key in fields and fields[key] not in allowed:
-                raise ConfigError("%s.%s must be one of %s, got %r"
-                                  % (block, key, ", ".join(allowed), fields[key]))
-        nl = self.model.get("nonlinearity", {"kind": "hes1"})
-        if not isinstance(nl, dict):
-            raise ConfigError("model.nonlinearity must be an object")
-        kind = nl.get("kind", "hes1")
-        if kind not in _NONLIN_KEYS:
-            raise ConfigError("unknown nonlinearity kind '%s' (expected %s)"
-                              % (kind, " or ".join(sorted(_NONLIN_KEYS))))
-        _reject_unknown(nl, _NONLIN_KEYS[kind], "model.nonlinearity")
-        self.nonlinearity_block = dict(nl, kind=kind)
-        grid = self.analysis.get("grid")
-        if grid is not None:
-            if (not isinstance(grid, dict) or len(grid) != 2
-                    or any(k not in _SWEEPABLE for k in grid)
-                    or any(not isinstance(v, list) or not v
-                           or not all(map(_is_number, v)) for v in grid.values())):
-                raise ConfigError("analysis.grid must map exactly two of %s "
-                                  "to non-empty lists of numbers" % (_SWEEPABLE,))
+        self.model, self.analysis, self.output = (blocks.get(b, {}) for b in _SCHEMA)
+        for key in ("c", "eps"):
+            if key not in self.model:
+                raise ConfigError("missing required field '%s' in model block" % key)
+        nl = self.model.get("nonlinearity", {})
+        if nl.get("kind") == "zero" and len(nl) > 1:
+            raise ConfigError("unknown key(s) %s in nonlinearity block of kind zero"
+                              % ", ".join(sorted(set(nl) - {"kind"})))
+        # runs that drive xi negative need (y/ybar)**h real there
+        if "h" in nl and not nl["h"].is_integer():
+            raise ConfigError("field 'h' in nonlinearity block must be an "
+                              "integer, got %r" % nl["h"])
 
     def to_dict(self):
         return self.raw
 
     def override(self, block, key, value):
-        """Set one field of the model, analysis or output block, both in
-        the view the commands read and in the echoed config."""
-        fields = getattr(self, block)
-        fields[key] = value
-        self.raw[block] = fields
-
-    def nonlinearity(self) -> NonlinearitySpec:
-        nl = self.nonlinearity_block
-        if nl["kind"] == "zero":
-            return NonlinearitySpec(f=ZeroMap(), g=ZeroMap())
-        h = _need_number(nl, "h", "nonlinearity", 5.0)
-        # runs that drive xi negative need (y/ybar)**h real there
-        if not h.is_integer():
-            raise ConfigError("field 'h' in nonlinearity block must be an "
-                              "integer, got %r" % nl["h"])
-        return hes1_nonlinearity(
-            alpha_m=_need_number(nl, "alpha_m", "nonlinearity", 35.0),
-            ybar=_need_number(nl, "ybar", "nonlinearity", 1200.0),
-            h=h,
-            alpha_p=_need_number(nl, "alpha_p", "nonlinearity", 10.0))
+        """Set one field of the model, analysis or output block, checked as
+        the document's fields are, both in the view the commands read and
+        in the echoed config."""
+        getattr(self, block)[key] = _check(value, _SCHEMA[block][key], block, key)
+        self.raw[block] = dict(self.raw.get(block, {}), **{key: value})
 
     def params(self) -> ModelParams:
+        nl = dict(self.model.get("nonlinearity", {}))
         try:
-            return ModelParams(
-                mu_m=_need_number(self.model, "mu_m", "model", 0.03),
-                mu_p=_need_number(self.model, "mu_p", "model", 0.04),
-                c=_need_number(self.model, "c", "model"),
-                eps=_need_number(self.model, "eps", "model"),
-                nonlinearity=self.nonlinearity())
+            if nl.pop("kind", "hes1") == "zero":
+                spec = NonlinearitySpec(f=ZeroMap(), g=ZeroMap())
+            else:
+                spec = hes1_nonlinearity(**nl)
+            return ModelParams(self.model.get("mu_m", 0.03), self.model.get("mu_p", 0.04),
+                               self.model["c"], self.model["eps"], spec)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
-    # analysis/output accessors with defaults
-    def system(self):
-        return self.analysis.get("system", "transformed")
 
-    def number(self, key, default):
-        return _need_number(self.analysis, key, "analysis", default)
-
-    def numbers(self, key, default):
-        return _need_numbers(self.analysis, key, "analysis", default)
-
-    def out_format(self):
-        return self.output.get("format", "text")
-
-    def out_path(self):
-        return self.output.get("path")
-
-    def n_samples(self):
-        n = _need_number(self.output, "n_samples", "output", 1000.0)
-        if not n.is_integer() or n < 2:
-            raise ConfigError("output.n_samples must be an integer of at least 2")
-        return int(n)
+def _given(fields, *keys, **renamed):
+    """The keyword arguments of the keys the block gives, and of the
+    parameter=key pairs of renamed whose key it gives: the callee's own
+    defaults stand for the rest."""
+    kw = {key: fields[key] for key in keys if key in fields}
+    kw.update((param, fields[key]) for param, key in renamed.items() if key in fields)
+    return kw
 
 
 def load_config(path) -> RunConfig:
@@ -241,8 +230,11 @@ def _jsonable(obj):
 
 def _write(text, path):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (path, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -277,14 +269,14 @@ def _emit_report(payload, text, command, cfg, csv=None):
     """Write the command's result in the configured format: JSON
     {command, config, results}, CSV (csv() when given, else key,value rows
     of the payload) or the text summary."""
-    fmt = cfg.out_format()
+    fmt, path = cfg.output.get("format", "text"), cfg.output.get("path")
     if fmt == "json":
         doc = {"command": command, "config": cfg.to_dict(), "results": _jsonable(payload)}
-        _write(json.dumps(doc, indent=2) + "\n", cfg.out_path())
+        _write(json.dumps(doc, indent=2) + "\n", path)
     elif fmt == "csv":
-        _write(csv() if csv else _kv_csv(payload), cfg.out_path())
+        _write(csv() if csv else _kv_csv(payload), path)
     else:
-        _write(text, cfg.out_path())
+        _write(text, path)
     return 0
 
 
@@ -312,7 +304,7 @@ def cmd_equilibrium(cfg: RunConfig):
 
 def cmd_stability(cfg: RunConfig):
     params = cfg.params()
-    k_count = int(cfg.number("eps_k", 0.0))
+    k_count = int(cfg.analysis.get("eps_k", 0))
     eq = find_equilibrium(params)
     cls = classify_stability(eq, params.mu_m, params.mu_p, params.eps)
     if cls.kind is StabilityKind.STABLE_FOR_ALL_EPS:
@@ -337,7 +329,7 @@ def cmd_stability(cfg: RunConfig):
 
 def cmd_normal_form(cfg: RunConfig):
     params = cfg.params()
-    rep = analyze_normal_form(params, c_max=cfg.number("c_max", C_MAX))
+    rep = analyze_normal_form(params, **_given(cfg.analysis, "c_max"))
     payload = {"eps0": rep.hopf.eps0, "omega": rep.hopf.omega,
                "kappa1": rep.kappa1, "kappa3": rep.kappa3,
                "direction": rep.direction.value, "c": rep.c, "c0": rep.c0,
@@ -368,30 +360,28 @@ def _run_simulation(cfg: RunConfig):
     from . import dde
 
     params = cfg.params()
-    t_end = cfg.number("t_end", 400.0)
-    kick_scale = cfg.number("kick_scale", 0.05)
-    rtol = cfg.number("rtol", 1e-8)
-    atol = cfg.number("atol", 1e-9)
+    t_end = cfg.analysis.get("t_end", 400.0)
+    tol = _given(cfg.analysis, "rtol", "atol")
     eq = find_equilibrium(params)
-    kick = kick_scale * eq.state
-    samples = np.linspace(0.0, t_end, cfg.n_samples())
-    if cfg.system() == "original":
+    kick = cfg.analysis.get("kick_scale", 0.05) * eq.state
+    samples = np.linspace(0.0, t_end, int(cfg.output.get("n_samples", 1000)))
+    if cfg.analysis.get("system") == "original":
         hist = dde.bump_history(eq.state, kick, span=params.eps)
         traj = dde.integrate_sdd(hist, params.eps, params, t_end,
-                                 rtol=rtol, atol=atol, sample_times=samples)
+                                 sample_times=samples, **tol)
     else:
         hist = dde.bump_history(eq.state, kick, span=1.0)
-        traj = dde.integrate_transformed(hist, params, t_end, rtol=rtol,
-                                         atol=atol, sample_times=samples)
+        traj = dde.integrate_transformed(hist, params, t_end,
+                                         sample_times=samples, **tol)
     return params, eq, traj
 
 
-def _summary_dict(traj, transient_fraction):
+def _summary_dict(traj, cfg: RunConfig):
     from . import dde
 
     try:
-        osc = dde.measure_oscillation(traj, component=0,
-                                      transient_fraction=transient_fraction)
+        osc = dde.measure_oscillation(
+            traj, component=0, **_given(cfg.analysis, "transient_fraction"))
         return {"amplitude": osc.amplitude, "period": osc.period,
                 "decay_rate": osc.decay_rate, "n_extrema": osc.n_extrema,
                 "mean": osc.mean}
@@ -424,9 +414,8 @@ def cmd_simulate(cfg: RunConfig):
 
     from . import dde
 
-    transient_fraction = cfg.number("transient_fraction", 0.5)
     params, eq, traj = _run_simulation(cfg)
-    summary = _summary_dict(traj, transient_fraction)
+    summary = _summary_dict(traj, cfg)
     text = _summary_text(traj, summary)
     # rows stay an array: only the JSON writer turns them into lists
     payload = {"status": traj.status, "summary": summary,
@@ -435,7 +424,7 @@ def cmd_simulate(cfg: RunConfig):
                "columns": list(traj.columns),
                "rows": np.column_stack([traj.t, traj.states, traj.delay])}
     _emit_report(payload, text, "simulate", cfg, csv=lambda: _trajectory_csv(traj))
-    if cfg.out_format() == "csv":
+    if cfg.output.get("format") == "csv":
         sys.stderr.write(text)
     if traj.status != dde.STATUS_COMPLETED:
         sys.stderr.write("integration ended early: %s\n" % traj.status)
@@ -461,14 +450,9 @@ def cmd_sweep(cfg: RunConfig):
         raise ConfigError("sweep requires an analysis.grid block")
     (row_name, row_vals), (col_name, col_vals) = grid.items()
     base = cfg.params()
-    eta_end = cfg.number("t_end", 400.0)
-    small_kick = cfg.number("small_kick", 0.05)
-    probe_scales = cfg.numbers("probe_scales", (0.25, 0.5, 1.0))
-    rtol = cfg.number("rtol", 1e-7)
-    c_max = cfg.number("c_max", C_MAX)
 
-    # the overlays first, after every config number above: a solver
-    # failure leaves its overlay n/a, and the grid still runs
+    # the overlays first: a solver failure leaves its overlay n/a, and
+    # the grid still runs
     overlays = {"eps0": None, "c0": None}
     try:
         eq0 = find_equilibrium(base)
@@ -478,7 +462,7 @@ def cmd_sweep(cfg: RunConfig):
     except SddhopfError:
         pass
     try:
-        overlays["c0"] = analyze_normal_form(base, c_max=c_max).c0
+        overlays["c0"] = analyze_normal_form(base, **_given(cfg.analysis, "c_max")).c0
     except SddhopfError:
         pass
 
@@ -495,9 +479,8 @@ def cmd_sweep(cfg: RunConfig):
                 built.append((i, j))
             except dde.CELL_ERRORS as exc:
                 labels[i][j] = dde.error_label(exc)
-    for (i, j), label in zip(built, dde.classify_dynamics(
-            cells, small_kick=small_kick, probe_scales=probe_scales,
-            eta_end=eta_end, rtol=rtol)):
+    for (i, j), label in zip(built, dde.classify_dynamics(cells, **_given(
+            cfg.analysis, "small_kick", "probe_scales", "rtol", eta_end="t_end"))):
         labels[i][j] = label
 
     payload = {"rows": {row_name: list(row_vals)},
@@ -552,13 +535,13 @@ def _build_parser():
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--eps", type=float, help="override model.eps")
     parser.add_argument("--c", type=float, help="override model.c")
-    parser.add_argument("--system", choices=_CHOICES[("analysis", "system")],
+    parser.add_argument("--system", choices=_SCHEMA["analysis"]["system"],
                         help="override analysis.system")
     parser.add_argument("--t-end", dest="t_end", type=float,
                         help="override analysis.t_end")
     parser.add_argument("--eps-k", dest="eps_k", type=int,
                         help="number of additional critical delay scales")
-    parser.add_argument("--format", dest="fmt", choices=_CHOICES[("output", "format")],
+    parser.add_argument("--format", dest="fmt", choices=_SCHEMA["output"]["format"],
                         help="override output.format")
     parser.add_argument("--output", help="override output.path")
     return parser

@@ -178,12 +178,7 @@ class History:
         every stored step."""
         init = self.initial
         xs = [init.value(init.t0 - init.span * k / 64)[0] for k in range(65)]
-        if self._ends:
-            seg = np.frombuffer(self._store, dtype=float).reshape(-1, _SEG).copy()
-            h = seg[:, 1]
-            x = ((seg[:, 0] + h) - seg[:, 0]) / h
-            xs += (seg[:, 2] + h * x * (seg[:, 4] + x * (seg[:, 5] + x * (
-                seg[:, 6] + x * seg[:, 7])))).tolist()
+        xs += self.eval_many(self._ends)[:, 0].tolist()
         return max(xs) - min(xs)
 
     def _initial_at(self, t, slope):
@@ -788,8 +783,14 @@ def _tail_mean_deviation(t, v, ref, t_first, window=0.25):
     return float(np.mean(np.abs(v[t >= cut] - ref)))
 
 
-def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale,
-                  eta_end=400.0, rtol=1e-7, atol=1e-8, n_samples=2048) -> Trajectory:
+# a sweep run's atol and sample count, whether it steps alone or as a lane
+# (lanes._step_lanes reads them): a lane is labelled as its run is only
+# while the two agree
+RUN_ATOL, RUN_SAMPLES = 1e-8, 2048
+
+
+def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale, eta_end=400.0,
+                  rtol=1e-7, atol=RUN_ATOL, n_samples=RUN_SAMPLES) -> Trajectory:
     """Transformed-system run from an equilibrium bump of relative size
     kick_scale (negative values kick toward and past zero)."""
     kick = kick_scale * eq.state

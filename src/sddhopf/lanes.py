@@ -46,9 +46,9 @@ def _map_key(m):
     return type(m), tuple(sorted(vars(m).items()))
 
 
-def lane_runs(runs, rtol, atol=1e-8, n_samples=2048):
-    """run_perturbed(params, eq, kick_scale, eta_end, rtol, atol, n_samples)
-    for every (params, eq, kick_scale, eta_end) of runs, stepped together.
+def lane_runs(runs, rtol):
+    """run_perturbed(params, eq, kick_scale, eta_end, rtol) for every
+    (params, eq, kick_scale, eta_end) of runs, stepped together.
 
     Per run, a completed lane gives (t, r, steps_accepted, steps_rejected):
     its sample times from the transient cut of measure_oscillation on, r
@@ -66,7 +66,7 @@ def lane_runs(runs, rtol, atol=1e-8, n_samples=2048):
             groups.setdefault((_map_key(f), _map_key(g)), []).append(i)
     with np.errstate(all="ignore"):
         for members in groups.values():
-            done = _step_lanes([runs[i] for i in members], rtol, atol, n_samples)
+            done = _step_lanes([runs[i] for i in members], rtol)
             for i, lane in zip(members, done):
                 out[i] = lane
     return out
@@ -195,7 +195,7 @@ class _SegmentStore:
         return keep
 
 
-def _step_lanes(runs, rtol, atol, n_samples):
+def _step_lanes(runs, rtol):
     """The step loop of integrate_transformed over lanes, one per run.
 
     Each round makes one try of every live lane. A lane keeps only the
@@ -212,7 +212,9 @@ def _step_lanes(runs, rtol, atol, n_samples):
     """
     import numpy as np
 
-    from .dde import _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _SAFETY
+    from .dde import _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _SAFETY, RUN_ATOL, RUN_SAMPLES
+
+    atol, n_samples = RUN_ATOL, RUN_SAMPLES     # run_perturbed's
 
     c_try, a_rows, e_row, p_rows = _tableau()
     # the slopes k2..k7: the slopes before each, its row and its lookup time

@@ -14,7 +14,8 @@ from oracles import scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
 from sddhopf import dde, model, roots
-from sddhopf.cli import _build_parser, _jsonable, _trajectory_csv, load_config, main
+from sddhopf.cli import (_SCHEMA, _build_parser, _jsonable, _trajectory_csv, load_config,
+                         main)
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -30,7 +31,10 @@ BASE = {
 def write_cfg(tmp_path, overrides=None, name="cfg.json"):
     cfg = copy.deepcopy(BASE)
     for block, vals in (overrides or {}).items():
-        cfg.setdefault(block, {}).update(vals)
+        if isinstance(vals, dict):
+            cfg.setdefault(block, {}).update(vals)
+        else:       # a block that is not an object stands as given
+            cfg[block] = vals
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -575,6 +579,31 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
     ("sweep", {"model": {"nonlinearity": {"kind": "hes1", "h": 0}},
                "analysis": {"grid": {"eps": [6.7], "c": [0.01]}}}, 1,
      "config error: nonlinearity.h must be > 0, got 0.0"),
+    # each used to end in a traceback, be read as something else, or pass
+    # unchecked with exit 0
+    ("equilibrium", {"model": {"nonlinearity": {"kind": []}}}, 1,
+     "config error: nonlinearity.kind must be one of hes1, zero, got []"),
+    ("equilibrium", {"model": [["c", 0.01], ["eps", 6.5]]}, 1,
+     "config error: model block must be an object"),
+    ("equilibrium", {"analysis": []}, 1, "config error: analysis block must be an object"),
+    ("equilibrium", {"output": 0}, 1, "config error: output block must be an object"),
+    ("equilibrium", {"analysis": "ab"}, 1, "config error: analysis block must be an object"),
+    ("equilibrium", {"output": {"path": True}}, 1,
+     "config error: field 'path' in output block must be a string"),
+    # an int path would name a file descriptor; no process holds this one
+    ("equilibrium", {"output": {"path": 999999}}, 1,
+     "config error: field 'path' in output block must be a string"),
+    ("equilibrium", {"output": {"path": ["a"]}}, 1,
+     "config error: field 'path' in output block must be a string"),
+    # fields the command never reads are checked all the same
+    ("equilibrium", {"analysis": {"rtol": -1}}, 1,
+     "config error: analysis.rtol must be > 0, got -1.0"),
+    ("stability", {"analysis": {"t_end": "x"}}, 1,
+     "config error: field 't_end' in analysis block must be a number"),
+    ("normal-form", {"output": {"n_samples": 1.5}}, 1,
+     "config error: output.n_samples must be an integer of at least 2, got 1.5"),
+    ("equilibrium", {"output": {"path": str(RECIPES / "hes1.json" / "out.txt")}}, 1,
+     "config error: cannot write %s: " % (RECIPES / "hes1.json" / "out.txt")),
 ], ids=["overflow", "rtol-not-a-number", "two-fit-points", "transient-fraction",
         "rtol-null", "transient-fraction-list", "fit-points-null", "c-max-string",
         "eps-k-fraction", "grid-nested-list", "probe-scales-string",
@@ -583,14 +612,29 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
         "repeated-fit-points",
         "fit-points-nan", "alpha-p-negative", "alpha-m-negative", "system-unknown",
         "format-unknown", "small-kick-zero", "probe-scale-zero", "probe-scale-negative",
-        "ybar-negative", "hill-exponent-negative", "hill-exponent-zero"])
+        "ybar-negative", "hill-exponent-negative", "hill-exponent-zero",
+        "kind-list", "model-pairs", "analysis-list", "output-number", "analysis-string",
+        "path-true", "path-int", "path-list", "equilibrium-rtol-negative",
+        "stability-t-end-string", "normal-form-n-samples-fraction", "path-unwritable"])
 def test_bad_input_ends_in_one_line(tmp_path, capsys, command, overrides, rc, prefix):
     out = tmp_path / "out.txt"
-    output = dict(overrides.get("output", {}), path=str(out))
+    output = overrides.get("output", {})
+    if isinstance(output, dict):    # a path the case gives stands
+        output = dict({"path": str(out)}, **output)
     path = write_cfg(tmp_path, dict(overrides, output=output))
     assert main([command, "--config", path]) == rc
     assert one_line_error(capsys).startswith(prefix)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,prefix", [
+    ("--t-end", "-5", "config error: analysis.t_end must be > 0, got -5.0"),
+    ("--eps-k", "-1", "config error: analysis.eps_k must be a non-negative integer"),
+    ("--eps", "nan", "config error: field 'eps' in model block must be finite"),
+])
+def test_a_flag_is_checked_as_its_field_is(tmp_path, capsys, flag, value, prefix):
+    assert main(["equilibrium", "--config", write_cfg(tmp_path), flag, value]) == 1
+    assert one_line_error(capsys).startswith(prefix)
 
 
 def _capped_brentq(monkeypatch):
@@ -727,6 +771,26 @@ def test_config_echo_shows_the_override_flags(capsys):
     expected["model"].update(eps=7.5, c=0.02)
     expected["output"]["format"] = "json"
     assert echoed == expected
+
+
+def _unnamed(doc, schema, where=""):
+    """The fields of schema that doc leaves out, as dotted paths."""
+    out = []
+    for key, check in schema.items():
+        if key not in doc:
+            out.append(where + key)
+        elif isinstance(check, dict):
+            out += _unnamed(doc[key], check, where + key + ".")
+    return out
+
+
+def test_readme_config_example_loads_and_names_every_field(tmp_path):
+    readme = (RECIPES.parent / "README.md").read_text()
+    section = readme.split("### Config file\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.json"
+    path.write_text(example)
+    assert _unnamed(load_config(str(path)).to_dict(), _SCHEMA) == []
 
 
 @pytest.mark.parametrize("recipe", sorted(RECIPES.glob("*.json")))

@@ -17,23 +17,21 @@ used.
 from .errors import (ConfigError, DegenerateProjection, DenominatorBreach,
                      HistoryTooShort, HypothesisViolated, IncompatibleData,
                      InsufficientCycles, IntegrationError, NoBracket,
-                     NoConvergence, NonPositive, NoRoot, NoSignChange,
+                     NoConvergence, NonPositive, NoSignChange,
                      ResonanceViolation, SddhopfError, SingularFrame,
                      SlopeBoundWarning, UnhandledRegime)
 from .nonlinearity import (CallableMap, HillRepressor, LinearMap,
-                           NonlinearitySpec, ZeroMap, derivatives_consistent,
-                           hes1_nonlinearity, validate_derivatives)
+                           NonlinearitySpec, ZeroMap, hes1_nonlinearity)
 from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams,
                     find_equilibrium, hes1_params, rhs_original,
                     rhs_transformed)
 from .stability import (CharParams, HopfPoint, StabilityClassification,
                         StabilityKind, char_eval, classify_stability,
-                        solve_beta, solve_hopf, transversality)
+                        solve_hopf, transversality)
 from .normalform import (CriticalFrame, Direction, Kappa3Quadratic,
-                         NormalForm, NormalFormReport, QuadraticCoeffs,
+                         NormalFormReport, QuadraticCoeffs,
                          analyze_normal_form, classify_direction, critical_c,
-                         critical_frame, kappa3_quadratic, normal_form,
-                         quadratic_coeffs)
+                         critical_frame, kappa3_quadratic, quadratic_coeffs)
 
 __version__ = "0.1.0"
 

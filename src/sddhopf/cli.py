@@ -17,7 +17,7 @@ import sys
 
 from .errors import (ConfigError, InsufficientCycles, IntegrationError,
                      ResonanceViolation, SddhopfError)
-from .model import ModelParams, find_equilibrium
+from .model import ModelParams, _equilibrium_residuals, find_equilibrium
 from .nonlinearity import NonlinearitySpec, ZeroMap, hes1_nonlinearity
 from .normalform import analyze_normal_form
 from .stability import StabilityKind, classify_stability
@@ -240,19 +240,16 @@ def _write(text, path):
 
 
 def _kv_csv(payload):
-    """Two-column key,value CSV; complex values split into .re/.im rows."""
+    """Two-column key,value CSV of the payload as the JSON output holds
+    it (_jsonable): a complex value gives .re/.im rows and a non-finite
+    float reads None."""
     lines = ["key,value"]
 
     def emit(prefix, value):
-        if _is_numpy(value):
-            value = value.tolist()
-        if isinstance(value, complex):
-            emit(prefix + ".re", value.real)
-            emit(prefix + ".im", value.imag)
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             for k, v in value.items():
                 emit(prefix + "." + k if prefix else k, v)
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, list):
             for i, v in enumerate(value):
                 emit("%s[%d]" % (prefix, i), v)
         elif isinstance(value, float):
@@ -260,8 +257,7 @@ def _kv_csv(payload):
         else:
             lines.append("%s,%s" % (prefix, value))
 
-    for key, value in payload.items():
-        emit(key, value)
+    emit("", _jsonable(payload))
     return "\n".join(lines) + "\n"
 
 
@@ -289,9 +285,7 @@ def _cfmt(z):
 def cmd_equilibrium(cfg: RunConfig):
     params = cfg.params()
     eq = find_equilibrium(params)
-    f, g = params.nonlinearity.f, params.nonlinearity.g
-    res_r = -params.mu_m * eq.r_star + f.value(eq.xi_star)
-    res_xi = -params.mu_p * eq.xi_star + g.value(eq.r_star)
+    res_r, res_xi = _equilibrium_residuals(eq.r_star, eq.xi_star, params)
     payload = {"r_star": eq.r_star, "xi_star": eq.xi_star,
                "f_prime": eq.f1, "g_prime": eq.g1, "p": eq.p,
                "residual_r": res_r, "residual_xi": res_xi}

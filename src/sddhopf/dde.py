@@ -88,13 +88,11 @@ class _Abort(Exception):
 class InitialHistory(NamedTuple):
     """C^1 initial data on [t0 - span, t0], constant-extended further back.
 
-    value(s) and derivative(s) each return the pair (x, y) as floats; a
-    derivative of None means the slope is not known in closed form, and
-    History takes a central difference of value instead.
+    value(s) and derivative(s) each return the pair (x, y) as floats.
     """
 
     value: Callable[[float], Tuple[float, float]]
-    derivative: Optional[Callable[[float], Tuple[float, float]]]
+    derivative: Callable[[float], Tuple[float, float]]
     t0: float
     span: float
 
@@ -186,17 +184,9 @@ class History:
         x, y = self.initial.value(s)
         if not slope:
             return x, y
-        lo = self.t0 - self.initial.span
-        if s < lo:
+        if s < self.t0 - self.initial.span:
             return x, y, 0.0
-        if self.initial.derivative is not None:
-            return x, y, self.initial.derivative(s)[0]
-        # central difference, kept inside [t0 - span, t0]
-        d = 1e-6 * self.initial.span
-        a, b = max(s - d, lo), min(s + d, self.t0)
-        if b <= a:
-            return x, y, 0.0
-        return x, y, (self.initial.value(b)[0] - self.initial.value(a)[0]) / (b - a)
+        return x, y, self.initial.derivative(s)[0]
 
     def eval(self, t: float, slope=False):
         """State (x, y) at time t as a tuple of floats; with slope, the
@@ -277,7 +267,10 @@ def solve_delay(t, x_now, history: History, params: ModelParams,
     is simple while g' > 0 there, i.e. c x' < 1, the model's D > 0; a root
     with c x' >= 1 may not be unique, which is reported as a
     SlopeBoundWarning and a slope_bound event whose detail is the signed
-    c x', not an error.
+    c x', not an error. Only the root returned is checked: the steps are
+    drawn to roots where g rises and the bracketed solve ends on a change
+    from g < 0 to g > 0, so where g has several roots one with c x' < 1
+    is usually returned, with no warning and nothing said of the others.
 
     No run calls this: an original-time run is the time map of a unit-delay
     run (integrate_sdd). It solves the threshold equation on a history.
@@ -358,13 +351,7 @@ def check_compatibility(history: InitialHistory, tau0, params: ModelParams,
     t0 = history.t0
     now = np.asarray(history.value(t0), dtype=float)
     back = np.asarray(history.value(t0 - tau0), dtype=float)
-    if history.derivative is not None:
-        slope = np.asarray(history.derivative(t0), dtype=float)
-    else:
-        h = 1e-6 * max(tau0, 1.0)
-        slope = (3 * np.asarray(history.value(t0), float)
-                 - 4 * np.asarray(history.value(t0 - h), float)
-                 + np.asarray(history.value(t0 - 2 * h), float)) / (2 * h)
+    slope = np.asarray(history.derivative(t0), dtype=float)
     (dx, dy), _ = rhs_original(now, back, tau0, params)
     scale = max(1.0, abs(dx), abs(dy), params.eps)
     return CompatibilityReport(
@@ -608,7 +595,7 @@ def _eta_history(history: InitialHistory, params: ModelParams) -> InitialHistory
         return dx * rate, dy * rate
 
     return InitialHistory(value=lambda eta: point(eta)[1:3],
-                          derivative=derivative if history.derivative else None,
+                          derivative=derivative,
                           t0=0.0, span=1.0)
 
 

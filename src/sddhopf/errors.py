@@ -23,10 +23,6 @@ class NonPositive(SddhopfError):
     """Positive-orthant root requested but the root found is not positive."""
 
 
-class NoRoot(SddhopfError):
-    """Expected a bracketed root and found no sign change."""
-
-
 class HypothesisViolated(SddhopfError):
     """Parameters fall outside the regime where a Hopf point exists
     (mu_m*mu_p >= -p with p <= 0: the equilibrium is stable for every eps)."""
@@ -84,6 +80,8 @@ class IncompatibleData(IntegrationError):
 
 
 class SlopeBoundWarning(UserWarning):
-    """c x' >= 1 at a threshold root, where g'(tau) = 1 - c x'(t - tau) <= 0:
-    the threshold equation may have multiple roots. Solve proceeds; result
-    recorded with a warning."""
+    """c x' >= 1 at the threshold root dde.solve_delay returns, where
+    g'(tau) = 1 - c x'(t - tau) <= 0: the threshold equation may have
+    multiple roots. Solve proceeds; result recorded with a warning. Only
+    the root returned is checked, so an equation with several roots that
+    is solved to one with c x' < 1 gives no warning."""

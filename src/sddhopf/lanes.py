@@ -99,16 +99,19 @@ def _tableau():
 class _SegmentStore:
     """The segments each lane's lookups can still reach, in one pool.
 
-    A pool column is a segment as History packs it, and its end. A lane's
-    segments lie in time order in its own span of the pool: from its
-    cursor, the segment its last accepted step's fifth lookup found (the
-    one at t_new - 1), to last, its newest. The places after them end at
-    +inf, but for a rejected try's column at last + 1, which ends at the
-    try's t + h, past the lane's t. So a lookup looks from the cursor on,
-    and an accept only writes after last and moves the cursor. Every few
-    rounds, and when lanes leave, repack moves each lane's segments from
-    its cursor on to the front of a new span, in the same pool or a new
-    one, and shares the free places out evenly.
+    A pool column is one segment and its end, in the rows t, h, r, xi,
+    k1_r, k1_xi, P1_r, P1_xi, P2_r, P2_xi, P3_r, P3_xi, end: each
+    interpolant coefficient of r next to that of xi, where History packs
+    t, h, r, xi, the four coefficients of r (a0..a3), then those of xi
+    (b0..b3). A lane's segments lie in time order in its own span of the
+    pool: from its cursor, the segment its last accepted step's fifth
+    lookup found (the one at t_new - 1), to last, its newest. The places
+    after them end at +inf, but for a rejected try's column at last + 1,
+    which ends at the try's t + h, past the lane's t. So a lookup looks
+    from the cursor on, and an accept only writes after last and moves the
+    cursor. Every few rounds, and when lanes leave, repack moves each
+    lane's segments from its cursor on to the front of a new span, in the
+    same pool or a new one, and shares the free places out evenly.
     """
 
     def __init__(self, n, data):
@@ -343,7 +346,7 @@ def _step_lanes(runs, rtol):
         h_next = h * minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR)
         t_new = t + h
 
-        # the segments as History packs them, and their ends; one vector
+        # the segments in the pool's row order, and their ends; one vector
         # product per row of P, as a matrix product would page in
         # OpenBLAS's gemm kernels, another 0.2 MB of resident code
         new = cat([t, h, x, kf[0]] + [dot(p_row, kf) for p_row in p_rows]

@@ -2,8 +2,9 @@
 
 Each map bundles its value with the first three derivatives; the
 normal-form stage needs third derivatives, and finite differencing
-those is too noisy, so closed forms are required and cross-checked
-against high-order difference stencils of the value map.
+those is too noisy, so closed forms are required. The tests check them
+against high-order difference stencils of the value map
+(tests/oracles.py).
 """
 
 from typing import Callable, NamedTuple
@@ -111,45 +112,3 @@ def hes1_nonlinearity(alpha_m=35.0, ybar=1200.0, h=5.0, alpha_p=10.0) -> Nonline
     """Hill repression onto x, linear production onto y."""
     return NonlinearitySpec(f=HillRepressor(alpha_m, ybar, h), g=LinearMap(alpha_p))
 
-
-# -- derivative self-check ----------------------------------------------------
-
-def _stencil_d1(v, x, h):
-    return (v(x - 2 * h) - 8 * v(x - h) + 8 * v(x + h) - v(x + 2 * h)) / (12 * h)
-
-
-def _stencil_d2(v, x, h):
-    return (-v(x - 2 * h) + 16 * v(x - h) - 30 * v(x)
-            + 16 * v(x + h) - v(x + 2 * h)) / (12 * h * h)
-
-
-def _stencil_d3(v, x, h):
-    return (v(x - 3 * h) - 8 * v(x - 2 * h) + 13 * v(x - h)
-            - 13 * v(x + h) + 8 * v(x + 2 * h) - v(x + 3 * h)) / (8 * h ** 3)
-
-
-def validate_derivatives(m, points, step_scale=2e-3):
-    """Compare d1..d3 callbacks against 4th-order central differences of
-    the value map. Returns {1: err, 2: err, 3: err} with the worst
-    relative mismatch per order (identically-zero derivatives are
-    compared on an absolute floor tied to the value scale)."""
-    import numpy as np
-
-    worst = {1: 0.0, 2: 0.0, 3: 0.0}
-    for x in np.atleast_1d(np.asarray(points, dtype=float)):
-        h = step_scale * max(1.0, abs(x))
-        vscale = max(1.0, abs(m.value(x)))
-        for order, stencil, deriv in ((1, _stencil_d1, m.d1),
-                                      (2, _stencil_d2, m.d2),
-                                      (3, _stencil_d3, m.d3)):
-            fd = stencil(m.value, x, h)
-            exact = deriv(x)
-            # floor keeps zero derivatives (e.g. linear g) from dividing by 0
-            denom = max(abs(exact), 1e-9 * vscale / h ** order)
-            worst[order] = max(worst[order], abs(fd - exact) / denom)
-    return worst
-
-
-def derivatives_consistent(m, points, rtol=1e-6, step_scale=2e-3) -> bool:
-    errs = validate_derivatives(m, points, step_scale=step_scale)
-    return all(e <= rtol for e in errs.values())

@@ -231,29 +231,6 @@ def classify_direction(kappa3: complex) -> Direction:
     return Direction.SUPERCRITICAL if kappa3.real < 0 else Direction.SUBCRITICAL
 
 
-class NormalForm(NamedTuple):
-    kappa1: complex
-    kappa3: complex
-    direction: Direction
-    c: float
-
-
-def normal_form(eq, hp, frame, qc: QuadraticCoeffs, c=None) -> NormalForm:
-    """kappa1 and kappa3 at qc.c: the resonant forcing of the first-order
-    solution and the second-order one qc, projected onto the adjoint frame."""
-    if c is None:
-        c = qc.c
-    if c != qc.c:
-        raise ValueError("quadratic coefficients were computed at c = %g, not %g"
-                         % (qc.c, c))
-    u, v = _first_order(frame)
-    u.update({(2, 2, 0, 0): qc.a1, (0, 1, 1, 0): qc.b1})
-    v.update({(2, 2, 0, 0): qc.a2, (0, 1, 1, 0): qc.b2})
-    kappa3 = _kappa3_by_power(eq, hp, frame, {(0, 0, 0, 0): c}, u, v)[0]
-    return NormalForm(kappa1=frame.kappa1, kappa3=kappa3,
-                      direction=classify_direction(kappa3), c=c)
-
-
 def _horner(q, c):
     q2, q1, q0 = q
     return (q2 * c + q1) * c + q0

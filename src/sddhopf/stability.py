@@ -7,9 +7,9 @@ The characteristic function is
 with coupling product p = f'(xi*) g'(r*). For p < -mu_m mu_p a purely
 imaginary root i*beta crosses the axis at a unique smallest eps0, with
 beta in (0, pi/2); beyond it the crossing repeats at eps_k with
-frequency beta + k*pi. The closed form for eps0 comes from eliminating
-the trigonometric terms; the tests cross-check it against a direct
-two-equation solve.
+frequency beta + k*pi. The crossing is computed one way, in closed form,
+by eliminating the trigonometric terms; the tests check it against a
+direct two-equation solve (tests/oracles.py).
 """
 
 import cmath
@@ -17,9 +17,8 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import HypothesisViolated, NoConvergence, NoRoot, UnhandledRegime
+from .errors import HypothesisViolated, NoConvergence, UnhandledRegime
 from .model import Equilibrium, check_numbers
-from .roots import brentq
 
 
 class CharParams:
@@ -42,42 +41,6 @@ def _beta_equation_residual(beta, cp: CharParams):
     # cot form: beta^2 - eps^2 mu_m mu_p - eps (mu_m+mu_p) beta cot(2 beta)
     return (beta * beta - cp.eps ** 2 * cp.mu_m * cp.mu_p
             - cp.eps * (cp.mu_m + cp.mu_p) * beta * math.cos(2 * beta) / math.sin(2 * beta))
-
-
-def solve_beta(cp: CharParams) -> float:
-    """Unique beta in (0, pi/2) with beta^2 - eps^2 mu_m mu_p
-    = eps (mu_m + mu_p) beta cot(2 beta).
-
-    Solved on the sign-definite form multiplied through by sin(2 beta),
-    which removes the cot singularities at both interval ends.
-    """
-    e, s = cp.eps, cp.mu_m + cp.mu_p
-    mm = cp.mu_m * cp.mu_p
-
-    def G(b):
-        return (b * b - e * e * mm) * math.sin(2 * b) - e * s * b * math.cos(2 * b)
-
-    lo, hi = 1e-12, math.pi / 2 - 1e-12
-    glo, ghi = G(lo), G(hi)
-    if glo == 0.0:
-        beta = lo
-    elif glo * ghi > 0:
-        raise NoRoot("no sign change of the beta equation on (0, pi/2)")
-    else:
-        beta = brentq(G, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-
-    res = _beta_equation_residual(beta, cp)
-    scale = max(1.0, beta * beta + e * e * mm + abs(e * s * beta))
-    if abs(res) > 1e-12 * scale:
-        # one safeguard Newton pass on the cot form
-        for _ in range(5):
-            d = 2 * beta - e * s * (math.cos(2 * beta) / math.sin(2 * beta)
-                                    - 2 * beta / math.sin(2 * beta) ** 2)
-            beta -= _beta_equation_residual(beta, cp) / d
-        res = _beta_equation_residual(beta, cp)
-        if abs(res) > 1e-12 * scale:
-            raise NoConvergence("beta residual %.3e above tolerance" % res)
-    return beta
 
 
 class HopfPoint(NamedTuple):

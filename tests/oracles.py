@@ -11,12 +11,13 @@ import math
 import numpy as np
 
 from sddhopf.dde import classify_run, run_perturbed
-from sddhopf.errors import HypothesisViolated, NoConvergence, NoRoot, SddhopfError
+from sddhopf.errors import HypothesisViolated, NoConvergence, SddhopfError
 from sddhopf.model import Equilibrium, ModelParams
-from sddhopf.normalform import QuadraticCoeffs, _first_order, _forcing
+from sddhopf.normalform import (QuadraticCoeffs, _first_order, _forcing,
+                                _kappa3_by_power)
 from sddhopf.roots import brentq
 from sddhopf.stability import (CharParams, HopfPoint, _validate_hopf, char_eval,
-                               solve_beta, transversality)
+                               transversality)
 
 
 def smul(s1, s2):
@@ -30,7 +31,92 @@ def smul(s1, s2):
     return out
 
 
+# -- nonlinearity ------------------------------------------------------------
+
+def _stencil_d1(v, x, h):
+    return (v(x - 2 * h) - 8 * v(x - h) + 8 * v(x + h) - v(x + 2 * h)) / (12 * h)
+
+
+def _stencil_d2(v, x, h):
+    return (-v(x - 2 * h) + 16 * v(x - h) - 30 * v(x)
+            + 16 * v(x + h) - v(x + 2 * h)) / (12 * h * h)
+
+
+def _stencil_d3(v, x, h):
+    return (v(x - 3 * h) - 8 * v(x - 2 * h) + 13 * v(x - h)
+            - 13 * v(x + h) + 8 * v(x + 2 * h) - v(x + 3 * h)) / (8 * h ** 3)
+
+
+def validate_derivatives(m, points, step_scale=2e-3):
+    """Compare d1..d3 callbacks against 4th-order central differences of
+    the value map. Returns {1: err, 2: err, 3: err} with the worst
+    relative mismatch per order (identically-zero derivatives are
+    compared on an absolute floor tied to the value scale)."""
+    worst = {1: 0.0, 2: 0.0, 3: 0.0}
+    for x in np.atleast_1d(np.asarray(points, dtype=float)):
+        h = step_scale * max(1.0, abs(x))
+        vscale = max(1.0, abs(m.value(x)))
+        for order, stencil, deriv in ((1, _stencil_d1, m.d1),
+                                      (2, _stencil_d2, m.d2),
+                                      (3, _stencil_d3, m.d3)):
+            fd = stencil(m.value, x, h)
+            exact = deriv(x)
+            # floor keeps zero derivatives (e.g. linear g) from dividing by 0
+            denom = max(abs(exact), 1e-9 * vscale / h ** order)
+            worst[order] = max(worst[order], abs(fd - exact) / denom)
+    return worst
+
+
+def derivatives_consistent(m, points, rtol=1e-6, step_scale=2e-3) -> bool:
+    errs = validate_derivatives(m, points, step_scale=step_scale)
+    return all(e <= rtol for e in errs.values())
+
+
 # -- stability ---------------------------------------------------------------
+
+def _beta_residual(beta, cp: CharParams):
+    """The beta equation in cot form: beta^2 - eps^2 mu_m mu_p
+    - eps (mu_m + mu_p) beta cot(2 beta)."""
+    e, s = cp.eps, cp.mu_m + cp.mu_p
+    return (beta * beta - e * e * cp.mu_m * cp.mu_p
+            - e * s * beta * math.cos(2 * beta) / math.sin(2 * beta))
+
+
+def solve_beta(cp: CharParams) -> float:
+    """Unique beta in (0, pi/2) with beta^2 - eps^2 mu_m mu_p
+    = eps (mu_m + mu_p) beta cot(2 beta).
+
+    Solved on the sign-definite form multiplied through by sin(2 beta),
+    which removes the cot singularities at both interval ends.
+    """
+    e, s = cp.eps, cp.mu_m + cp.mu_p
+    mm = cp.mu_m * cp.mu_p
+
+    def G(b):
+        return (b * b - e * e * mm) * math.sin(2 * b) - e * s * b * math.cos(2 * b)
+
+    lo, hi = 1e-12, math.pi / 2 - 1e-12
+    glo, ghi = G(lo), G(hi)
+    if glo == 0.0:
+        beta = lo
+    elif glo * ghi > 0:
+        raise NoConvergence("no sign change of the beta equation on (0, pi/2)")
+    else:
+        beta = brentq(G, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+    res = _beta_residual(beta, cp)
+    scale = max(1.0, beta * beta + e * e * mm + abs(e * s * beta))
+    if abs(res) > 1e-12 * scale:
+        # one safeguard Newton pass on the cot form
+        for _ in range(5):
+            d = 2 * beta - e * s * (math.cos(2 * beta) / math.sin(2 * beta)
+                                    - 2 * beta / math.sin(2 * beta) ** 2)
+            beta -= _beta_residual(beta, cp) / d
+        res = _beta_residual(beta, cp)
+        if abs(res) > 1e-12 * scale:
+            raise NoConvergence("beta residual %.3e above tolerance" % res)
+    return beta
+
 
 def char_dlam(lam, cp: CharParams):
     """d/d(lam) of the characteristic function."""
@@ -70,7 +156,7 @@ def solve_hopf_direct(mu_m, mu_p, p, eps_hi=1e4) -> HopfPoint:
     while S(hi) > 0:
         hi *= 4.0
         if hi > eps_hi:
-            raise NoRoot("no Hopf crossing found below eps = %g" % eps_hi)
+            raise NoConvergence("no Hopf crossing found below eps = %g" % eps_hi)
     eps0 = brentq(S, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     beta = solve_beta(CharParams(mu_m, mu_p, p, eps0))
     l = (eps0 / beta) ** 2
@@ -144,6 +230,16 @@ def quadratic_coeffs_closed_form(eq, hp, frame, c) -> QuadraticCoeffs:
           - 2 * c * mu_m * mu_p * f1 * w ** 2 * math.cos(w)
           - 2 * c * (mu_m * f1 ** 2 * gp + mu_m ** 2 * mu_p * f1) * es * w * math.sin(w)) / denb
     return QuadraticCoeffs(a1=a1, a2=a2, b1=b1, b2=b2, c=c)
+
+
+def kappa3_at(eq, hp, frame, qc: QuadraticCoeffs) -> complex:
+    """kappa3 at the one number qc.c, pointwise: the resonant forcing of the
+    first-order solution and the second-order one qc, projected onto the
+    adjoint frame. kappa1 is frame.kappa1."""
+    u, v = _first_order(frame)
+    u.update({(2, 2, 0, 0): qc.a1, (0, 1, 1, 0): qc.b1})
+    v.update({(2, 2, 0, 0): qc.a2, (0, 1, 1, 0): qc.b2})
+    return _kappa3_by_power(eq, hp, frame, {(0, 0, 0, 0): qc.c}, u, v)[0]
 
 
 def normal_form_constant_delay(eq, hp, frame, qc: QuadraticCoeffs):

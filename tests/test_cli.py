@@ -137,6 +137,33 @@ def test_normal_form_csv_splits_complex(tmp_path, capsys):
     assert float(rows["kappa1.im"]) == pytest.approx(RV.KAPPA1.imag, rel=1e-10)
 
 
+def flatten(value, prefix=""):
+    """(key, value) pairs of a JSON value in the key notation of the CSV."""
+    if isinstance(value, dict):
+        return [kv for k, v in value.items()
+                for kv in flatten(v, prefix + "." + k if prefix else k)]
+    if isinstance(value, list):
+        return [kv for i, v in enumerate(value)
+                for kv in flatten(v, "%s[%d]" % (prefix, i))]
+    return [(prefix, value)]
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "stability", "normal-form"])
+def test_csv_rows_are_the_flattened_json_results(capsys, command):
+    argv = [command, "--config", str(RECIPES / "hes1.json")]
+    assert main(argv + ["--format", "json"]) == 0
+    want = flatten(json.loads(capsys.readouterr().out)["results"])
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "key,value"
+    rows = [line.split(",", 1) for line in lines[1:]]
+    assert [key for key, _ in rows] == [key for key, _ in want]
+    for (key, text), (_, value) in zip(rows, want):
+        # a float exactly as JSON reads it; null, strings and ints as str()
+        assert (float(text) == value if isinstance(value, float)
+                else text == str(value)), key
+
+
 def test_non_finite_numpy_values_are_written_as_null():
     values = {"nan": np.float64("nan"), "inf": np.float64("inf"),
               "-inf": np.float64("-inf"), "f32": np.float32("inf"),

@@ -114,33 +114,6 @@ def test_delay_closed_form_on_linear_history(c, m):
     assert abs(tau - reference_delay(0.0, 1.0, hist, p)) <= 1e-13 * max(eps, tau)
 
 
-@pytest.mark.parametrize("c,m", [(0.3, 0.05), (0.1, -2.0), (0.02, 8.0)])
-def test_delay_closed_form_without_a_derivative(c, m):
-    # derivative=None: History takes x' from a central difference of value
-    eps = 2.0
-    p = hes1_params(c=c, eps=eps)
-    hist = History(InitialHistory(value=lambda s: (1.0 + m * s, 0.0),
-                                  derivative=None, t0=0.0, span=400.0))
-    for s in (-3.0, 0.0, -400.0):
-        assert hist.eval(s, slope=True)[2] == pytest.approx(m, rel=1e-8)
-    assert hist.eval(-401.0, slope=True)[2] == 0.0
-    tau = solve_delay(0.0, 1.0, hist, p)
-    assert tau == pytest.approx(eps / (1.0 - c * m), rel=1e-12)
-
-
-def test_run_without_a_derivative_follows_the_closed_form_one(eq_state):
-    p = hes1_params(c=0.02, eps=EPS_HIGH)
-    init = bump_history(eq_state, 0.2 * eq_state, span=p.eps)
-    no_slope = InitialHistory(value=init.value, derivative=None,
-                              t0=init.t0, span=init.span)
-    ts = np.linspace(0.0, 100.0, 101)
-    want = integrate_sdd(init, p.eps, p, t_end=100.0, sample_times=ts)
-    got = integrate_sdd(no_slope, p.eps, p, t_end=100.0, sample_times=ts)
-    assert got.status == want.status == "completed"
-    assert np.allclose(got.states, want.states, rtol=1e-8, atol=0.0)
-    assert np.allclose(got.delay, want.delay, rtol=1e-8, atol=0.0)
-
-
 def test_newton_delay_matches_the_fixed_point_on_a_dense_history(eq_state):
     # a run's dense history, its stored steps read as x(s): delays of four
     # units reach back across many segments
@@ -265,6 +238,36 @@ def test_a_root_on_a_falling_slope_does_not_warn(case):
     assert events == []
 
 
+def test_a_silent_root_among_three():
+    # at c = 1, eps = 2 the data x(s) = G(-s) + s + 2 with
+    # G(u) = 2 (u - 1)(u - 3)(u - 5) / 15 makes g(tau) = G(tau), with roots
+    # 1, 3 and 5; at the middle one c x' = 1 - G'(3) = 23/15 >= 1. The solve
+    # from the seed tau = eps ends on the root at 1 and says nothing
+    def G(u, slope=False):
+        if slope:
+            return 2.0 * ((u - 3) * (u - 5) + (u - 1) * (u - 5) + (u - 1) * (u - 3)) / 15
+        return 2.0 * (u - 1) * (u - 3) * (u - 5) / 15
+
+    p = hes1_params(c=1.0, eps=2.0)
+    init = InitialHistory(value=lambda s: (G(-s) + s + 2.0, 0.0),
+                          derivative=lambda s: (1.0 - G(-s, True), 0.0),
+                          t0=0.0, span=10.0)
+    hist = History(init)
+
+    def g(tau):
+        return tau - p.eps - p.c * (0.0 - hist.eval(-tau)[0])
+
+    assert [math.copysign(1.0, g(tau)) for tau in (0.5, 2.0, 4.0, 6.0)] == [-1, 1, -1, 1]
+    assert p.c * init.derivative(-3.0)[0] == pytest.approx(23.0 / 15.0, rel=1e-12)
+    events = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SlopeBoundWarning)
+        tau = solve_delay(0.0, 0.0, hist, p, events=events)
+    assert tau == pytest.approx(1.0, rel=1e-12)
+    assert p.c * init.derivative(-tau)[0] < 1.0
+    assert events == []
+
+
 # -- compatibility --------------------------------------------------------------
 
 def test_equilibrium_data_is_compatible(params, eq_state):
@@ -279,13 +282,6 @@ def test_wrong_initial_delay_fails_third_residual(params, eq_state):
                               tau0=params.eps / 2.0, params=params)
     assert not rep.passed
     assert rep.residual_tau == pytest.approx(-0.5, abs=1e-12)   # scaled by eps
-
-
-def test_missing_derivative_falls_back_to_finite_differences(params, eq_state):
-    h = constant_history(eq_state, 0.0, span=10.0)
-    h_nod = InitialHistory(value=h.value, derivative=None, t0=0.0, span=10.0)
-    rep = check_compatibility(h_nod, tau0=params.eps, params=params)
-    assert rep.passed
 
 
 def test_history_shorter_than_initial_delay_is_rejected(params, eq_state):

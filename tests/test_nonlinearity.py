@@ -2,8 +2,8 @@
 
 import pytest
 
-from sddhopf import (CallableMap, LinearMap, ZeroMap, hes1_nonlinearity,
-                     validate_derivatives, derivatives_consistent)
+from oracles import derivatives_consistent, validate_derivatives
+from sddhopf import CallableMap, LinearMap, ZeroMap, hes1_nonlinearity
 
 
 def central_diff(fn, x, h):

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 import refvals as RV
 from hill_sets import draw_hill_params, hill_params
-from oracles import normal_form_constant_delay, quadratic_coeffs_closed_form, smul
+from oracles import (kappa3_at, normal_form_constant_delay,
+                     quadratic_coeffs_closed_form, smul)
 from sddhopf import normalform
 from sddhopf import (Direction, NoSignChange, ResonanceViolation, SddhopfError,
                      analyze_normal_form, classify_direction, critical_c,
                      critical_frame, find_equilibrium, hes1_params,
-                     kappa3_quadratic, normal_form, quadratic_coeffs,
-                     solve_hopf)
+                     kappa3_quadratic, quadratic_coeffs, solve_hopf)
 
 
 def test_frame_solves_the_eigenproblem(frame):
@@ -83,12 +83,12 @@ def test_direct_and_closed_routes_agree_on_random_sets(eq, hopf, frame):
 
 def _check_quadratic_matches_pointwise(rep):
     """analyze_normal_form's kappa3(c), from the series pass with c as its
-    variable, against a pointwise quadratic_coeffs + normal_form evaluation
+    variable, against a pointwise quadratic_coeffs + kappa3_at evaluation
     at c values from near 0 to past the standard set's c0."""
     eq, hp = rep.eq, rep.hopf
     fr = critical_frame(eq, hp)
     for c in (0.025, 0.03, 0.3, 1.2, rep.c):
-        want = normal_form(eq, hp, fr, quadratic_coeffs(eq, hp, fr, c)).kappa3
+        want = kappa3_at(eq, hp, fr, quadratic_coeffs(eq, hp, fr, c))
         got = rep.kappa3 if c == rep.c else rep.poly(c)
         assert abs(got - want) <= 1e-10 * abs(want), (rep.eq, rep.hopf, c, got, want)
 
@@ -110,9 +110,8 @@ def test_kappa3_is_exactly_quadratic_in_c_property(p):
 @pytest.mark.parametrize("c", [0.0, 0.01, 0.05])
 def test_cubic_coefficient_matches_pinned(eq, hopf, frame, c):
     qc = quadratic_coeffs(eq, hopf, frame, c)
-    nf = normal_form(eq, hopf, frame, qc, c=c)
-    assert nf.kappa1 == pytest.approx(RV.KAPPA1, rel=1e-12)
-    assert nf.kappa3 == pytest.approx(RV.KAPPA3[c], rel=1e-10)
+    assert frame.kappa1 == pytest.approx(RV.KAPPA1, rel=1e-12)
+    assert kappa3_at(eq, hopf, frame, qc) == pytest.approx(RV.KAPPA3[c], rel=1e-10)
 
 
 def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
@@ -131,7 +130,7 @@ def test_cubic_coefficient_is_quadratic_in_c(eq, hopf, frame):
     # really is quadratic
     c4 = 0.03
     qc4 = quadratic_coeffs(eq, hopf, frame, c4)
-    k4 = normal_form(eq, hopf, frame, qc4, c=c4).kappa3
+    k4 = kappa3_at(eq, hopf, frame, qc4)
     assert np.polyval(poly.re_coeffs, c4) == pytest.approx(k4.real, rel=1e-10)
     assert np.polyval(poly.im_coeffs, c4) == pytest.approx(k4.imag, rel=1e-10)
 
@@ -164,7 +163,7 @@ def test_critical_c_matches_pinned(eq, hopf, frame):
     c0 = critical_c(kappa3_quadratic(eq, hopf, frame))
     assert c0 == pytest.approx(RV.C0, rel=1e-10)
     qc = quadratic_coeffs(eq, hopf, frame, c0)
-    k3 = normal_form(eq, hopf, frame, qc, c=c0).kappa3
+    k3 = kappa3_at(eq, hopf, frame, qc)
     assert abs(k3.real) < 1e-12
 
 
@@ -224,10 +223,9 @@ def test_hopf_point_and_direction_do_not_depend_on_the_units(p, scales):
 
 def test_constant_delay_reduction_matches_general_pipeline(eq, hopf, frame):
     qc = quadratic_coeffs(eq, hopf, frame, 0.0)
-    general = normal_form(eq, hopf, frame, qc, c=0.0)
     k1_red, k3_red = normal_form_constant_delay(eq, hopf, frame, qc)
-    assert k1_red == pytest.approx(general.kappa1, rel=1e-10)
-    assert k3_red == pytest.approx(general.kappa3, rel=1e-10)
+    assert k1_red == pytest.approx(frame.kappa1, rel=1e-10)
+    assert k3_red == pytest.approx(kappa3_at(eq, hopf, frame, qc), rel=1e-10)
     with pytest.raises(ValueError):
         normal_form_constant_delay(eq, hopf, frame,
                                    quadratic_coeffs(eq, hopf, frame, 0.01))

@@ -16,7 +16,7 @@ import oracles
 import sddhopf
 from sddhopf import (History, InitialHistory, NoConvergence, find_equilibrium,
                      hes1_params, solve_delay)
-from sddhopf import dde, model, stability
+from sddhopf import dde, model
 from sddhopf.roots import brentq
 
 
@@ -31,7 +31,7 @@ def checked_calls(monkeypatch):
         calls.append((ours, scipy_brentq(f, a, b, **kw)))
         return ours
 
-    for module in (model, stability, dde, oracles):
+    for module in (model, dde, oracles):
         monkeypatch.setattr(module, "brentq", both)
     return calls
 

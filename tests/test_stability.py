@@ -10,11 +10,12 @@ import math
 import pytest
 
 import refvals as RV
-from oracles import characteristic_root_near, solve_hopf_direct, winding_count
+from oracles import (characteristic_root_near, solve_beta, solve_hopf_direct,
+                     winding_count)
 from sddhopf import (CharParams, Equilibrium, HypothesisViolated,
                      StabilityKind, UnhandledRegime,
                      char_eval, classify_stability,
-                     find_equilibrium, solve_beta, solve_hopf,
+                     find_equilibrium, solve_hopf,
                      transversality,
                      NonlinearitySpec, ZeroMap, ModelParams)
 

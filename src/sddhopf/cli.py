@@ -324,6 +324,12 @@ def cmd_stability(cfg: RunConfig):
 def cmd_normal_form(cfg: RunConfig):
     params = cfg.params()
     rep = analyze_normal_form(params, **_given(cfg.analysis, "c_max"))
+    # q2 c^2 passes the float range for c above about 1e155, and an inf
+    # kappa3 has no direction. The check sits here, not in
+    # analyze_normal_form, so the sweep's c0 overlay still reads the quadratic
+    if not (math.isfinite(rep.kappa3.real) and math.isfinite(rep.kappa3.imag)):
+        raise OverflowError("kappa3(c = %.10g) is not finite: %s"
+                            % (rep.c, _cfmt(rep.kappa3)))
     payload = {"eps0": rep.hopf.eps0, "omega": rep.hopf.omega,
                "kappa1": rep.kappa1, "kappa3": rep.kappa3,
                "direction": rep.direction.value, "c": rep.c, "c0": rep.c0,
@@ -541,9 +547,15 @@ def _build_parser():
     return parser
 
 
+# built once, when the module is imported: in-process callers of main()
+# parse with it call after call, and --help wraps at the terminal width
+# read here
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits for usage errors (1 via _Parser.error) and --help (0)
         return int(exc.code or 0)

@@ -181,11 +181,14 @@ class History:
 
     def _initial_at(self, t, slope):
         s = min(t, self.t0)
+        start = self.t0 - self.initial.span
+        if s < start:
+            # the constant extension: the value at the start, slope 0
+            x, y = self.initial.value(start)
+            return (x, y, 0.0) if slope else (x, y)
         x, y = self.initial.value(s)
         if not slope:
             return x, y
-        if s < self.t0 - self.initial.span:
-            return x, y, 0.0
         return x, y, self.initial.derivative(s)[0]
 
     def eval(self, t: float, slope=False):

@@ -13,7 +13,7 @@ import refvals as RV
 from oracles import scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
-from sddhopf import dde, model, roots
+from sddhopf import cli, dde, model, roots
 from sddhopf.cli import (_SCHEMA, _build_parser, _jsonable, _trajectory_csv, load_config,
                          main)
 
@@ -181,6 +181,17 @@ def test_normal_form_on_zero_map_is_a_solver_error(tmp_path, capsys):
     rc = main(["normal-form", "--config", str(path)])
     assert rc == 2
     assert "solver error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_an_overflowed_kappa3_is_a_solver_error(tmp_path, capsys, fmt):
+    # Re kappa3(c) = q2 c^2 + ... passes the float range at c = 1e160
+    out = tmp_path / "out"
+    assert main(["normal-form", "--config", write_cfg(tmp_path), "--c", "1e160",
+                 "--format", fmt, "--output", str(out)]) == 2
+    err = one_line_error(capsys)
+    assert err.startswith("solver error: ") and "c = 1e+160" in err
+    assert not out.exists()
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -414,6 +425,18 @@ def test_sweep_c0_overlay_is_the_normal_form_c0(tmp_path, capsys, analysis, c0):
     assert main(["normal-form", "--config", path]) == 0
     assert overlay == json.loads(capsys.readouterr().out)["results"]["c0"]
     assert overlay == (pytest.approx(c0, rel=1e-8) if c0 else None)
+
+
+def test_sweep_c0_overlay_survives_a_base_c_whose_kappa3_overflows(tmp_path, capsys):
+    # the overlay reads only the kappa3(c) quadratic, not kappa3 at the base c
+    path = write_cfg(tmp_path, {
+        "model": {"c": 1e160},
+        "analysis": {"grid": {"eps": [-1.0], "c": [0.01]}},
+        "output": {"format": "json"}})
+    assert main(["sweep", "--config", path]) == 0
+    overlays = json.loads(capsys.readouterr().out)["results"]["overlays"]
+    assert overlays["c0"] == pytest.approx(RV.C0, rel=1e-8)
+    assert main(["normal-form", "--config", path]) == 2
 
 
 @pytest.mark.parametrize("fmt,grid,error", [
@@ -762,12 +785,40 @@ def test_help_matches_the_stock_formatter(monkeypatch, columns):
 
 
 def test_a_command_queries_the_terminal_size_once(tmp_path, capsys, monkeypatch):
+    # the parser main() uses was built at import: a command queries the
+    # terminal 0 times, and one build queries it once, not once per flag
     calls = []
     query = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size",
                         lambda *a: calls.append(a) or query(*a))
     assert main(["equilibrium", "--config", write_cfg(tmp_path)]) == 0
+    assert len(calls) == 0
+    _build_parser()
     assert len(calls) == 1
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main() built a parser")
+
+    path = write_cfg(tmp_path, {"analysis": dict(SIM_ANALYSIS,
+                                                 grid={"eps": [-1.0], "c": [0.01]})})
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for command in COMMANDS:
+        assert main([command, "--config", path]) == 0, command
+
+
+def test_the_shared_parser_keeps_nothing_from_earlier_calls(tmp_path, capsys):
+    argv = ["stability", "--config", write_cfg(tmp_path), "--eps-k", "2",
+            "--format", "json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["equilibrium", "--config", "x", "--format", "xml"]) == 1
+    assert main(["--help"]) == 0
+    assert main(argv[1:] + ["normal-form"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("argv", [

@@ -430,6 +430,18 @@ def test_slope_matches_a_central_difference(dense_history):
     assert dense_history.eval(dense_history.t0 - 1.5, slope=True)[2] == 0.0
 
 
+def test_the_constant_extension_holds_for_data_that_does_not_clamp():
+    # value(s) = (s, 0) keeps moving before t0 - span = -1; the history
+    # there is the state at -1, with slope 0
+    hist = History(InitialHistory(value=lambda s: (s, 0.0),
+                                  derivative=lambda s: (1.0, 0.0), t0=0.0, span=1.0))
+    assert hist.eval(-2.0) == (-1.0, 0.0)
+    assert hist.eval(-2.0, slope=True) == (-1.0, 0.0, 0.0)
+    assert hist.eval_many([-2.0, -3.0]).tolist() == [[-1.0, 0.0]] * 2
+    assert hist.eval_many([-2.0, -0.5], slope=True).tolist() == [[-1.0, 0.0, 0.0],
+                                                                 [-0.5, 0.0, 1.0]]
+
+
 def test_lookup_order_does_not_change_values(dense_history):
     ts = np.sort(_lookup_times(dense_history))
     in_order = [dense_history.eval(t) for t in ts]

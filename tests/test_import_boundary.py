@@ -3,8 +3,9 @@ standard library, and only the integrator module loads numpy.
 
 The analysis commands run in a fresh interpreter whose PYTHONPATH starts
 with a `numpy` package that raises ImportError, and must write the same
-bytes as in this process, where numpy is loaded. The names the benchmark's
-tracer wraps must also resolve in the package.
+bytes as in this process, where numpy is loaded. Importing the CLI builds
+its one parser and nothing more. The names the benchmark's tracer wraps
+must also resolve in the package.
 """
 
 import importlib
@@ -81,6 +82,38 @@ def test_importing_the_cli_loads_no_dataclasses():
                        "print('dataclasses' in set(sys.modules) - before)"], [SRC])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# counts what importing sddhopf.cli builds: the ArgumentParser inits and
+# the terminal-size queries, then the modules it must not load
+COUNT_THE_IMPORT = '''
+import argparse, shutil, sys
+counts = {"parsers": 0, "queries": 0}
+init, query = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+def counted_init(self, *args, **kwargs):
+    counts["parsers"] += 1
+    init(self, *args, **kwargs)
+
+def counted_query(*args):
+    counts["queries"] += 1
+    return query(*args)
+
+argparse.ArgumentParser.__init__ = counted_init
+shutil.get_terminal_size = counted_query
+import sddhopf.cli
+counts["loaded"] = sorted(m for m in ("numpy", "sddhopf.dde", "dataclasses")
+                          if m in sys.modules)
+print(counts)
+'''
+
+
+def test_importing_the_cli_builds_one_parser_and_queries_the_terminal_once():
+    # main() parses with the parser built here; a build moved back into
+    # main(), or a second parser, changes the counts
+    proc = _run(["-c", COUNT_THE_IMPORT], [SRC])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{'parsers': 1, 'queries': 1, 'loaded': []}\n"
 
 
 @pytest.mark.parametrize("name", DDE_NAMES)

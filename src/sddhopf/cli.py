@@ -60,10 +60,7 @@ _SCHEMA = {
         "system": ("original", "transformed"),
         "t_end": _POSITIVE, "kick_scale": _FINITE, "rtol": _POSITIVE, "atol": _POSITIVE,
         "transient_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
-        "grid": _grid,
-        # a zero kick is no perturbation (classify_dynamics refuses it)
-        "small_kick": (lambda v: v != 0, "non-zero"),
-        "probe_scales": [_POSITIVE]},
+        "grid": _grid, "probe_scales": [_POSITIVE]},
     "output": {
         "format": ("csv", "json", "text"), "path": str,
         "n_samples": (lambda v: v >= 2 and v.is_integer(), "an integer of at least 2")},
@@ -480,7 +477,7 @@ def cmd_sweep(cfg: RunConfig):
             except dde.CELL_ERRORS as exc:
                 labels[i][j] = dde.error_label(exc)
     for (i, j), label in zip(built, dde.classify_dynamics(cells, **_given(
-            cfg.analysis, "small_kick", "probe_scales", "rtol", eta_end="t_end"))):
+            cfg.analysis, "probe_scales", "rtol", eta_end="t_end"))):
         labels[i][j] = label
 
     payload = {"rows": {row_name: list(row_vals)},

@@ -31,6 +31,7 @@ from .errors import (DenominatorBreach, HistoryTooShort, IncompatibleData,
 from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams, checked_slopes,
                     rhs_original)
 from .roots import brentq
+from .stability import StabilityKind, classify_stability
 
 # Dormand-Prince 5(4) tableau with the Shampine quartic interpolant,
 # written out as scalars (zero entries dropped).
@@ -370,13 +371,11 @@ _COLUMNS = {"original": ("t", "x", "y", "tau"), "transformed": ("eta", "r", "xi"
 
 
 class RunStats(NamedTuple):
-    """What one run did: accepted and error-rejected steps, tries halved
-    because a delayed argument passed the dense frontier, and stage (RHS)
+    """What one run did: accepted and error-rejected steps, and stage (RHS)
     evaluations that returned, the initial slope included."""
 
     steps_accepted: int
     steps_rejected: int
-    frontier_halvings: int
     stage_evals: int
 
 
@@ -412,7 +411,7 @@ def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
     events: List[dict] = []
     eps, c = params.eps, params.c
     t0 = initial.t0
-    stage_evals = rejected = halvings = 0
+    stage_evals = rejected = 0
     # a try's stage slopes stay None until their stage returns, so a try
     # cut short still tells how many stages it evaluated
     k2x = k3x = k4x = k5x = k6x = k7x = None
@@ -475,36 +474,32 @@ def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
                     # repression pole swept by non-positive initial data
                     raise _Abort(STATUS_STALLED, t, x,
                                  "step size underflow at t = %.6g" % clock(t, x))
-                try:
-                    k2x, k2y, _ = stage(t + _C2 * h, x + h * (_A21 * f1x),
-                                        y + h * (_A21 * f1y))
-                    k3x, k3y, _ = stage(t + _C3 * h,
-                                        x + h * (_A31 * f1x + _A32 * k2x),
-                                        y + h * (_A31 * f1y + _A32 * k2y))
-                    k4x, k4y, _ = stage(t + _C4 * h,
-                                        x + h * (_A41 * f1x + _A42 * k2x + _A43 * k3x),
-                                        y + h * (_A41 * f1y + _A42 * k2y + _A43 * k3y))
-                    k5x, k5y, _ = stage(t + _C5 * h,
-                                        x + h * (_A51 * f1x + _A52 * k2x + _A53 * k3x
-                                                 + _A54 * k4x),
-                                        y + h * (_A51 * f1y + _A52 * k2y + _A53 * k3y
-                                                 + _A54 * k4y))
-                    k6x, k6y, _ = stage(t + h,
-                                        x + h * (_A61 * f1x + _A62 * k2x + _A63 * k3x
-                                                 + _A64 * k4x + _A65 * k5x),
-                                        y + h * (_A61 * f1y + _A62 * k2y + _A63 * k3y
-                                                 + _A64 * k4y + _A65 * k5y))
-                    x_new = x + h * (_B1 * f1x + _B3 * k3x + _B4 * k4x
-                                     + _B5 * k5x + _B6 * k6x)
-                    y_new = y + h * (_B1 * f1y + _B3 * k3y + _B4 * k4y
-                                     + _B5 * k5y + _B6 * k6y)
-                    t_new = t + h
-                    k7x, k7y, d_new = stage(t_new, x_new, y_new)
-                except _BeyondFrontier:
-                    halvings += 1
-                    stage_evals += 6 - (k2x, k3x, k4x, k5x, k6x, k7x).count(None)
-                    h *= 0.5
-                    continue
+                # h <= 1, so every lookup t + c h - 1 lies at or before t,
+                # the dense frontier, up to rounding
+                k2x, k2y, _ = stage(t + _C2 * h, x + h * (_A21 * f1x),
+                                    y + h * (_A21 * f1y))
+                k3x, k3y, _ = stage(t + _C3 * h,
+                                    x + h * (_A31 * f1x + _A32 * k2x),
+                                    y + h * (_A31 * f1y + _A32 * k2y))
+                k4x, k4y, _ = stage(t + _C4 * h,
+                                    x + h * (_A41 * f1x + _A42 * k2x + _A43 * k3x),
+                                    y + h * (_A41 * f1y + _A42 * k2y + _A43 * k3y))
+                k5x, k5y, _ = stage(t + _C5 * h,
+                                    x + h * (_A51 * f1x + _A52 * k2x + _A53 * k3x
+                                             + _A54 * k4x),
+                                    y + h * (_A51 * f1y + _A52 * k2y + _A53 * k3y
+                                             + _A54 * k4y))
+                k6x, k6y, _ = stage(t + h,
+                                    x + h * (_A61 * f1x + _A62 * k2x + _A63 * k3x
+                                             + _A64 * k4x + _A65 * k5x),
+                                    y + h * (_A61 * f1y + _A62 * k2y + _A63 * k3y
+                                             + _A64 * k4y + _A65 * k5y))
+                x_new = x + h * (_B1 * f1x + _B3 * k3x + _B4 * k4x
+                                 + _B5 * k5x + _B6 * k6x)
+                y_new = y + h * (_B1 * f1y + _B3 * k3y + _B4 * k4y
+                                 + _B5 * k5y + _B6 * k6y)
+                t_new = t + h
+                k7x, k7y, d_new = stage(t_new, x_new, y_new)
                 K = (f1x, f1y, k2x, k2y, k3x, k3y, k4x, k4y, k5x, k5y,
                      k6x, k6y, k7x, k7y)
                 if not (all(map(math.isfinite, K)) and math.isfinite(x_new)
@@ -550,7 +545,7 @@ def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
                        "detail": str(abort)})
     monitors = {"min_r": min_x, "min_xi": min_y, "min_denominator": min_denominator}
     stats = RunStats(steps_accepted=len(hist._ends), steps_rejected=rejected,
-                     frontier_halvings=halvings, stage_evals=stage_evals)
+                     stage_evals=stage_evals)
     return hist, events, monitors, status, clock(t, x), stats
 
 
@@ -694,17 +689,18 @@ class OscillationSummary(NamedTuple):
     mean: float
 
 
-def _refine_extremum(t, v, i):
-    """Parabola through three samples around a discrete extremum."""
-    if i == 0 or i == len(v) - 1:
-        return t[i], v[i]
-    denom = (v[i - 1] - 2 * v[i] + v[i + 1])
-    if denom == 0:
-        return t[i], v[i]
-    delta = 0.5 * (v[i - 1] - v[i + 1]) / denom
-    delta = max(-1.0, min(1.0, delta))
-    dt = t[i + 1] - t[i]
-    return t[i] + delta * dt, v[i] - 0.25 * (v[i - 1] - v[i + 1]) * delta
+def _refine_extrema(t, v, idx):
+    """Times and values of the vertices of the parabolas through the three
+    samples around each of the interior samples idx, the vertex kept within
+    one sample spacing; where the three samples lie on a line, the sample
+    itself."""
+    before, at, after = v[idx - 1], v[idx], v[idx + 1]
+    denom = before - 2 * at + after
+    flat = denom == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.clip(0.5 * (before - after) / denom, -1.0, 1.0)
+    return (np.where(flat, t[idx], t[idx] + shift * (t[idx + 1] - t[idx])),
+            np.where(flat, at, at - 0.25 * (before - after) * shift))
 
 
 def measure_oscillation(traj: Trajectory, component=0,
@@ -728,17 +724,16 @@ def _oscillation(t, v, cut):
         raise InsufficientCycles("trajectory has too few samples")
     sel = t >= cut
     t, v = t[sel], v[sel]
-    dev = v - np.mean(v)
-    if np.max(np.abs(dev)) <= 1e-9 * max(1.0, abs(np.mean(v))):
+    mean = np.mean(v)
+    dev = v - mean
+    if np.max(np.abs(dev)) <= 1e-9 * max(1.0, abs(mean)):
         raise InsufficientCycles("deviation below the measurement floor")
 
     d = np.diff(dev)
     idx = np.where(d[:-1] * d[1:] < 0)[0] + 1
     if len(idx) < 3:
         raise InsufficientCycles("%d extrema after transient cutoff" % len(idx))
-    refined = [_refine_extremum(t, dev, i) for i in idx]
-    pt = np.array([r[0] for r in refined])
-    pv = np.array([r[1] for r in refined])
+    pt, pv = _refine_extrema(t, dev, idx)
 
     up = np.where((dev[:-1] < 0) & (dev[1:] >= 0))[0]
     if len(up) >= 2:
@@ -759,7 +754,7 @@ def _oscillation(t, v, cut):
         decay = math.inf
     return OscillationSummary(amplitude=amplitude, period=period,
                               decay_rate=decay, n_extrema=len(idx),
-                              mean=float(np.mean(v)))
+                              mean=float(mean))
 
 
 # -- regime classification helpers ------------------------------------------------
@@ -789,15 +784,11 @@ def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale, eta_end=400.
                                  sample_times=np.linspace(0.0, eta_end, n_samples))
 
 
-def _check_kick(name, value):
-    # a zero kick is no perturbation: its flat run would be labelled escaped
-    if value == 0:
-        raise ValueError("%s must be non-zero, got %r" % (name, float(value)))
-
-
 def classify_run(traj: Trajectory, eq: Equilibrium, kick_scale) -> str:
     """'decaying' | 'oscillating' | 'growing' | 'escaped' for one run."""
-    _check_kick("kick_scale", kick_scale)
+    if kick_scale == 0:
+        # a zero kick is no perturbation: its flat run would be labelled escaped
+        raise ValueError("kick_scale must be non-zero, got %r" % float(kick_scale))
     t = traj.t
     return _run_label(traj.status, t, traj.states[:, 0], t[0] if len(t) else 0.0,
                       eq.r_star, kick_scale)
@@ -839,29 +830,29 @@ def error_label(exc) -> str:
     return "error: %s" % (str(exc) or type(exc).__name__)
 
 
-def classify_dynamics(cells, small_kick=0.05, probe_scales=(0.25, 0.5, 1.0),
-                      eta_end=400.0, rtol=1e-7) -> List[str]:
+def classify_dynamics(cells, probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
+                      rtol=1e-7) -> List[str]:
     """Label of every (ModelParams, Equilibrium) cell of a grid: 'stable' |
     'metastable' | 'oscillating' | 'unstable', or 'error: <message>' when
-    one of the cell's runs raised.
+    the cell's spectrum or one of its runs raised.
 
-    A small same-side kick probes the local regime. The basin probe kicks
-    toward the positivity edge (scale 1 grazes zero); escape inside that
-    ladder means the basin boundary sits within physically admissible
-    perturbations, marking a locally stable cell metastable and a locally
-    oscillating one unstable. The ladder stops at the first escape.
+    The local regime is the equilibrium's linear stability
+    (stability.classify_stability): 'stable' for a stable spectrum,
+    'oscillating' past eps0. The basin probes, run to min(eta_end, 300),
+    kick toward the positivity edge (scale 1 grazes zero); escape inside
+    that ladder means the basin boundary sits within physically admissible
+    perturbations, marking a stable cell metastable and an oscillating one
+    unstable. The ladder stops at the first escape.
 
     From LANES_FROM runs on, every run of the grid steps at once as a lane
     (lanes.lane_runs); a lane that does not complete, and every run below
     that count, is a run_perturbed run.
     """
-    _check_kick("small_kick", small_kick)
     for i, scale in enumerate(probe_scales):
         if not scale > 0:
             raise ValueError("probe_scales[%d] must be > 0, got %r" % (i, float(scale)))
-    kicks = [(small_kick, eta_end)] + [(-scale, min(eta_end, 300.0))
-                                       for scale in probe_scales]
-    runs = [(p, eq, kick, end) for p, eq in cells for kick, end in kicks]
+    end = min(eta_end, 300.0)
+    runs = [(p, eq, -scale, end) for p, eq in cells for scale in probe_scales]
     if len(runs) >= LANES_FROM:
         from .lanes import lane_runs
         lanes = lane_runs(runs, rtol)
@@ -876,16 +867,17 @@ def classify_dynamics(cells, small_kick=0.05, probe_scales=(0.25, 0.5, 1.0),
         return _run_label(STATUS_COMPLETED, lane[0], lane[1], 0.0, eq.r_star, kick)
 
     labels = []
-    for first in range(0, len(runs), len(kicks)):
+    for k, (p, eq) in enumerate(cells):
+        first = k * len(probe_scales)
         try:
-            small = run_label(first)
-            basin_ok = all(run_label(first + k) != "escaped"
-                           for k in range(1, len(kicks)))
+            local = classify_stability(eq, p.mu_m, p.mu_p, p.eps).kind
+            basin_ok = all(run_label(i) != "escaped"
+                           for i in range(first, first + len(probe_scales)))
         except CELL_ERRORS as exc:
             labels.append(error_label(exc))
             continue
-        if small == "decaying":
-            labels.append("stable" if basin_ok else "metastable")
-        else:
+        if local is StabilityKind.UNSTABLE:
             labels.append("oscillating" if basin_ok else "unstable")
+        else:
+            labels.append("stable" if basin_ok else "metastable")
     return labels

@@ -16,8 +16,8 @@ from sddhopf.model import Equilibrium, ModelParams
 from sddhopf.normalform import (QuadraticCoeffs, _first_order, _forcing,
                                 _kappa3_by_power)
 from sddhopf.roots import brentq
-from sddhopf.stability import (CharParams, HopfPoint, _validate_hopf, char_eval,
-                               transversality)
+from sddhopf.stability import (CharParams, HopfPoint, StabilityKind, _validate_hopf,
+                               char_eval, classify_stability, transversality)
 
 
 def smul(s1, s2):
@@ -348,15 +348,15 @@ def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
     return None, records
 
 
-def scalar_cell_label(params: ModelParams, eq: Equilibrium, small_kick=0.05,
+def scalar_cell_label(params: ModelParams, eq: Equilibrium,
                       probe_scales=(0.25, 0.5, 1.0), eta_end=400.0, rtol=1e-7):
     """A sweep cell's label from one run_perturbed run after another, as
     classify_dynamics labelled a cell before its runs became lanes: the
-    small kick first, then the probe ladder up to its first escape; a run
-    that raises makes the cell 'error: <message>'."""
+    local regime from the spectrum, then the probe ladder up to its first
+    escape; a spectrum or run that raises makes the cell 'error: <message>'."""
     try:
-        small = classify_run(run_perturbed(params, eq, small_kick, eta_end, rtol),
-                             eq, small_kick)
+        unstable = classify_stability(eq, params.mu_m, params.mu_p,
+                                      params.eps).kind is StabilityKind.UNSTABLE
         basin_ok = True
         for scale in probe_scales:
             end = min(eta_end, 300.0)
@@ -366,6 +366,20 @@ def scalar_cell_label(params: ModelParams, eq: Equilibrium, small_kick=0.05,
                 break
     except (SddhopfError, ValueError, ArithmeticError) as exc:
         return "error: %s" % (str(exc) or type(exc).__name__)
-    if small == "decaying":
-        return "stable" if basin_ok else "metastable"
-    return "oscillating" if basin_ok else "unstable"
+    if unstable:
+        return "oscillating" if basin_ok else "unstable"
+    return "stable" if basin_ok else "metastable"
+
+
+def refine_extremum(t, v, i):
+    """Parabola through three samples around a discrete extremum, one sample
+    at a time: the reference for dde._refine_extrema."""
+    if i == 0 or i == len(v) - 1:
+        return t[i], v[i]
+    denom = (v[i - 1] - 2 * v[i] + v[i + 1])
+    if denom == 0:
+        return t[i], v[i]
+    delta = 0.5 * (v[i - 1] - v[i + 1]) / denom
+    delta = max(-1.0, min(1.0, delta))
+    dt = t[i + 1] - t[i]
+    return t[i] + delta * dt, v[i] - 0.25 * (v[i - 1] - v[i + 1]) * delta

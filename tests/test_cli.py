@@ -304,8 +304,7 @@ def test_escape_recipe_ends_at_the_floor_with_its_step_counts(tmp_path):
     assert DENOMINATOR_FLOOR <= results["monitors"]["min_denominator"] \
         <= 1.02 * DENOMINATOR_FLOOR
     stats = results["stats"]
-    assert set(stats) == {"steps_accepted", "steps_rejected", "frontier_halvings",
-                          "stage_evals"}
+    assert set(stats) == {"steps_accepted", "steps_rejected", "stage_evals"}
     assert 0 < stats["steps_accepted"] <= 1000
     assert stats["stage_evals"] > 6 * stats["steps_accepted"]
 
@@ -327,16 +326,14 @@ def test_summary_reports_step_counts_beside_a_parseable_monitors_line(tmp_path, 
 
     assert set(fields("monitors: ")) == {"min_denominator", "min_r", "min_xi"}
     stats = fields("stats: ")
-    assert list(stats) == ["steps_accepted", "steps_rejected", "frontier_halvings",
-                           "stage_evals"]
+    assert list(stats) == ["steps_accepted", "steps_rejected", "stage_evals"]
     assert stats["stage_evals"] == 1 + 6 * (stats["steps_accepted"]
                                             + stats["steps_rejected"])
 
 
 # -- sweep ------------------------------------------------------------------------
 
-SWEEP_ANALYSIS = {"t_end": 400.0, "small_kick": 0.05,
-                  "probe_scales": [0.25, 0.5, 1.0], "rtol": 1e-7}
+SWEEP_ANALYSIS = {"t_end": 400.0, "probe_scales": [0.25, 0.5, 1.0], "rtol": 1e-7}
 
 
 def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
@@ -350,21 +347,28 @@ def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)["results"]
     label = payload["labels"][0][0]
     p = hes1_params(c=0.01, eps=RV.EPS0 - 0.1)
-    direct, = classify_dynamics([(p, find_equilibrium(p))], small_kick=0.05,
+    direct, = classify_dynamics([(p, find_equilibrium(p))],
                                 probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
                                 rtol=1e-7)
     assert label == direct == "stable"
 
 
-def test_a_negative_small_kick_is_accepted(tmp_path, capsys):
-    # the labels read |small_kick|, so only a zero kick is refused
+def test_no_probes_label_cells_from_the_spectrum_alone(tmp_path, capsys, monkeypatch):
+    # an empty ladder makes no run: each cell is stable or oscillating as
+    # its equilibrium's spectrum says
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a cell with no probes made a run")
+
+    monkeypatch.setattr(dde, "run_perturbed", no_runs)
     path = write_cfg(tmp_path, {
-        "analysis": dict(SWEEP_ANALYSIS, small_kick=-0.05,
-                         grid={"eps": [6.7], "c": [0.01]}),
+        "analysis": dict(SWEEP_ANALYSIS, probe_scales=[],
+                         grid={"eps": [RV.EPS0 - 0.01, RV.EPS0 + 0.01],
+                               "c": [0.01, 1.2]}),
         "output": {"format": "json"},
     })
     assert main(["sweep", "--config", path]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["labels"] == [["stable"]]
+    assert json.loads(capsys.readouterr().out)["results"]["labels"] == [
+        ["stable", "stable"], ["oscillating", "oscillating"]]
 
 
 def test_sweep_c_zero_column_matches_linear_theory(tmp_path, capsys):
@@ -497,8 +501,7 @@ def test_lanes_fall_back_per_run_and_keep_cells_apart(tmp_path, capsys, monkeypa
             eq = find_equilibrium(p)
         except (ValueError, ArithmeticError) as exc:
             return "error: %s" % exc
-        return scalar_cell_label(p, eq, small_kick=0.05, probe_scales=probes,
-                                 eta_end=400.0, rtol=1e-7)
+        return scalar_cell_label(p, eq, probe_scales=probes, eta_end=400.0, rtol=1e-7)
 
     assert labels == [[reference(m, e) for e in eps] for m in mu_m]
     assert labels[0] == ["error: eps must be positive"] + [
@@ -611,10 +614,12 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
      "config error: analysis.system must be one of original, transformed"),
     ("stability", {"output": {"format": "xml"}}, 1,
      "config error: output.format must be one of csv, json, text"),
-    # a zero kick is no perturbation: it used to label this stable cell
-    # oscillating (small kick) or metastable (probe), with exit 0
-    ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]}, "small_kick": 0}}, 1,
-     "config error: analysis.small_kick must be non-zero, got 0.0"),
+    # a config that still gives small_kick is refused: the spectrum,
+    # not a small-kick run, gives a sweep cell's local regime
+    ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]}, "small_kick": 0.05}}, 1,
+     "config error: unknown key(s) small_kick in analysis block"),
+    # a zero probe is no perturbation: it used to label this stable cell
+    # metastable, with exit 0
     ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]}, "probe_scales": [0]}}, 1,
      "config error: analysis.probe_scales[0] must be > 0, got 0.0"),
     ("sweep", {"analysis": {"grid": {"eps": [6.7], "c": [0.01]},
@@ -661,7 +666,7 @@ def test_non_finite_model_number_is_a_config_error(tmp_path, capsys, field, valu
         "rtol-atol-zero", "atol-zero", "c-max-negative", "sweep-c-max-negative",
         "repeated-fit-points",
         "fit-points-nan", "alpha-p-negative", "alpha-m-negative", "system-unknown",
-        "format-unknown", "small-kick-zero", "probe-scale-zero", "probe-scale-negative",
+        "format-unknown", "small-kick-retired", "probe-scale-zero", "probe-scale-negative",
         "ybar-negative", "hill-exponent-negative", "hill-exponent-zero",
         "kind-list", "model-pairs", "analysis-list", "output-number", "analysis-string",
         "path-true", "path-int", "path-list", "equilibrium-rtol-negative",

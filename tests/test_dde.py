@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 import refvals as RV
-from oracles import escape_sweep, method_of_steps, scalar_cell_label
+from oracles import escape_sweep, method_of_steps, refine_extremum, scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
                      NoBracket, SlopeBoundWarning, Trajectory,
@@ -501,8 +501,7 @@ def test_transformed_stages_six_and_seven_share_one_lookup(eq_state, monkeypatch
     traj = integrate_transformed(bump_history(eq_state, 0.05 * eq_state, span=1.0),
                                  p, 400.0, sample_times=np.linspace(0.0, 400.0, 2048))
     stats = traj.stats
-    assert traj.status == "completed" and stats.frontier_halvings == 0
-    assert stats.steps_rejected > 0
+    assert traj.status == "completed" and stats.steps_rejected > 0
     assert counts["eval"] == 1 + 5 * (stats.steps_accepted + stats.steps_rejected)
     assert stats.stage_evals == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
 
@@ -613,6 +612,32 @@ def test_measures_exponential_decay_rate():
     assert s.mean == pytest.approx(5.0, rel=1e-3)
 
 
+def test_extrema_are_refined_as_the_sample_by_sample_parabola():
+    # bit for bit against the one-sample reference: a flat parabola (three
+    # samples on a line), vertices clamped to one spacing on either side,
+    # and the extrema of noisy decaying sines
+    t = 0.5 * np.arange(9.0)
+    v = np.array([0.0, 1.0, 2.0, 2.9, 3.0, 2.95, 0.0, -3.0, -3.1])
+    cases = [(t, v, np.arange(1, 8))]
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        t = np.sort(rng.uniform(0.0, 50.0, 400))
+        v = np.exp(-rng.uniform(0.0, 0.1) * t) * np.sin(rng.uniform(0.5, 3.0) * t) \
+            + rng.normal(0.0, 0.01, len(t))
+        d = np.diff(v)
+        cases.append((t, v, np.where(d[:-1] * d[1:] < 0)[0] + 1))
+    for t, v, idx in cases:
+        pt, pv = dde._refine_extrema(t, v, idx)
+        ref = np.array([refine_extremum(t, v, i) for i in idx])
+        assert pt.tobytes() == ref[:, 0].tobytes() and pv.tobytes() == ref[:, 1].tobytes()
+    # in the first case, sample 1 lies on a line, and the vertices of
+    # samples 2 and 6 (9.5 and -59.5 spacings away) are clamped
+    t, v, idx = cases[0]
+    pt, pv = dde._refine_extrema(t, v, idx)
+    assert (pt[0], pv[0]) == (t[1], v[1])
+    assert pt[1] == t[3] and pt[5] == t[5]
+
+
 def test_flat_signal_has_no_cycles():
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(InsufficientCycles):
@@ -720,57 +745,51 @@ def test_original_time_run_ends_at_the_same_floor(eq_state, c, status):
 
 
 def test_sweep_grid_runs_stay_clear_of_the_floor():
-    # every run the hes1-sweep grid makes completes with D at least ten
-    # floors from zero (0.196 here; 0.0136 over the benchmark's grids), so
-    # the floor ends only runs that are already on their way to the pole
-    cfg = json.loads((RECIPES / "hes1-sweep.json").read_text())
-    base = hes1_params(c=cfg["model"]["c"], eps=cfg["model"]["eps"])
-    analysis = cfg["analysis"]
-    kicks = [(analysis["small_kick"], analysis["t_end"])] + [
-        (-scale, min(analysis["t_end"], 300.0)) for scale in analysis["probe_scales"]]
-    runs = []
-    for eps in analysis["grid"]["eps"]:
-        for c in analysis["grid"]["c"]:
-            p = base.with_overrides(c=c, eps=eps)
-            eq = find_equilibrium(p)
-            runs += [run_perturbed(p, eq, kick, end, analysis["rtol"]) for kick, end in kicks]
+    # every run the hes1-sweep grid makes (its 12 probes) completes with D
+    # at least ten floors from zero (0.196 here; 0.0136 over the
+    # benchmark's grids), so the floor ends only runs that are already on
+    # their way to the pole
+    runs = [run_perturbed(p, eq, kick, end, SWEEP["rtol"])
+            for p, eq, kick, end in sweep_runs(SWEEP["grid"])]
     completed = [t for t in runs if t.status == "completed"]
-    assert len(completed) == 16
+    assert len(completed) == 12
     assert min(t.monitors["min_denominator"] for t in completed) \
         >= 10 * DENOMINATOR_FLOOR
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+@given(t=st.one_of(st.floats(-10.0, 10.0), st.floats(-1e12, 1e12)),
+       h=st.floats(0.0, 1.0, exclude_min=True))
+def test_a_try_looks_up_no_time_past_the_frontier(t, h):
+    # the step loop caps h at 1, so the five lookup times (t + c h) - 1 of
+    # a try from t, where the history ends, pass t by rounding at most:
+    # History.eval's frontier guard accepts them all
+    hist = History(constant_history((1.0, 1.0), t0=t))
+    for c in (dde._C2, dde._C3, dde._C4, dde._C5, 1.0):
+        hist.eval((t + c * h) - 1.0)
+
+
 def test_run_stats_count_the_step_loop(eq_state, monkeypatch):
-    rhs_calls, lookups = [], []
-    rhs, lookup = dde.checked_slopes, History.eval
+    rhs_calls = []
+    rhs = dde.checked_slopes
 
     def counted_rhs(*args):
         rhs_calls.append(None)
         return rhs(*args)
 
-    def lookup_once_past_the_frontier(self, t, slope=False):
-        # the 53rd lookup, inside a try, reports the frontier passed once
-        lookups.append(None)
-        if len(lookups) == 53:
-            raise dde._BeyondFrontier(t)
-        return lookup(self, t, slope)
-
     monkeypatch.setattr(dde, "checked_slopes", counted_rhs)
-    monkeypatch.setattr(History, "eval", lookup_once_past_the_frontier)
     p = hes1_params(c=0.01, eps=EPS_HIGH)
     traj = integrate_transformed(bump_history(eq_state, 0.2 * eq_state, span=1.0),
                                  p, 40.0, rtol=1e-10, atol=1e-10)
     stats = traj.stats
     assert traj.status == "completed"
     assert stats.steps_accepted == len(traj.history._ends)
-    assert stats.steps_rejected > 0 and stats.frontier_halvings == 1
-    # every stage that returned made one RHS call; the halved try made
-    # fewer than six
-    assert stats.stage_evals == len(rhs_calls)
-    assert stats.stage_evals < 1 + 6 * (stats.steps_accepted + stats.steps_rejected + 1)
+    assert stats.steps_rejected > 0
+    # every stage made one RHS call: the initial slope, then six a try
+    assert stats.stage_evals == len(rhs_calls) \
+        == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
 
     # an abort: the stage whose RHS breached did not return
-    monkeypatch.setattr(History, "eval", lookup)
     rhs_calls.clear()
     traj, _ = escape_run()
     assert traj.stats.stage_evals == len(rhs_calls) - 1
@@ -882,18 +901,21 @@ SEED7_GRID = {"eps": [6.6176182467333815, 6.66870718687625,
 SWEEP = json.loads((RECIPES / "hes1-sweep.json").read_text())["analysis"]
 
 
+SWEEP_KW = dict(probe_scales=SWEEP["probe_scales"], eta_end=SWEEP["t_end"],
+                rtol=SWEEP["rtol"])
+
+
+def sweep_cells(grid):
+    """(params, eq) of every cell of the grid, row by row."""
+    return [(p, find_equilibrium(p)) for p in
+            (hes1_params(c=c, eps=eps) for eps in grid["eps"] for c in grid["c"])]
+
+
 def sweep_runs(grid):
     """(params, eq, kick_scale, eta_end) of every run a sweep of the grid
-    makes, cell by cell, with hes1-sweep.json's kicks."""
-    kicks = [(SWEEP["small_kick"], SWEEP["t_end"])] + [
-        (-scale, min(SWEEP["t_end"], 300.0)) for scale in SWEEP["probe_scales"]]
-    runs = []
-    for eps in grid["eps"]:
-        for c in grid["c"]:
-            p = hes1_params(c=c, eps=eps)
-            eq = find_equilibrium(p)
-            runs += [(p, eq, kick, end) for kick, end in kicks]
-    return runs
+    makes, cell by cell, with hes1-sweep.json's probes."""
+    return [(p, eq, -scale, min(SWEEP["t_end"], 300.0))
+            for p, eq in sweep_cells(grid) for scale in SWEEP["probe_scales"]]
 
 
 # The largest relative difference of the sampled r from its scalar run,
@@ -924,15 +946,25 @@ def test_every_lane_takes_its_scalar_runs_steps(grid, bound):
 
 
 def test_lane_grid_labels_match_the_scalar_loop(monkeypatch):
-    cells = [(p, eq) for p, eq, _, _ in sweep_runs(SWEEP["grid"])[::4]]
-    kw = dict(small_kick=SWEEP["small_kick"], probe_scales=SWEEP["probe_scales"],
-              eta_end=SWEEP["t_end"], rtol=SWEEP["rtol"])
-    # hes1-sweep's 16 runs are at the crossover: the lanes label them
-    assert 4 * len(cells) >= dde.LANES_FROM
-    lanes_labels = dde.classify_dynamics(cells, **kw)
+    cells = sweep_cells(SEED0_GRID)
+    # the seed-0 grid's 36 runs are past the crossover: the lanes label them
+    assert 3 * len(cells) >= dde.LANES_FROM
+    lanes_labels = dde.classify_dynamics(cells, **SWEEP_KW)
     monkeypatch.setattr(dde, "LANES_FROM", 10**9)
-    assert dde.classify_dynamics(cells, **kw) == lanes_labels \
-        == [scalar_cell_label(p, eq, **kw) for p, eq in cells]
+    assert dde.classify_dynamics(cells, **SWEEP_KW) == lanes_labels \
+        == [scalar_cell_label(p, eq, **SWEEP_KW) for p, eq in cells]
+
+
+def test_cells_next_to_eps0_take_the_local_regime_from_the_spectrum():
+    # eps0 -+ 0.01 at c = 0.05, 0.5, 1.0 and 1.2. Below eps0 the slowest
+    # mode decays too slowly to show within a 400 eta run, which labelled
+    # the first row oscillating or unstable; the spectrum says stable, and
+    # the probes that escape at c = 1.0 and 1.2 make those cells metastable
+    cells = sweep_cells({"eps": [RV.EPS0 - 0.01, RV.EPS0 + 0.01],
+                         "c": [0.05, 0.5, 1.0, 1.2]})
+    assert dde.classify_dynamics(cells, **SWEEP_KW) == [
+        "stable", "stable", "metastable", "metastable",
+        "oscillating", "oscillating", "unstable", "unstable"]
 
 
 def test_a_lane_refused_for_room_runs_again_alone(monkeypatch):
@@ -953,22 +985,17 @@ def test_a_lane_refused_for_room_runs_again_alone(monkeypatch):
 
     monkeypatch.setattr(dde, "run_perturbed", recorded)
     monkeypatch.setattr(dde, "LANES_FROM", 1)
-    cells = [(p, eq) for p, eq, _, _ in runs[::4]]
-    kw = dict(small_kick=SWEEP["small_kick"], probe_scales=SWEEP["probe_scales"],
-              eta_end=SWEEP["t_end"], rtol=SWEEP["rtol"])
-    labels = dde.classify_dynamics(cells, **kw)
+    cells = [(p, eq) for p, eq, _, _ in runs[::len(SWEEP["probe_scales"])]]
+    labels = dde.classify_dynamics(cells, **SWEEP_KW)
     assert rerun == [(runs[i][0], runs[i][2]) for i in refused]
     monkeypatch.undo()
-    assert labels == [scalar_cell_label(p, eq, **kw) for p, eq in cells]
+    assert labels == [scalar_cell_label(p, eq, **SWEEP_KW) for p, eq in cells]
 
 
 def test_zero_kicks_are_refused():
-    # they used to label this stable cell oscillating (a zero small kick)
-    # or metastable (a zero probe)
+    # a zero probe used to label this stable cell metastable
     p = hes1_params(c=0.01, eps=6.7)
     cells = [(p, find_equilibrium(p))]
-    with pytest.raises(ValueError, match=r"^small_kick must be non-zero, got 0\.0$"):
-        dde.classify_dynamics(cells, small_kick=0.0)
     with pytest.raises(ValueError, match=r"^probe_scales\[1\] must be > 0, got 0\.0$"):
         dde.classify_dynamics(cells, probe_scales=(0.25, 0.0))
     with pytest.raises(ValueError, match=r"^probe_scales\[0\] must be > 0, got -0\.5$"):
@@ -980,17 +1007,16 @@ def test_zero_kicks_are_refused():
 
 def test_the_lanes_hold_under_a_megabyte():
     # the lanes keep a delay unit of segments each and r from the transient
-    # cut on (0.39 MB for 48 lanes), not whole histories: measured 0.80 MB
+    # cut on (0.29 MB for 36 lanes), not whole histories: measured 0.60 MB
     # at the peak for this 12-cell grid, against 0.51 MB for the scalar
     # loop's cell after cell
     import tracemalloc
 
-    cells = [(p, eq) for p, eq, _, _ in sweep_runs(SEED0_GRID)[::4]]
-    assert 4 * len(cells) >= dde.LANES_FROM
+    cells = sweep_cells(SEED0_GRID)
+    assert 3 * len(cells) >= dde.LANES_FROM
     tracemalloc.start()
     try:
-        labels = dde.classify_dynamics(cells, **{k: SWEEP[k] for k in (
-            "small_kick", "probe_scales", "rtol")}, eta_end=SWEEP["t_end"])
+        labels = dde.classify_dynamics(cells, **SWEEP_KW)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1002,7 +1028,7 @@ def test_the_lanes_hold_under_a_megabyte():
 def test_a_run_that_raises_marks_only_its_cell(monkeypatch, lanes_from):
     # each cell's 1.45 probe escapes, so under lanes too it runs again
     # through run_perturbed, which raises for the second cell
-    kw = dict(small_kick=0.05, probe_scales=(0.5, 1.45), eta_end=400.0, rtol=1e-7)
+    kw = dict(probe_scales=(0.5, 1.45), eta_end=400.0, rtol=1e-7)
     cells = [(p, find_equilibrium(p)) for p in (hes1_params(c=0.025, eps=EPS_LOW),
                                                 hes1_params(c=0.025, eps=EPS_HIGH))]
     expected = [scalar_cell_label(*cells[0], **kw), "error: step budget exhausted"]

@@ -70,10 +70,6 @@ STATUS_NONFINITE = "nonfinite"
 STATUS_STALLED = "stalled"
 
 
-class _BeyondFrontier(Exception):
-    """Internal: a delayed argument fell past the dense-output frontier."""
-
-
 class _Abort(Exception):
     """Internal: end the run with a status at (t, r) instead of raising."""
 
@@ -196,7 +192,8 @@ class History:
         """State (x, y) at time t as a tuple of floats; with slope, the
         tuple (x, y, x'), x' from the same interpolant."""
         if t > self._limit:
-            raise _BeyondFrontier(t)
+            raise HistoryTooShort("t = %r lies past the history's frontier %r"
+                                  % (t, self.frontier))
         ends = self._ends
         if t <= self.t0 or not ends:
             return self._initial_at(t, slope)
@@ -230,7 +227,8 @@ class History:
         if not len(ts):
             return out
         if ts.max() > self._limit:
-            raise _BeyondFrontier(float(ts.max()))
+            raise HistoryTooShort("t = %r lies past the history's frontier %r"
+                                  % (float(ts.max()), self.frontier))
         n = len(self._ends)
         early = ts <= self.t0 if n else np.ones(len(ts), dtype=bool)
         for k in np.flatnonzero(early):
@@ -830,7 +828,7 @@ def error_label(exc) -> str:
     return "error: %s" % (str(exc) or type(exc).__name__)
 
 
-def classify_dynamics(cells, probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
+def classify_dynamics(cells, probe_scales=(0.25, 0.5, 1.0), eta_end=300.0,
                       rtol=1e-7) -> List[str]:
     """Label of every (ModelParams, Equilibrium) cell of a grid: 'stable' |
     'metastable' | 'oscillating' | 'unstable', or 'error: <message>' when
@@ -838,9 +836,9 @@ def classify_dynamics(cells, probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
 
     The local regime is the equilibrium's linear stability
     (stability.classify_stability): 'stable' for a stable spectrum,
-    'oscillating' past eps0. The basin probes, run to min(eta_end, 300),
-    kick toward the positivity edge (scale 1 grazes zero); escape inside
-    that ladder means the basin boundary sits within physically admissible
+    'oscillating' past eps0. The basin probes, run to eta_end, kick toward
+    the positivity edge (scale 1 grazes zero); escape inside that ladder
+    means the basin boundary sits within physically admissible
     perturbations, marking a stable cell metastable and an oscillating one
     unstable. The ladder stops at the first escape.
 
@@ -851,19 +849,18 @@ def classify_dynamics(cells, probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
     for i, scale in enumerate(probe_scales):
         if not scale > 0:
             raise ValueError("probe_scales[%d] must be > 0, got %r" % (i, float(scale)))
-    end = min(eta_end, 300.0)
-    runs = [(p, eq, -scale, end) for p, eq in cells for scale in probe_scales]
+    runs = [(p, eq, -scale) for p, eq in cells for scale in probe_scales]
     if len(runs) >= LANES_FROM:
         from .lanes import lane_runs
-        lanes = lane_runs(runs, rtol)
+        lanes = lane_runs(runs, eta_end, rtol)
     else:
         lanes = [None] * len(runs)
 
     def run_label(i):
-        p, eq, kick, end = runs[i]
+        p, eq, kick = runs[i]
         lane = lanes[i]
         if lane is None:
-            return classify_run(run_perturbed(p, eq, kick, end, rtol), eq, kick)
+            return classify_run(run_perturbed(p, eq, kick, eta_end, rtol), eq, kick)
         return _run_label(STATUS_COMPLETED, lane[0], lane[1], 0.0, eq.r_star, kick)
 
     labels = []

@@ -59,7 +59,8 @@ class IntegrationError(SddhopfError):
 
 
 class HistoryTooShort(IntegrationError):
-    """Initial history does not cover the initial delay interval."""
+    """A history does not cover the time asked of it: initial data shorter
+    than the initial delay interval, or a lookup past the frontier."""
 
 
 class NoBracket(IntegrationError):

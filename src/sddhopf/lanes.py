@@ -46,9 +46,9 @@ def _map_key(m):
     return type(m), tuple(sorted(vars(m).items()))
 
 
-def lane_runs(runs, rtol):
+def lane_runs(runs, eta_end, rtol):
     """run_perturbed(params, eq, kick_scale, eta_end, rtol) for every
-    (params, eq, kick_scale, eta_end) of runs, stepped together.
+    (params, eq, kick_scale) of runs, stepped together.
 
     Per run, a completed lane gives (t, r, steps_accepted, steps_rejected):
     its sample times from the transient cut of measure_oscillation on, r
@@ -66,7 +66,7 @@ def lane_runs(runs, rtol):
             groups.setdefault((_map_key(f), _map_key(g)), []).append(i)
     with np.errstate(all="ignore"):
         for members in groups.values():
-            done = _step_lanes([runs[i] for i in members], rtol)
+            done = _step_lanes([runs[i] for i in members], eta_end, rtol)
             for i, lane in zip(members, done):
                 out[i] = lane
     return out
@@ -198,7 +198,7 @@ class _SegmentStore:
         return keep
 
 
-def _step_lanes(runs, rtol):
+def _step_lanes(runs, t_end, rtol):
     """The step loop of integrate_transformed over lanes, one per run.
 
     Each round makes one try of every live lane. A lane keeps only the
@@ -225,31 +225,25 @@ def _step_lanes(runs, rtol):
     n = len(runs)
     nl = runs[0][0].nonlinearity
     lane_ids = np.arange(n)
-    numbers = np.array([[p.mu_m, p.mu_p, p.c, p.eps] for p, _, _, _ in runs]).T
-    base = np.array([eq.state for _, eq, _, _ in runs]).T.reshape(-1)
-    kick = np.array([k * eq.state for _, eq, k, _ in runs]).T.reshape(-1)
-    t_end = np.array([float(e) for _, _, _, e in runs])
-    t_stop = t_end - 1e-12 * np.maximum(1.0, t_end)
-    stall_at = 1e-12 * max(1.0, t_end.max())    # no step is stalled above this
-    # one sample grid per distinct end, as run_perturbed makes them, each
-    # followed by +inf past the most samples one step may take
-    ends_of = sorted(set(t_end.tolist()))
+    numbers = np.array([[p.mu_m, p.mu_p, p.c, p.eps] for p, _, _ in runs]).T
+    base = np.array([eq.state for _, eq, _ in runs]).T.reshape(-1)
+    kick = np.array([k * eq.state for _, eq, k in runs]).T.reshape(-1)
+    t_stop = t_end - 1e-12 * max(1.0, t_end)
+    stall_at = 1e-12 * max(1.0, t_end)      # no step is stalled above this
+    # the sample grid run_perturbed makes, followed by +inf past the most
+    # samples one step may take; a lane's samples start at the transient cut
     per_unit = (n_samples - 1) / t_end
-    grids = np.full((len(ends_of), n_samples + int(per_unit.max()) + 3), math.inf)
-    for grid, e in zip(grids, ends_of):
-        grid[:n_samples] = np.linspace(0.0, e, n_samples)
-    gid = np.searchsorted(ends_of, t_end)
-    first = np.array([np.searchsorted(grid, 0.5 * e) for grid, e in zip(grids, ends_of)])[gid]
-    width = n_samples - first.min()
+    grid = np.full(n_samples + int(per_unit) + 3, math.inf)
+    grid[:n_samples] = np.linspace(0.0, t_end, n_samples)
+    first = int(grid.searchsorted(0.5 * t_end))
+    width, before, cut = n_samples - first, grid[first - 1], grid[first]
     # one buffer holds the pool of the kicks' many short steps, and then the
     # samples, a row per lane and a place for the rest: every lane is long
     # past its kick when the first samples are due
     buf = np.empty(max(n * width + 1, 13 * _PLACES * n))
     store, samples = _SegmentStore(n, buf[:len(buf) // 13 * 13].reshape(13, -1)), None
-    # per lane, where _write_samples finds its grid (flat), the samples per
-    # unit, the samples before and at the cut, and its row of samples
-    grid_info = np.array([gid * grids.shape[1], per_unit, grids[gid, first - 1],
-                          grids[gid, first], lane_ids * width - first])
+    # per lane, where its samples go: grid sample k at row + k of samples
+    row = lane_ids * width - first
     pending, completed = [], []
     next_break, breaks_left = np.ones(n), True    # the next of eta = 1, 2, 3
 
@@ -288,9 +282,8 @@ def _step_lanes(runs, rtol):
             if len(keep) < n:
                 x, base, kick = (a.reshape(2, n)[:, keep].reshape(-1) for a in (x, base, kick))
                 kf = kf.reshape(7, 2, n)[:, :, keep].reshape(7, -1)
-                (lane_ids, gid, first, numbers, grid_info, t_end, t_stop, next_break, t, h) = (
-                    a[..., keep] for a in (lane_ids, gid, first, numbers, grid_info, t_end,
-                                           t_stop, next_break, t, h))
+                (lane_ids, row, numbers, next_break, t, h) = (
+                    a[..., keep] for a in (lane_ids, row, numbers, next_break, t, h))
                 n = len(keep)
                 if not n:
                     break
@@ -301,7 +294,7 @@ def _step_lanes(runs, rtol):
             kr, kx = [k[:n] for k in kf], [k[n:] for k in kf]
             at_lag = [(np.ones((5, 1)) * a.reshape(2, 1, n)).reshape(-1) for a in (base, kick)]
             end_from = rounds + int(np.minimum.reduce(t_stop - t))
-            samples_from = rounds + int(np.minimum.reduce(grid_info[3] - t)) - 1
+            samples_from = rounds + int(np.minimum.reduce(cut - t)) - 1
             alive = np.ones(n, dtype=bool)
         rounds += 1
         if rounds > _MAX_STEPS:
@@ -356,14 +349,13 @@ def _step_lanes(runs, rtol):
         if rounds >= end_from and np.logical_or.reduce(t_new >= t_stop):
             done = acc & (t_new >= t_stop)
             accepted = (store.last - store.origin)[done]
-            completed += zip(lane_ids[done], gid[done], first[done], accepted,
-                             rounds - accepted)
+            completed += zip(lane_ids[done], accepted, rounds - accepted)
             # their last segments take the samples within the frontier's tolerance
             new[12, done] += 1e-10 * np.maximum(1.0, t_new[done])
             alive = ok & ~done
-        pending.append((new, acc, grid_info))
+        pending.append((new, acc, row))
         if len(pending) == _FLUSH_ROUNDS:
-            _write_samples(samples, pending, grids.reshape(-1))
+            _write_samples(samples, pending, grid, per_unit, before, cut)
             pending = []
 
         acc2 = cat((acc, acc))
@@ -374,29 +366,29 @@ def _step_lanes(runs, rtol):
                   h_next)
 
     if pending:
-        _write_samples(samples, pending, grids.reshape(-1))
+        _write_samples(samples, pending, grid, per_unit, before, cut)
     result: list = [None] * len(runs)
-    for lane, g, j, acc_n, rej_n in completed:
-        row = samples[lane * width:]
-        result[lane] = (grids[g, j:n_samples], row[:n_samples - j], int(acc_n), int(rej_n))
+    for lane, acc_n, rej_n in completed:
+        result[lane] = (grid[first:n_samples], samples[lane * width:(lane + 1) * width],
+                        int(acc_n), int(rej_n))
     return result
 
 
-def _write_samples(samples, pending, grids):
+def _write_samples(samples, pending, grid, per_unit, before, cut):
     """r at the sample times on the segments of some rounds, as
     History.eval_many evaluates it: a sample time s > the start of a
     segment and <= its end goes to that segment, and the last segment of a
     completed lane also takes those within the frontier's tolerance.
 
     pending holds per round its segments (13, lanes), which of them were
-    accepted, and grid_info. samples is flat: a row per lane, and a last
-    place for what is not due.
+    accepted, and where each lane's samples go. samples is flat: a row per
+    lane, and a last place for what is not due. The grid has per_unit
+    samples a unit; before and cut are its samples before and at the cut.
     """
     import numpy as np
 
-    segs, accs, infos = zip(*pending)
-    seg, acc = np.concatenate(segs, axis=1), np.concatenate(accs)
-    offset, per_unit, before, cut, row = np.concatenate(infos, axis=1)
+    segs, accs, rows = zip(*pending)
+    seg, acc, row = (np.concatenate(a, axis=-1) for a in (segs, accs, rows))
     reach = np.where(acc, seg[12], -math.inf)     # the last sample time a segment takes
     due = reach >= cut
     if not due[due.argmax()]:
@@ -406,9 +398,9 @@ def _write_samples(samples, pending, grids):
     j = (seg[0] * per_unit).astype(int)
     span = (seg[12] * per_unit).astype(int) - j
     j = j + np.arange(span[span.argmax()] + 2)[:, None]
-    at = grids[j + offset.astype(int)]
+    at = grid[j]
     due = (at > np.maximum(seg[0], before)) & (at <= reach)
-    j += row.astype(int)
+    j += row
     dest = np.where(due, j, len(samples) - 1)
     del j, due
     # History's r + h u (a0 + u (a1 + u (a2 + u a3))), in place

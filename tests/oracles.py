@@ -349,7 +349,7 @@ def escape_sweep(params: ModelParams, eq: Equilibrium, start_scale=0.1,
 
 
 def scalar_cell_label(params: ModelParams, eq: Equilibrium,
-                      probe_scales=(0.25, 0.5, 1.0), eta_end=400.0, rtol=1e-7):
+                      probe_scales=(0.25, 0.5, 1.0), eta_end=300.0, rtol=1e-7):
     """A sweep cell's label from one run_perturbed run after another, as
     classify_dynamics labelled a cell before its runs became lanes: the
     local regime from the spectrum, then the probe ladder up to its first
@@ -359,8 +359,7 @@ def scalar_cell_label(params: ModelParams, eq: Equilibrium,
                                       params.eps).kind is StabilityKind.UNSTABLE
         basin_ok = True
         for scale in probe_scales:
-            end = min(eta_end, 300.0)
-            if classify_run(run_perturbed(params, eq, -scale, end, rtol),
+            if classify_run(run_perturbed(params, eq, -scale, eta_end, rtol),
                             eq, -scale) == "escaped":
                 basin_ok = False
                 break

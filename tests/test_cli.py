@@ -13,7 +13,7 @@ import refvals as RV
 from oracles import scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
-from sddhopf import cli, dde, model, roots
+from sddhopf import cli, dde, lanes, model, roots
 from sddhopf.cli import (_SCHEMA, _build_parser, _jsonable, _trajectory_csv, load_config,
                          main)
 
@@ -333,7 +333,7 @@ def test_summary_reports_step_counts_beside_a_parseable_monitors_line(tmp_path, 
 
 # -- sweep ------------------------------------------------------------------------
 
-SWEEP_ANALYSIS = {"t_end": 400.0, "probe_scales": [0.25, 0.5, 1.0], "rtol": 1e-7}
+SWEEP_ANALYSIS = {"t_end": 300.0, "probe_scales": [0.25, 0.5, 1.0], "rtol": 1e-7}
 
 
 def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
@@ -348,9 +348,38 @@ def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
     label = payload["labels"][0][0]
     p = hes1_params(c=0.01, eps=RV.EPS0 - 0.1)
     direct, = classify_dynamics([(p, find_equilibrium(p))],
-                                probe_scales=(0.25, 0.5, 1.0), eta_end=400.0,
+                                probe_scales=(0.25, 0.5, 1.0), eta_end=300.0,
                                 rtol=1e-7)
     assert label == direct == "stable"
+
+
+@pytest.mark.parametrize("lanes_from,runner", [(10**9, "run_perturbed"), (1, "lane_runs")],
+                         ids=["scalar", "lanes"])
+def test_the_sweeps_t_end_is_its_probe_length(tmp_path, capsys, monkeypatch,
+                                               lanes_from, runner):
+    # one cell, one probe: it runs to the config's t_end, alone or as a lane
+    ends = []
+    run, lane_runs = dde.run_perturbed, lanes.lane_runs
+
+    def recorded_run(params, eq, kick_scale, eta_end, *args):
+        ends.append(("run_perturbed", eta_end))
+        return run(params, eq, kick_scale, eta_end, *args)
+
+    def recorded_lanes(runs, eta_end, rtol):
+        ends.append(("lane_runs", eta_end))
+        return lane_runs(runs, eta_end, rtol)
+
+    monkeypatch.setattr(dde, "run_perturbed", recorded_run)
+    monkeypatch.setattr(lanes, "lane_runs", recorded_lanes)
+    monkeypatch.setattr(dde, "LANES_FROM", lanes_from)
+    path = write_cfg(tmp_path, {
+        "analysis": dict(SWEEP_ANALYSIS, t_end=360.0, probe_scales=[0.5],
+                         grid={"eps": [RV.EPS0 - 0.1], "c": [0.01]}),
+        "output": {"format": "json"},
+    })
+    assert main(["sweep", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["labels"] == [["stable"]]
+    assert ends == [(runner, 360.0)]
 
 
 def test_no_probes_label_cells_from_the_spectrum_alone(tmp_path, capsys, monkeypatch):
@@ -501,7 +530,7 @@ def test_lanes_fall_back_per_run_and_keep_cells_apart(tmp_path, capsys, monkeypa
             eq = find_equilibrium(p)
         except (ValueError, ArithmeticError) as exc:
             return "error: %s" % exc
-        return scalar_cell_label(p, eq, probe_scales=probes, eta_end=400.0, rtol=1e-7)
+        return scalar_cell_label(p, eq, probe_scales=probes, eta_end=300.0, rtol=1e-7)
 
     assert labels == [[reference(m, e) for e in eps] for m in mu_m]
     assert labels[0] == ["error: eps must be positive"] + [

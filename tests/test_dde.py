@@ -3,6 +3,7 @@ integration as oracle, convergence-order and invariant checks."""
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import refvals as RV
 from oracles import escape_sweep, method_of_steps, refine_extremum, scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      IncompatibleData, InitialHistory, InsufficientCycles,
-                     NoBracket, SlopeBoundWarning, Trajectory,
+                     NoBracket, SddhopfError, SlopeBoundWarning, Trajectory,
                      analyze_normal_form, bump_history, check_compatibility,
                      classify_run, constant_history, find_equilibrium,
                      hes1_params, integrate_sdd, integrate_transformed,
@@ -460,6 +461,17 @@ def test_x_span_covers_the_initial_data_and_every_step_end(dense_history):
     assert History(init).x_span() == max(xs[:65]) - min(xs[:65])
 
 
+def test_a_lookup_past_the_frontier_is_history_too_short(dense_history):
+    # the package's own error, not a private one: it is caught as SddhopfError
+    t = dense_history.frontier + 1.0
+    message = "t = %r lies past the history's frontier %r" % (t, dense_history.frontier)
+    for lookup in (dense_history.eval, lambda t: dense_history.eval_many([0.5, t])):
+        with pytest.raises(HistoryTooShort, match="^%s$" % re.escape(message)):
+            lookup(t)
+        with pytest.raises(SddhopfError):
+            lookup(t)
+
+
 def test_lookups_per_stage_on_the_original_time_recipe(eq_state, monkeypatch):
     # recipes/hes1-original.json: about 1300 stages of the unit-delay run,
     # one lookup each but for the shared sixth and seventh, plus the Newton
@@ -749,8 +761,8 @@ def test_sweep_grid_runs_stay_clear_of_the_floor():
     # at least ten floors from zero (0.196 here; 0.0136 over the
     # benchmark's grids), so the floor ends only runs that are already on
     # their way to the pole
-    runs = [run_perturbed(p, eq, kick, end, SWEEP["rtol"])
-            for p, eq, kick, end in sweep_runs(SWEEP["grid"])]
+    runs = [run_perturbed(p, eq, kick, SWEEP["t_end"], SWEEP["rtol"])
+            for p, eq, kick in sweep_runs(SWEEP["grid"])]
     completed = [t for t in runs if t.status == "completed"]
     assert len(completed) == 12
     assert min(t.monitors["min_denominator"] for t in completed) \
@@ -912,25 +924,26 @@ def sweep_cells(grid):
 
 
 def sweep_runs(grid):
-    """(params, eq, kick_scale, eta_end) of every run a sweep of the grid
-    makes, cell by cell, with hes1-sweep.json's probes."""
-    return [(p, eq, -scale, min(SWEEP["t_end"], 300.0))
-            for p, eq in sweep_cells(grid) for scale in SWEEP["probe_scales"]]
+    """(params, eq, kick_scale) of every run a sweep of the grid makes,
+    cell by cell, with hes1-sweep.json's probes."""
+    return [(p, eq, -scale) for p, eq in sweep_cells(grid) for scale in SWEEP["probe_scales"]]
 
 
 # The largest relative difference of the sampled r from its scalar run,
-# measured: 5.0e-14 on hes1-sweep.json, 2.7e-10 on the seed-0 grid and
-# 1.9e-11 on the seed-7 one (seed 1: 2.1e-8). The lanes differ from the
-# scalar loop only where numpy's power, sine and vector products round
-# differently from Python's scalar arithmetic.
-@pytest.mark.parametrize("grid,bound", [(SWEEP["grid"], 5e-13), (SEED0_GRID, 2e-9),
-                                        (SEED7_GRID, 2e-10)],
-                         ids=["hes1-sweep", "benchmark-seed-0", "benchmark-seed-7"])
-def test_every_lane_takes_its_scalar_runs_steps(grid, bound):
+# measured: 5.0e-14 on hes1-sweep.json (6.7e-14 with its probes run to
+# 150), 2.7e-10 on the seed-0 grid and 1.9e-11 on the seed-7 one (seed 1:
+# 2.1e-8). The lanes differ from the scalar loop only where numpy's power,
+# sine and vector products round differently from Python's scalar
+# arithmetic.
+@pytest.mark.parametrize("grid,end,bound", [
+    (SWEEP["grid"], SWEEP["t_end"], 5e-13), (SWEEP["grid"], 150.0, 5e-13),
+    (SEED0_GRID, SWEEP["t_end"], 2e-9), (SEED7_GRID, SWEEP["t_end"], 2e-10)],
+    ids=["hes1-sweep", "hes1-sweep-end-150", "benchmark-seed-0", "benchmark-seed-7"])
+def test_every_lane_takes_its_scalar_runs_steps(grid, end, bound):
     runs = sweep_runs(grid)
-    done = lanes.lane_runs(runs, SWEEP["rtol"])
+    done = lanes.lane_runs(runs, end, SWEEP["rtol"])
     worst = 0.0
-    for (p, eq, kick, end), lane in zip(runs, done):
+    for (p, eq, kick), lane in zip(runs, done):
         traj = run_perturbed(p, eq, kick, end, SWEEP["rtol"])
         assert traj.status == "completed" and lane is not None
         t, r, accepted, rejected = lane
@@ -973,7 +986,7 @@ def test_a_lane_refused_for_room_runs_again_alone(monkeypatch):
     # classify_dynamics runs each of them again through run_perturbed
     runs = sweep_runs(SWEEP["grid"])
     monkeypatch.setattr(lanes, "_PLACES", 13)
-    refused = [i for i, lane in enumerate(lanes.lane_runs(runs, SWEEP["rtol"]))
+    refused = [i for i, lane in enumerate(lanes.lane_runs(runs, SWEEP["t_end"], SWEEP["rtol"]))
                if lane is None]
     assert 0 < len(refused) < len(runs)
     rerun = []
@@ -985,7 +998,7 @@ def test_a_lane_refused_for_room_runs_again_alone(monkeypatch):
 
     monkeypatch.setattr(dde, "run_perturbed", recorded)
     monkeypatch.setattr(dde, "LANES_FROM", 1)
-    cells = [(p, eq) for p, eq, _, _ in runs[::len(SWEEP["probe_scales"])]]
+    cells = [(p, eq) for p, eq, _ in runs[::len(SWEEP["probe_scales"])]]
     labels = dde.classify_dynamics(cells, **SWEEP_KW)
     assert rerun == [(runs[i][0], runs[i][2]) for i in refused]
     monkeypatch.undo()
@@ -1028,7 +1041,7 @@ def test_the_lanes_hold_under_a_megabyte():
 def test_a_run_that_raises_marks_only_its_cell(monkeypatch, lanes_from):
     # each cell's 1.45 probe escapes, so under lanes too it runs again
     # through run_perturbed, which raises for the second cell
-    kw = dict(probe_scales=(0.5, 1.45), eta_end=400.0, rtol=1e-7)
+    kw = dict(probe_scales=(0.5, 1.45), eta_end=300.0, rtol=1e-7)
     cells = [(p, find_equilibrium(p)) for p in (hes1_params(c=0.025, eps=EPS_LOW),
                                                 hes1_params(c=0.025, eps=EPS_HIGH))]
     expected = [scalar_cell_label(*cells[0], **kw), "error: step budget exhausted"]

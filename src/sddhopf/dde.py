@@ -395,28 +395,38 @@ class Trajectory(NamedTuple):
 
 
 def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
-               fixed_h, eta_end, t_map=None):
+               fixed_h, eta_end, t_map=None, start=None):
     """The embedded-pair loop of the unit-delay system, from initial data on
     [t0 - 1, t0] to eta_end. With t_map = (t_origin, t_end), t0 = 0 and
     eta_end = inf, it runs until t(eta) = t_origin + eps eta + c (r(eta) -
     r(0)) reaches t_end, and its event and end times are t(eta).
 
+    start = (history, t, (r, xi), (r', xi'), h, tries) goes on from t past
+    the breakpoints instead, on the History its lookups still reach, with
+    the first stage's slopes, the next step and the tries so far.
+
     Returns the history, the events (an abort's last), the monitors, the
-    status, the time reached and the RunStats. fixed_h disables error
-    control (used for order studies).
+    status, the time reached and the RunStats (the history's steps).
+    fixed_h disables error control (used for order studies).
     """
-    hist = History(initial)
     events: List[dict] = []
     eps, c = params.eps, params.c
-    t0 = initial.t0
     stage_evals = rejected = 0
     # a try's stage slopes stay None until their stage returns, so a try
     # cut short still tells how many stages it evaluated
     k2x = k3x = k4x = k5x = k6x = k7x = None
     min_x = min_y = min_denominator = math.inf
     positive = True
-    t = t0
-    x, y = (float(v) for v in initial.value(t))
+    if start is None:
+        hist = History(initial)
+        t = t0 = initial.t0
+        x, y = (float(v) for v in initial.value(t))
+        breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
+        h_next = fixed_h if fixed_h else min(0.1, eta_end - t0)
+        steps = 0
+    else:
+        hist, t, (x, y), (f1x, f1y), h_next, steps = start
+        breakpoints = []
     r0 = x
     if t_map is None:
         end = eta_end - 1e-12 * max(1.0, abs(eta_end))
@@ -429,7 +439,6 @@ def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
         def clock(eta, r):
             return t_origin + eps * eta + c * (r - r0)
 
-    breakpoints = [t0 + 1.0, t0 + 2.0, t0 + 3.0]
     # the last lookup: stages 6 and 7 of a try both take t + h, and no
     # other stage of the run repeats a t
     looked_up = delayed = None
@@ -448,14 +457,13 @@ def _integrate(initial: InitialHistory, params: ModelParams, rtol, atol,
         except DenominatorBreach as exc:
             raise _Abort(STATUS_BREACH, s, r, str(exc))
 
-    h_next = fixed_h if fixed_h else min(0.1, eta_end - t0)
     status = STATUS_COMPLETED
     try:
-        f1x, f1y, _ = stage(t, x, y)
-        stage_evals = 1
-        if not (math.isfinite(f1x) and math.isfinite(f1y)):
-            raise _Abort(STATUS_NONFINITE, t, x, "nonfinite initial slope")
-        steps = 0
+        if start is None:
+            f1x, f1y, _ = stage(t, x, y)
+            stage_evals = 1
+            if not (math.isfinite(f1x) and math.isfinite(f1y)):
+                raise _Abort(STATUS_NONFINITE, t, x, "nonfinite initial slope")
         while clock(t, x) < end:
             if steps >= _MAX_STEPS:
                 raise NoConvergence("step budget exhausted at t = %.6g" % clock(t, x))
@@ -657,18 +665,18 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
 
 def integrate_transformed(history: InitialHistory, params: ModelParams, eta_end,
                           rtol=1e-8, atol=1e-9, sample_times=None,
-                          fixed_h=None) -> Trajectory:
+                          fixed_h=None, start=None) -> Trajectory:
     """Integrate the unit-delay system (at c = 0, the constant-delay system).
 
     Initial data covers [t0 - 1, t0]. The first three unit breakpoints are
     hit exactly. A stage with D <= DENOMINATOR_FLOOR (c x' >= 1 -
     DENOMINATOR_FLOOR) ends the run with status denominator_breach,
-    keeping the partial trajectory.
+    keeping the partial trajectory. start goes on with a run (_integrate).
     """
     if history.span < 1.0 - 1e-12:
         raise HistoryTooShort("transformed system needs one delay unit of data")
     hist, events, monitors, status, eta_reached, stats = _integrate(
-        history, params, rtol, atol, fixed_h, eta_end)
+        history, params, rtol, atol, fixed_h, eta_end, start=start)
     etas = _sample_times(sample_times, history.t0, eta_reached)
     states = hist.eval_many(etas)
     return Trajectory(kind="transformed", t=etas, states=states,
@@ -819,6 +827,9 @@ def _run_label(status, t, r, t_first, r_star, kick_scale):
 # per-step cost of numpy calls on short arrays outweighs what the lanes share
 # (measured in the README's sweep section).
 LANES_FROM = 16
+# Fewer lanes than this go on alone in the scalar loop (lanes._step_lanes;
+# measured in the README).
+HANDOFF_BELOW = 8
 
 # what a cell's failure may raise; the cell reads "error: <message>"
 CELL_ERRORS = (SddhopfError, ValueError, ArithmeticError)

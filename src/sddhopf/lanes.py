@@ -11,6 +11,11 @@ batched history lookup serves all its stages.
 A lane keeps no whole history: only the segments its lookups can still
 reach, and r at the sample times the run's label reads. A lane that does
 not complete (its run would stop early or raise) is left to run_perturbed.
+A round costs about as much however few lanes it steps, so the last few
+lanes each go on alone in integrate_transformed's scalar loop, from the
+lane's segments, t, state, first-stage slopes and next step: a
+Dormand-Prince run with FSAL is set by these alone, so it takes the steps
+the lane would have taken.
 
 Only dde loads numpy when it is imported (the package's import boundary):
 the functions here import numpy, and dde's Dormand-Prince tableau, when
@@ -19,7 +24,7 @@ they run.
 
 import math
 
-from .model import DENOMINATOR_FLOOR, transformed_slopes
+from .model import DENOMINATOR_FLOOR
 from .nonlinearity import HillRepressor, LinearMap
 
 # Pool places per lane once the samples are due (before, the pool fills the
@@ -29,31 +34,46 @@ from .nonlinearity import HillRepressor, LinearMap
 _PLACES, _WINDOW = 24, 8
 _FLUSH_ROUNDS = 6   # rounds of segments between two sample writes
 _ARRAY_MAPS = (HillRepressor, LinearMap)    # feedback maps that take arrays
-
-
-class _LaneParams:
-    """ModelParams' fields over lanes, for transformed_slopes: a float where
-    every lane has the same value, else an array."""
-
-    __slots__ = ("mu_m", "mu_p", "c", "eps")
-
-    def __init__(self, numbers):
-        self.mu_m, self.mu_p, self.c, self.eps = (
-            float(v[0]) if (v == v[0]).all() else v for v in numbers)
+# a pool column's rows in History's packing: t, h, r, xi, r's four
+# interpolant coefficients, then xi's
+_HISTORY_ROWS = [0, 1, 2, 3, 4, 6, 8, 10, 5, 7, 9, 11]
 
 
 def _map_key(m):
     return type(m), tuple(sorted(vars(m).items()))
 
 
+def _stacked_slopes(numbers):
+    """model.transformed_slopes over the n lanes of numbers, the rows mu_m,
+    mu_p, c and eps (4, n), as slopes(out, state, fg): state is the lanes'
+    [r | xi] and fg their feedback [f(xi(eta - 1)) | g(r(eta - 1))], flat
+    arrays of 2n; it writes [r' | xi'] into out and returns each lane's D.
+    It makes transformed_slopes' operations in the same order, so each
+    lane's slopes equal its scalar ones bit for bit."""
+    import numpy as np
+
+    multiply, subtract, divide, cat = np.multiply, np.subtract, np.divide, np.concatenate
+    mu, c, eps = numbers[:2].reshape(-1), numbers[2], cat((numbers[3], numbers[3]))
+    n = len(c)
+
+    def slopes(out, state, fg):
+        multiply(mu, state, out=out)
+        subtract(fg, out, out=out)      # -mu_m r + f(xi_1), -mu_p xi + g(r_1)
+        d = 1.0 - c * out[:n]
+        multiply(eps, out, out=out)
+        divide(out, cat((d, d)), out=out)
+        return d
+    return slopes
+
+
 def lane_runs(runs, eta_end, rtol):
     """run_perturbed(params, eq, kick_scale, eta_end, rtol) for every
     (params, eq, kick_scale) of runs, stepped together.
 
-    Per run, a completed lane gives (t, r, steps_accepted, steps_rejected):
-    its sample times from the transient cut of measure_oscillation on, r
-    there, and its step counts. A run that did not complete as a lane gives
-    None. Runs whose feedback maps are equal share one lane loop; runs whose
+    Per run, a completed lane gives (t, r, stats): its sample times from
+    the transient cut of measure_oscillation on, r there, and its RunStats,
+    as its run's Trajectory.stats counts them. A run that did not complete
+    as a lane gives None. Runs whose feedback maps are equal share one lane loop; runs whose
     maps do not take arrays get None. No numpy warning is raised.
     """
     import numpy as np
@@ -175,27 +195,26 @@ class _SegmentStore:
 
     def repack(self, keep, data=None):
         """Keep the lanes keep, in that order, each with its segments from
-        its cursor on, in the pool data if given; return the lanes kept.
-        While the pool would leave a lane fewer than _WINDOW + 4 free
-        places, the lane with the most segments is refused."""
+        its cursor on, in the pool data if given.
+        A pool that would leave a lane fewer than _WINDOW + 4 free places
+        gives way to a larger one, with _PLACES free places a lane: a lane
+        holds at most the segments its scalar run's History holds."""
         import numpy as np
 
-        places = (self.data if data is None else data).shape[1]
+        data = self.data if data is None else data
         count = (self.last - self.cur + 1)[keep]
-        while len(keep) and (places - sum(count.tolist())) // len(keep) < _WINDOW + 4:
-            refused = count.argmax()
-            keep, count = np.delete(keep, refused), np.delete(count, refused)
-        room = (places - sum(count.tolist())) // max(len(keep), 1)
+        held = sum(count.tolist())
+        if (data.shape[1] - held) // max(len(keep), 1) < _WINDOW + 4:
+            data = np.empty((13, held + _PLACES * len(keep)))
+        room = (data.shape[1] - held) // max(len(keep), 1)
         first = (count + room).cumsum() - (count + room)
-        src = np.arange(sum(count.tolist())) + (
-            self.cur[keep] - (count.cumsum() - count)).repeat(count)
+        src = np.arange(held) + (self.cur[keep] - (count.cumsum() - count)).repeat(count)
         columns = self.data[:, src]
-        self._use(self.data if data is None else data)
+        self._use(data)
         self.data[:, src + (first - self.cur[keep]).repeat(count)] = columns
         self.origin = self.origin[keep] + (first - self.cur[keep])
         self.cur, self.last = first, first + count - 1
         self.rounds_left = room - _WINDOW      # pushes until a repack
-        return keep
 
 
 def _step_lanes(runs, t_end, rtol):
@@ -210,12 +229,15 @@ def _step_lanes(runs, t_end, rtol):
 
     A lane ends, and is dropped, when it completes or when its scalar run
     would stop early or raise: a denominator at the floor, a nonfinite
-    value, a stalled step or the step budget; also when the pool has no
-    room for its segments.
+    value, a stalled step or the step budget. Once fewer than
+    dde.HANDOFF_BELOW are left, with the samples due, no lookup reaching
+    the initial data and no breakpoint left, each goes on alone
+    (_go_on_alone).
     """
     import numpy as np
 
-    from .dde import _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _SAFETY, RUN_ATOL, RUN_SAMPLES
+    from .dde import (_MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _SAFETY, HANDOFF_BELOW, RUN_ATOL,
+                      RUN_SAMPLES, RunStats)
 
     atol, n_samples = RUN_ATOL, RUN_SAMPLES     # run_perturbed's
 
@@ -262,22 +284,23 @@ def _step_lanes(runs, t_end, rtol):
             breaks_left = next_break[next_break.argmin()] < math.inf
         return h
 
-    lp = _LaneParams(numbers)
+    dot, cat, copyto, where, minimum = np.dot, np.concatenate, np.copyto, np.where, np.minimum
+    slopes = _stacked_slopes(numbers)
     t = np.zeros(n)
     x = base + kick * 0.0
     start = base + kick * np.sin(np.pi * -1.0) ** 2       # the data at eta = -1
     kf = np.empty((7, 2 * n))       # the stage slopes k1..k7; k1 is the last k7
-    kf[0, :n], kf[0, n:], d = transformed_slopes(x[:n], x[n:], nl.f.value(start[n:]),
-                                                 nl.g.value(start[:n]), lp)
-    alive = np.isfinite(kf[0, :n]) & np.isfinite(kf[0, n:]) & (d > DENOMINATOR_FLOOR)
+    d = slopes(kf[0], x, cat((nl.f.value(start[n:]), nl.g.value(start[:n]))))
+    finite = np.isfinite(kf[0])
+    alive = finite[:n] & finite[n:] & (d > DENOMINATOR_FLOOR)
     h = capped(t, np.minimum(np.minimum(0.1, t_end), t_end - t))
     rounds, initial = 0, True   # initial: some lookup may still reach the initial data
-    dot, cat, copyto, where, minimum = np.dot, np.concatenate, np.copyto, np.where, np.minimum
     while True:
         move = samples is None and rounds and rounds >= samples_from   # the pool out of buf
         if store.rounds_left <= 0 or not alive[alive.argmin()] or not rounds or move:
             pool = np.empty((13, _PLACES * n)) if move else None
-            keep = store.repack(alive.nonzero()[0], pool)
+            keep = alive.nonzero()[0]
+            store.repack(keep, pool)
             samples = buf[:len(runs) * width + 1] if move else samples
             if len(keep) < n:
                 x, base, kick = (a.reshape(2, n)[:, keep].reshape(-1) for a in (x, base, kick))
@@ -287,11 +310,23 @@ def _step_lanes(runs, t_end, rtol):
                 n = len(keep)
                 if not n:
                     break
-                lp = _LaneParams(numbers)
-            # views of the slopes' r and xi halves; the initial data's base
-            # and kick at each lookup time; the rounds before which no lane
-            # nears its end or its first sample, as a step is at most a unit
-            kr, kx = [k[:n] for k in kf], [k[n:] for k in kf]
+                slopes = _stacked_slopes(numbers)
+            if n < HANDOFF_BELOW and samples is not None and not (initial or breaks_left):
+                # the pending samples, written after the loop, lie at or
+                # before each lane's t; the scalar loop takes those past it
+                for i, lane in enumerate(lane_ids.tolist()):
+                    k = max(first, int(grid.searchsorted(t[i], "right")))   # samples past t
+                    state = (float(t[i]), (float(x[i]), float(x[n + i])),
+                             (float(kf[0, i]), float(kf[0, n + i])), float(h[i]), rounds)
+                    alone = _go_on_alone(runs[lane][0], store, i, grid[k:n_samples], t_end,
+                                         rtol, state)
+                    if alone is not None:
+                        samples[row[i] + k:row[i] + n_samples] = alone[1]
+                        completed.append((lane, alone[0]))
+                break
+            # the initial data's base and kick at each lookup time; the
+            # rounds before which no lane nears its end or its first
+            # sample, as a step is at most a unit
             at_lag = [(np.ones((5, 1)) * a.reshape(2, 1, n)).reshape(-1) for a in (base, kick)]
             end_from = rounds + int(np.minimum.reduce(t_stop - t))
             samples_from = rounds + int(np.minimum.reduce(cut - t)) - 1
@@ -315,16 +350,14 @@ def _step_lanes(runs, t_end, rtol):
                    where=cat((lag <= 0.0,) * 2))
             initial = t[t.argmin()] <= 1.0
 
-        # the feedback at all five delayed times at once: f(xi), g(r)
-        f_at = nl.f.value(delayed[m:]).reshape(5, n)
-        g_at = nl.g.value(delayed[:m]).reshape(5, n)
+        # the feedback at all five delayed times at once: [f(xi) | g(r)]
+        fg_at = cat((nl.f.value(delayed[m:]).reshape(5, n),
+                     nl.g.value(delayed[:m]).reshape(5, n)), axis=1)
         h2 = cat((h, h))
         d_min = math.inf
         for s, a_row, at in stages:
             stage = x + h2 * dot(a_row, kf[:s])
-            kr[s][...], kx[s][...], d = transformed_slopes(stage[:n], stage[n:], f_at[at],
-                                                           g_at[at], lp)
-            d_min = minimum(d_min, d)
+            d_min = minimum(d_min, slopes(kf[s], stage, fg_at[at]))
         x_new = stage
         e = h2 * dot(e_row, kf)
         e /= atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
@@ -348,8 +381,9 @@ def _step_lanes(runs, t_end, rtol):
         alive = ok
         if rounds >= end_from and np.logical_or.reduce(t_new >= t_stop):
             done = acc & (t_new >= t_stop)
-            accepted = (store.last - store.origin)[done]
-            completed += zip(lane_ids[done], accepted, rounds - accepted)
+            completed += ((lane, RunStats(accepted, rounds - accepted, 1 + 6 * rounds))
+                          for lane, accepted in zip(lane_ids[done].tolist(),
+                                                    (store.last - store.origin)[done].tolist()))
             # their last segments take the samples within the frontier's tolerance
             new[12, done] += 1e-10 * np.maximum(1.0, t_new[done])
             alive = ok & ~done
@@ -368,10 +402,37 @@ def _step_lanes(runs, t_end, rtol):
     if pending:
         _write_samples(samples, pending, grid, per_unit, before, cut)
     result: list = [None] * len(runs)
-    for lane, acc_n, rej_n in completed:
-        result[lane] = (grid[first:n_samples], samples[lane * width:(lane + 1) * width],
-                        int(acc_n), int(rej_n))
+    for lane, stats in completed:
+        result[lane] = (grid[first:n_samples], samples[lane * width:(lane + 1) * width], stats)
     return result
+
+
+def _go_on_alone(params, store, i, times, t_end, rtol, state):
+    """Lane i's run gone on with in the scalar loop to t_end, from state =
+    (t, (r, xi), (r', xi'), h, tries): its RunStats from eta = 0 and r at
+    the times, or None when it does not complete. The loop steps on a
+    History of the lane's segments from its cursor on, in History's
+    packing; no lookup reaches before them, so it has no initial data."""
+    from .dde import (CELL_ERRORS, RUN_ATOL, STATUS_COMPLETED, History, InitialHistory,
+                      RunStats, integrate_transformed)
+
+    lo, hi = int(store.cur[i]), int(store.last[i]) + 1
+    cols = store.data[_HISTORY_ROWS, lo:hi]
+    hist = History(InitialHistory(None, None, float(cols[0, 0]), 1.0))
+    hist._store += cols.T.tobytes()
+    hist._ends = store.end[lo:hi].tolist()
+    hist._set_frontier(hist._ends[-1])
+    try:
+        traj = integrate_transformed(hist.initial, params, t_end, rtol, RUN_ATOL, times,
+                                     start=(hist,) + state)
+    except CELL_ERRORS:
+        return None
+    if traj.status != STATUS_COMPLETED:
+        return None
+    tries, accepted, alone = state[-1], int(store.last[i] - store.origin[i]), traj.stats
+    return RunStats(accepted + alone.steps_accepted - (hi - lo),
+                    tries - accepted + alone.steps_rejected,
+                    1 + 6 * tries + alone.stage_evals), traj.states[:, 0]
 
 
 def _write_samples(samples, pending, grid, per_unit, before, cut):

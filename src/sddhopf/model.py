@@ -180,10 +180,8 @@ def checked_slopes(state_now, state_delayed, params: ModelParams):
 def transformed_slopes(r, xi, f_delayed, g_delayed, params):
     """(r', xi', D) of the unit-delay system from the state now and the
     feedback values f(xi(eta - 1)) and g(r(eta - 1)); D is not checked.
-
-    The arguments may be numpy arrays over many runs, with the fields of
-    params arrays or floats: the sweep's lanes evaluate the feedback once
-    for all stages of a try and call this for each stage.
+    lanes._stacked_slopes is its form over a sweep's stacked lanes, with
+    the same operations in the same order.
     """
     Fx = -params.mu_m * r + f_delayed
     Gy = -params.mu_p * xi + g_delayed

@@ -25,6 +25,7 @@ from sddhopf import (DENOMINATOR_FLOOR, DenominatorBreach, HistoryTooShort,
                      solve_delay)
 from sddhopf import dde, lanes
 from sddhopf.dde import History
+from sddhopf.model import transformed_slopes
 
 EPS_LOW = RV.EPS0 - 0.1
 EPS_HIGH = RV.EPS0 + 0.1
@@ -937,8 +938,10 @@ def sweep_runs(grid):
 # arithmetic.
 @pytest.mark.parametrize("grid,end,bound", [
     (SWEEP["grid"], SWEEP["t_end"], 5e-13), (SWEEP["grid"], 150.0, 5e-13),
-    (SEED0_GRID, SWEEP["t_end"], 2e-9), (SEED7_GRID, SWEEP["t_end"], 2e-10)],
-    ids=["hes1-sweep", "hes1-sweep-end-150", "benchmark-seed-0", "benchmark-seed-7"])
+    (SEED0_GRID, SWEEP["t_end"], 2e-9), (SEED0_GRID, 150.0, 2e-9),
+    (SEED7_GRID, SWEEP["t_end"], 2e-10)],
+    ids=["hes1-sweep", "hes1-sweep-end-150", "benchmark-seed-0", "benchmark-seed-0-end-150",
+         "benchmark-seed-7"])
 def test_every_lane_takes_its_scalar_runs_steps(grid, end, bound):
     runs = sweep_runs(grid)
     done = lanes.lane_runs(runs, end, SWEEP["rtol"])
@@ -946,9 +949,8 @@ def test_every_lane_takes_its_scalar_runs_steps(grid, end, bound):
     for (p, eq, kick), lane in zip(runs, done):
         traj = run_perturbed(p, eq, kick, end, SWEEP["rtol"])
         assert traj.status == "completed" and lane is not None
-        t, r, accepted, rejected = lane
-        assert (accepted, rejected) == (traj.stats.steps_accepted,
-                                        traj.stats.steps_rejected)
+        t, r, stats = lane
+        assert stats == traj.stats
         assert np.array_equal(t, traj.t[-len(t):])
         assert 2 * len(t) == len(traj.t)
         ref = traj.states[-len(t):, 0]
@@ -956,6 +958,64 @@ def test_every_lane_takes_its_scalar_runs_steps(grid, end, bound):
         assert dde._run_label("completed", t, r, 0.0, eq.r_star, kick) \
             == classify_run(traj, eq, kick)
     assert worst <= bound < SWEEP["rtol"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(
+    st.floats(0.01, 1.0), st.floats(0.01, 1.0),                 # mu_m, mu_p
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),              # c
+    st.floats(0.5, 20.0),                                       # eps
+    st.floats(-50.0, 200.0), st.floats(-50.0, 3000.0),          # r, xi
+    st.floats(0.0, 40.0), st.floats(0.0, 60.0),                 # f(xi_1), g(r_1)
+    st.one_of(st.none(), st.floats(-1e-3, 1e-3))),              # D - floor, or free
+    min_size=1, max_size=12))
+def test_the_stacked_slopes_equal_transformed_slopes_bit_for_bit(drawn):
+    # a drawn offset puts the lane's D within 1e-3 of the floor, through f
+    lanes_, near_floor = [], []
+    for mu_m, mu_p, c, eps, r, xi, f, g, offset in drawn:
+        if offset is not None and c > 0:
+            f = (1.0 - (DENOMINATOR_FLOOR + offset)) / c + mu_m * r
+            near_floor.append(len(lanes_))
+        lanes_.append((mu_m, mu_p, c, eps, r, xi, f, g))
+    mu_m, mu_p, c, eps, r, xi, f, g = (np.array(v) for v in zip(*lanes_))
+    assume(np.all(1.0 - c * (f - mu_m * r) != 0.0))
+    out = np.empty(2 * len(r))
+    d = lanes._stacked_slopes(np.array([mu_m, mu_p, c, eps]))(
+        out, np.concatenate((r, xi)), np.concatenate((f, g)))
+    want = np.array([transformed_slopes(r_, xi_, f_, g_, hes1_params(c=c_, eps=eps_, mu_m=mu_m_,
+                                                                     mu_p=mu_p_))
+                     for mu_m_, mu_p_, c_, eps_, r_, xi_, f_, g_ in lanes_]).T
+    assert want.tobytes() == np.concatenate((out, d)).tobytes()
+    assert np.all(np.abs(d[near_floor] - DENOMINATOR_FLOOR) <= 1.001e-3)
+
+
+@pytest.mark.parametrize("grid", [SEED0_GRID, SEED7_GRID],
+                         ids=["benchmark-seed-0", "benchmark-seed-7"])
+def test_the_last_lanes_go_on_alone_with_the_same_steps(monkeypatch, grid):
+    # below dde.HANDOFF_BELOW lanes, each goes on in the scalar loop from
+    # its t, state, first-stage slopes and next step; with the handoff off
+    # (0), every lane steps to its end as a lane
+    runs, cells = sweep_runs(grid), sweep_cells(grid)
+    starts = []
+    integrate = dde._integrate
+
+    def counted(*args, start=None, **kwargs):
+        if start is not None:
+            starts.append(start[1])
+        return integrate(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(dde, "_integrate", counted)
+    alone = lanes.lane_runs(runs, SWEEP["t_end"], SWEEP["rtol"])
+    assert 0 < len(starts) < dde.HANDOFF_BELOW
+    alone_labels = dde.classify_dynamics(cells, **SWEEP_KW)
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", 0)
+    starts.clear()
+    stepped = lanes.lane_runs(runs, SWEEP["t_end"], SWEEP["rtol"])
+    assert not starts
+    assert dde.classify_dynamics(cells, **SWEEP_KW) == alone_labels
+    for (t, r, stats), (t_lane, r_lane, stats_lane) in zip(alone, stepped):
+        assert stats == stats_lane and np.array_equal(t, t_lane)
+        assert np.max(np.abs(r - r_lane) / np.abs(r_lane)) <= 1e-12
 
 
 def test_lane_grid_labels_match_the_scalar_loop(monkeypatch):
@@ -980,29 +1040,17 @@ def test_cells_next_to_eps0_take_the_local_regime_from_the_spectrum():
         "oscillating", "oscillating", "unstable", "unstable"]
 
 
-def test_a_lane_refused_for_room_runs_again_alone(monkeypatch):
-    # a pool of 13 places a lane, once the samples are due, has no room for
-    # the segments of some lanes: lane_runs refuses them, and
-    # classify_dynamics runs each of them again through run_perturbed
-    runs = sweep_runs(SWEEP["grid"])
+def test_a_tiny_pool_still_completes_every_lane(monkeypatch):
+    # a pool of 13 places a lane, once the samples are due, leaves some lanes
+    # too little room for their segments (they were refused and ran again
+    # alone): the pool grows instead, and every lane takes its run's steps
     monkeypatch.setattr(lanes, "_PLACES", 13)
-    refused = [i for i, lane in enumerate(lanes.lane_runs(runs, SWEEP["t_end"], SWEEP["rtol"]))
-               if lane is None]
-    assert 0 < len(refused) < len(runs)
-    rerun = []
-    run = dde.run_perturbed
-
-    def recorded(params, eq, kick_scale, *args, **kwargs):
-        rerun.append((params, kick_scale))
-        return run(params, eq, kick_scale, *args, **kwargs)
-
-    monkeypatch.setattr(dde, "run_perturbed", recorded)
-    monkeypatch.setattr(dde, "LANES_FROM", 1)
-    cells = [(p, eq) for p, eq, _ in runs[::len(SWEEP["probe_scales"])]]
-    labels = dde.classify_dynamics(cells, **SWEEP_KW)
-    assert rerun == [(runs[i][0], runs[i][2]) for i in refused]
-    monkeypatch.undo()
-    assert labels == [scalar_cell_label(p, eq, **SWEEP_KW) for p, eq in cells]
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", 0)    # every lane steps to its end as a lane
+    runs = sweep_runs(SWEEP["grid"])
+    done = lanes.lane_runs(runs, SWEEP["t_end"], SWEEP["rtol"])
+    for (p, eq, kick), lane in zip(runs, done):
+        assert lane is not None
+        assert lane[2] == run_perturbed(p, eq, kick, SWEEP["t_end"], SWEEP["rtol"]).stats
 
 
 def test_zero_kicks_are_refused():

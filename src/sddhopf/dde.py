@@ -33,32 +33,36 @@ from .model import (DENOMINATOR_FLOOR, Equilibrium, ModelParams, checked_slopes,
 from .roots import brentq
 from .stability import StabilityKind, classify_stability
 
-# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant,
-# written out as scalars (zero entries dropped).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
-# Columns 1..3 of the interpolant matrix P over stages 1, 3, 4, 5, 6, 7,
-# named _P<stage><column> (stage 2 has a zero row; column 0 is stage 1 alone).
-_P11, _P31, _P41, _P51, _P61, _P71 = (
-    -8048581381 / 2820520608, 131558114200 / 32700410799,
-    -1754552775 / 470086768, 127303824393 / 49829197408,
-    -282668133 / 205662961, 40617522 / 29380423)
-_P12, _P32, _P42, _P52, _P62, _P72 = (
-    8663915743 / 2820520608, -68118460800 / 10900136933,
-    14199869525 / 1410260304, -318862633887 / 49829197408,
-    2019193451 / 616988883, -110615467 / 29380423)
-_P13, _P33, _P43, _P53, _P63, _P73 = (
-    -12715105075 / 11282082432, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423)
+# Dormand-Prince 5(4) tableau with the Shampine quartic interpolant, zero
+# entries included: the stage times of stages 2..6 as fractions of h
+# (stage 7 is at t + h), the rows of A for stages 2..7 over the slopes
+# before each (stage 7's row is b, the state x_new: FSAL), the error row
+# e and columns 1..3 of the interpolant matrix P over stages 1..7 (column
+# 0 is stage 1 alone). The lanes take these rows as arrays.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = ((-8048581381 / 2820520608, 0.0, 131558114200 / 32700410799,
+          -1754552775 / 470086768, 127303824393 / 49829197408,
+          -282668133 / 205662961, 40617522 / 29380423),
+         (8663915743 / 2820520608, 0.0, -68118460800 / 10900136933,
+          14199869525 / 1410260304, -318862633887 / 49829197408,
+          2019193451 / 616988883, -110615467 / 29380423),
+         (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+          -10690763975 / 1880347072, 701980252875 / 199316789632,
+          -1453857185 / 822651844, 69997945 / 29380423))
+# the scalar loop reads the nonzero entries by name (_P<stage><column> for P)
+_C2, _C3, _C4, _C5, _ = _DP_C
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_B1, _, _B3, _B4, _B5, _B6)) = _DP_A
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
+((_P11, _, _P31, _P41, _P51, _P61, _P71), (_P12, _, _P32, _P42, _P52, _P62, _P72),
+ (_P13, _, _P33, _P43, _P53, _P63, _P73)) = _DP_P
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MAX_STEPS = 2_000_000      # step budget of one run, rejected tries included
@@ -126,16 +130,18 @@ def bump_history(base_state, kick, span, t0=0.0) -> InitialHistory:
     return InitialHistory(value=value, derivative=derivative, t0=t0, span=w)
 
 
-_SEG = 12     # doubles per segment: t_old, h, y_old[0:2], Q[0, 0:4], Q[1, 0:4]
+_SEG = 12     # doubles per segment: t_old, h, y_old[0:2], then Q[0:2, j] for j = 0..3
 _SEG_STRUCT = struct.Struct("=%dd" % _SEG)
 
 
 class History:
     """Dense solution history: initial data plus accepted-step interpolants.
 
-    Segments are packed as doubles into one bytearray; on segment i, the
-    state at t_old + x h is y_old + h x (Q0 + x (Q1 + x (Q2 + x Q3))) per
-    component.
+    Segments are packed as doubles into one bytearray: t_old, h, y_old,
+    then each interpolant coefficient of the first component beside the
+    second's, Q0 = (a0, b0), ..., Q3 = (a3, b3), as lanes pools them. On
+    a segment, the state at t_old + x h is y_old + h x (Q0 + x (Q1 + x (Q2
+    + x Q3))) per component.
     """
 
     def __init__(self, initial: InitialHistory):
@@ -146,6 +152,17 @@ class History:
         self._store = bytearray()
         self._cursor = 0       # segment of the last lookup; lookups creep forward
 
+    @classmethod
+    def from_segments(cls, initial: InitialHistory, segments, ends):
+        """The History of initial and of n >= 1 segments in time order:
+        segments is an (n, 12) array in the packing above, ends the n
+        times they end at; the frontier is the last of them."""
+        hist = cls(initial)
+        hist._store += np.asarray(segments, dtype=float).tobytes()
+        hist._ends = [float(t) for t in ends]
+        hist._set_frontier(hist._ends[-1])
+        return hist
+
     def _set_frontier(self, t):
         self.frontier = t
         self._limit = t + 1e-10 * max(1.0, abs(t))
@@ -155,14 +172,12 @@ class History:
         (x, y) sequence."""
         k1x, k1y, _, _, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = K
         self._store += _SEG_STRUCT.pack(
-            t_old, h, y_old[0], y_old[1],
-            k1x,
+            t_old, h, y_old[0], y_old[1], k1x, k1y,
             k1x * _P11 + k3x * _P31 + k4x * _P41 + k5x * _P51 + k6x * _P61 + k7x * _P71,
-            k1x * _P12 + k3x * _P32 + k4x * _P42 + k5x * _P52 + k6x * _P62 + k7x * _P72,
-            k1x * _P13 + k3x * _P33 + k4x * _P43 + k5x * _P53 + k6x * _P63 + k7x * _P73,
-            k1y,
             k1y * _P11 + k3y * _P31 + k4y * _P41 + k5y * _P51 + k6y * _P61 + k7y * _P71,
+            k1x * _P12 + k3x * _P32 + k4x * _P42 + k5x * _P52 + k6x * _P62 + k7x * _P72,
             k1y * _P12 + k3y * _P32 + k4y * _P42 + k5y * _P52 + k6y * _P62 + k7y * _P72,
+            k1x * _P13 + k3x * _P33 + k4x * _P43 + k5x * _P53 + k6x * _P63 + k7x * _P73,
             k1y * _P13 + k3y * _P33 + k4y * _P43 + k5y * _P53 + k6y * _P63 + k7y * _P73)
         t_new = t_old + h
         self._ends.append(t_new)
@@ -207,7 +222,7 @@ class History:
         else:
             i = min(bisect.bisect_left(ends, t, i + 1), len(ends) - 1)
         self._cursor = i
-        t_old, h, y0, y1, a0, a1, a2, a3, b0, b1, b2, b3 = \
+        t_old, h, y0, y1, a0, b0, a1, b1, a2, b2, a3, b3 = \
             _SEG_STRUCT.unpack_from(self._store, _SEG_STRUCT.size * i)
         x = (t - t_old) / h
         hx = h * x
@@ -244,13 +259,12 @@ class History:
             x = (t - seg[:, 0]) / h
             hx = h * x
             for c in (0, 1):
-                q = seg[:, 4 + 4 * c:8 + 4 * c]
-                poly = q[:, 3]
-                for j in (2, 1, 0):
-                    poly = q[:, j] + x * poly
+                poly = seg[:, 10 + c]
+                for j in (8, 6, 4):
+                    poly = seg[:, j + c] + x * poly
                 out[late, c] = seg[:, 2 + c] + hx * poly
             if slope:
-                a0, a1, a2, a3 = seg[:, 4], seg[:, 5], seg[:, 6], seg[:, 7]
+                a0, a1, a2, a3 = seg[:, 4], seg[:, 6], seg[:, 8], seg[:, 10]
                 out[late, 2] = a0 + x * (2 * a1 + x * (3 * a2 + 4 * x * a3))
         return out
 
@@ -780,7 +794,7 @@ def _tail_mean_deviation(t, v, ref, t_first, window=0.25):
 RUN_ATOL, RUN_SAMPLES = 1e-8, 2048
 
 
-def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale, eta_end=400.0,
+def run_perturbed(params: ModelParams, eq: Equilibrium, kick_scale, eta_end=300.0,
                   rtol=1e-7, atol=RUN_ATOL, n_samples=RUN_SAMPLES) -> Trajectory:
     """Transformed-system run from an equilibrium bump of relative size
     kick_scale (negative values kick toward and past zero)."""
@@ -823,12 +837,10 @@ def _run_label(status, t, r, t_first, r_star, kick_scale):
     return "oscillating"
 
 
-# A grid with fewer runs than this runs them one after another: below it the
-# per-step cost of numpy calls on short arrays outweighs what the lanes share
-# (measured in the README's sweep section).
-LANES_FROM = 16
-# Fewer lanes than this go on alone in the scalar loop (lanes._step_lanes;
-# measured in the README).
+# The crossover between the scalar loop and the lanes, measured in the
+# README's sweep section: a grid with fewer runs runs them one after
+# another, and fewer lanes than this go on alone in the scalar loop
+# (lanes._step_lanes).
 HANDOFF_BELOW = 8
 
 # what a cell's failure may raise; the cell reads "error: <message>"
@@ -853,15 +865,15 @@ def classify_dynamics(cells, probe_scales=(0.25, 0.5, 1.0), eta_end=300.0,
     perturbations, marking a stable cell metastable and an oscillating one
     unstable. The ladder stops at the first escape.
 
-    From LANES_FROM runs on, every run of the grid steps at once as a lane
-    (lanes.lane_runs); a lane that does not complete, and every run below
-    that count, is a run_perturbed run.
+    From HANDOFF_BELOW runs on, every run of the grid steps at once as a
+    lane (lanes.lane_runs); a lane that does not complete, and every run
+    below that count, is a run_perturbed run.
     """
     for i, scale in enumerate(probe_scales):
         if not scale > 0:
             raise ValueError("probe_scales[%d] must be > 0, got %r" % (i, float(scale)))
     runs = [(p, eq, -scale) for p, eq in cells for scale in probe_scales]
-    if len(runs) >= LANES_FROM:
+    if len(runs) >= HANDOFF_BELOW:
         from .lanes import lane_runs
         lanes = lane_runs(runs, eta_end, rtol)
     else:

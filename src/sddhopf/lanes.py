@@ -1,7 +1,7 @@
 """The transformed runs of a sweep stepped together, as numpy lanes.
 
 dde.classify_dynamics hands every run of a grid here once the grid has
-dde.LANES_FROM of them. lane_runs follows integrate_transformed's step loop
+dde.HANDOFF_BELOW of them. lane_runs follows integrate_transformed's step loop
 for every run at once: each lane keeps its own t, h and accept or reject,
 so it takes the steps its run_perturbed run takes, and the lanes share one
 round of numpy calls per try. The transformed delay is exactly one eta
@@ -9,17 +9,19 @@ unit, so the five lookup times of a try are known before it starts, and one
 batched history lookup serves all its stages.
 
 A lane keeps no whole history: only the segments its lookups can still
-reach, and r at the sample times the run's label reads. A lane that does
-not complete (its run would stop early or raise) is left to run_perturbed.
-A round costs about as much however few lanes it steps, so the last few
-lanes each go on alone in integrate_transformed's scalar loop, from the
-lane's segments, t, state, first-stage slopes and next step: a
-Dormand-Prince run with FSAL is set by these alone, so it takes the steps
-the lane would have taken.
+reach, packed as History packs them, and r at the sample times the run's
+label reads. A lane that does not complete (its run would stop early or
+raise) is left to run_perturbed. A round costs about as much however few
+lanes it steps, so once fewer than dde.HANDOFF_BELOW are left each goes
+on alone in integrate_transformed's scalar loop, from a History of the
+lane's segments (History.from_segments), its t, state, first-stage slopes
+and next step: a Dormand-Prince run with FSAL is set by these alone, so it
+takes the steps the lane would have taken.
 
-Only dde loads numpy when it is imported (the package's import boundary):
-the functions here import numpy, and dde's Dormand-Prince tableau, when
-they run.
+dde owns the crossover, the segment packing and the Dormand-Prince
+tableau; the lanes read them. Only dde loads numpy when it is imported
+(the package's import boundary): the functions here import numpy, and
+dde's names, when they run.
 """
 
 import math
@@ -34,9 +36,6 @@ from .nonlinearity import HillRepressor, LinearMap
 _PLACES, _WINDOW = 24, 8
 _FLUSH_ROUNDS = 6   # rounds of segments between two sample writes
 _ARRAY_MAPS = (HillRepressor, LinearMap)    # feedback maps that take arrays
-# a pool column's rows in History's packing: t, h, r, xi, r's four
-# interpolant coefficients, then xi's
-_HISTORY_ROWS = [0, 1, 2, 3, 4, 6, 8, 10, 5, 7, 9, 11]
 
 
 def _map_key(m):
@@ -92,38 +91,12 @@ def lane_runs(runs, eta_end, rtol):
     return out
 
 
-def _tableau():
-    """The Dormand-Prince rows the lanes take as arrays: the five distinct
-    stage times of a try as fractions of h (stages 6 and 7 share t + h),
-    the rows over the slopes before each stage, a21..a65 and then b (the
-    last stage's state is x_new), and the rows e and P over the stage
-    slopes k1..k7 (zero entries kept)."""
-    import numpy as np
-
-    from .dde import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
-                      _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2,
-                      _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, _P11, _P12, _P13,
-                      _P31, _P32, _P33, _P41, _P42, _P43, _P51, _P52, _P53, _P61,
-                      _P62, _P63, _P71, _P72, _P73)
-    return (np.array([[_C2], [_C3], [_C4], [_C5], [1.0]]),
-            [np.array(row) for row in ([_A21], [_A31, _A32], [_A41, _A42, _A43],
-                                       [_A51, _A52, _A53, _A54],
-                                       [_A61, _A62, _A63, _A64, _A65],
-                                       [_B1, 0.0, _B3, _B4, _B5, _B6])],
-            np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7]),
-            np.array([[_P11, 0.0, _P31, _P41, _P51, _P61, _P71],
-                      [_P12, 0.0, _P32, _P42, _P52, _P62, _P72],
-                      [_P13, 0.0, _P33, _P43, _P53, _P63, _P73]]))
-
-
 class _SegmentStore:
     """The segments each lane's lookups can still reach, in one pool.
 
-    A pool column is one segment and its end, in the rows t, h, r, xi,
-    k1_r, k1_xi, P1_r, P1_xi, P2_r, P2_xi, P3_r, P3_xi, end: each
-    interpolant coefficient of r next to that of xi, where History packs
-    t, h, r, xi, the four coefficients of r (a0..a3), then those of xi
-    (b0..b3). A lane's segments lie in time order in its own span of the
+    A pool column is one segment in History's packing and then its end:
+    the rows t, h, r, xi, k1_r, k1_xi, P1_r, P1_xi, P2_r, P2_xi, P3_r,
+    P3_xi, end. A lane's segments lie in time order in its own span of the
     pool: from its cursor, the segment its last accepted step's fifth
     lookup found (the one at t_new - 1), to last, its newest. The places
     after them end at +inf, but for a rejected try's column at last + 1,
@@ -236,14 +209,17 @@ def _step_lanes(runs, t_end, rtol):
     """
     import numpy as np
 
-    from .dde import (_MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR, _SAFETY, HANDOFF_BELOW, RUN_ATOL,
-                      RUN_SAMPLES, RunStats)
+    from .dde import (_DP_A, _DP_C, _DP_E, _DP_P, _MAX_FACTOR, _MAX_STEPS, _MIN_FACTOR,
+                      _SAFETY, HANDOFF_BELOW, RUN_ATOL, RUN_SAMPLES, RunStats)
 
     atol, n_samples = RUN_ATOL, RUN_SAMPLES     # run_perturbed's
 
-    c_try, a_rows, e_row, p_rows = _tableau()
-    # the slopes k2..k7: the slopes before each, its row and its lookup time
-    stages = list(zip(range(1, 7), a_rows, (0, 1, 2, 3, 4, 4)))
+    # dde's Dormand-Prince rows as arrays: the five distinct stage times of
+    # a try (stages 6 and 7 share t + h) as a column, and per slope k2..k7
+    # the slopes before it, its row of A (k7's state is x_new) and its
+    # lookup time
+    c_try, e_row, p_rows = np.array(_DP_C)[:, None], np.array(_DP_E), np.array(_DP_P)
+    stages = list(zip(range(1, 7), map(np.array, _DP_A), (0, 1, 2, 3, 4, 4)))
     n = len(runs)
     nl = runs[0][0].nonlinearity
     lane_ids = np.arange(n)
@@ -411,17 +387,14 @@ def _go_on_alone(params, store, i, times, t_end, rtol, state):
     """Lane i's run gone on with in the scalar loop to t_end, from state =
     (t, (r, xi), (r', xi'), h, tries): its RunStats from eta = 0 and r at
     the times, or None when it does not complete. The loop steps on a
-    History of the lane's segments from its cursor on, in History's
-    packing; no lookup reaches before them, so it has no initial data."""
+    History of the lane's segments from its cursor on; no lookup reaches
+    before them, so it has no initial data."""
     from .dde import (CELL_ERRORS, RUN_ATOL, STATUS_COMPLETED, History, InitialHistory,
                       RunStats, integrate_transformed)
 
     lo, hi = int(store.cur[i]), int(store.last[i]) + 1
-    cols = store.data[_HISTORY_ROWS, lo:hi]
-    hist = History(InitialHistory(None, None, float(cols[0, 0]), 1.0))
-    hist._store += cols.T.tobytes()
-    hist._ends = store.end[lo:hi].tolist()
-    hist._set_frontier(hist._ends[-1])
+    hist = History.from_segments(InitialHistory(None, None, float(store.segs[0, lo]), 1.0),
+                                 store.segs[:, lo:hi].T, store.end[lo:hi])
     try:
         traj = integrate_transformed(hist.initial, params, t_end, rtol, RUN_ATOL, times,
                                      start=(hist,) + state)

@@ -353,10 +353,10 @@ def test_single_cell_sweep_agrees_with_direct_classification(tmp_path, capsys):
     assert label == direct == "stable"
 
 
-@pytest.mark.parametrize("lanes_from,runner", [(10**9, "run_perturbed"), (1, "lane_runs")],
+@pytest.mark.parametrize("handoff_below,runner", [(10**9, "run_perturbed"), (1, "lane_runs")],
                          ids=["scalar", "lanes"])
 def test_the_sweeps_t_end_is_its_probe_length(tmp_path, capsys, monkeypatch,
-                                               lanes_from, runner):
+                                               handoff_below, runner):
     # one cell, one probe: it runs to the config's t_end, alone or as a lane
     ends = []
     run, lane_runs = dde.run_perturbed, lanes.lane_runs
@@ -371,7 +371,7 @@ def test_the_sweeps_t_end_is_its_probe_length(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(dde, "run_perturbed", recorded_run)
     monkeypatch.setattr(lanes, "lane_runs", recorded_lanes)
-    monkeypatch.setattr(dde, "LANES_FROM", lanes_from)
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", handoff_below)
     path = write_cfg(tmp_path, {
         "analysis": dict(SWEEP_ANALYSIS, t_end=360.0, probe_scales=[0.5],
                          grid={"eps": [RV.EPS0 - 0.1], "c": [0.01]}),
@@ -380,6 +380,33 @@ def test_the_sweeps_t_end_is_its_probe_length(tmp_path, capsys, monkeypatch,
     assert main(["sweep", "--config", path]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["labels"] == [["stable"]]
     assert ends == [(runner, 360.0)]
+
+
+def test_the_sweep_recipe_reads_the_same_as_lanes_and_one_run_at_a_time(capsys,
+                                                                       monkeypatch):
+    # hes1-sweep.json's 12 runs are past the crossover; with it out of reach
+    # they run one after another, and every format prints the same bytes
+    recipe = str(RECIPES / "hes1-sweep.json")
+    calls = []
+    lane_runs = lanes.lane_runs
+
+    def recorded(*args):
+        calls.append(len(args[0]))
+        return lane_runs(*args)
+
+    def outputs():
+        printed = []
+        for fmt in ("text", "json", "csv"):
+            assert main(["sweep", "--config", recipe, "--format", fmt]) == 0
+            printed.append(capsys.readouterr())
+        return printed
+
+    monkeypatch.setattr(lanes, "lane_runs", recorded)
+    laned = outputs()
+    assert calls == [12] * 3
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", 10**9)
+    assert outputs() == laned
+    assert calls == [12] * 3
 
 
 def test_no_probes_label_cells_from_the_spectrum_alone(tmp_path, capsys, monkeypatch):
@@ -516,7 +543,7 @@ def test_lanes_fall_back_per_run_and_keep_cells_apart(tmp_path, capsys, monkeypa
         rerun.append(kick_scale)
         return run_perturbed(params, eq, kick_scale, *args, **kwargs)
 
-    monkeypatch.setattr(dde, "LANES_FROM", 1)
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", 1)
     monkeypatch.setattr(dde, "run_perturbed", recorded)
     assert main(["sweep", "--config", path]) == 0
     captured = capsys.readouterr()

@@ -1021,11 +1021,45 @@ def test_the_last_lanes_go_on_alone_with_the_same_steps(monkeypatch, grid):
 def test_lane_grid_labels_match_the_scalar_loop(monkeypatch):
     cells = sweep_cells(SEED0_GRID)
     # the seed-0 grid's 36 runs are past the crossover: the lanes label them
-    assert 3 * len(cells) >= dde.LANES_FROM
+    assert 3 * len(cells) >= dde.HANDOFF_BELOW
     lanes_labels = dde.classify_dynamics(cells, **SWEEP_KW)
-    monkeypatch.setattr(dde, "LANES_FROM", 10**9)
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", 10**9)
     assert dde.classify_dynamics(cells, **SWEEP_KW) == lanes_labels \
         == [scalar_cell_label(p, eq, **SWEEP_KW) for p, eq in cells]
+
+
+@pytest.mark.parametrize("below,stepped", [(1, False), (0, True)], ids=["below", "at"])
+def test_a_grid_steps_as_lanes_from_the_handoff_on(monkeypatch, below, stepped):
+    # one crossover: a grid of dde.HANDOFF_BELOW runs or more steps as lanes
+    cells = sweep_cells(SEED0_GRID)[:dde.HANDOFF_BELOW - below]
+    sizes = []
+    step = lanes._step_lanes
+
+    def recorded(runs, *args):
+        sizes.append(len(runs))
+        return step(runs, *args)
+
+    monkeypatch.setattr(lanes, "_step_lanes", recorded)
+    labels = dde.classify_dynamics(cells, **dict(SWEEP_KW, probe_scales=(0.5,)))
+    assert sizes == ([len(cells)] if stepped else [])
+    assert len(labels) == len(cells) and not any(s.startswith("error") for s in labels)
+
+
+def test_a_large_c_lane_keeps_its_runs_label_within_a_few_steps():
+    # The README's large-c contract, on the smallest part of its 5x4 grid
+    # (eps0 +- 0.2, c 0.01 to 1.2) that holds a lane whose steps differ from
+    # its scalar run: the 0.5 probe at eps0 - 0.1 and c = 0.8 crawls through
+    # its kick in about 1100 short steps next to the denominator floor,
+    # where the last-ulp differences of numpy's power and sine from
+    # Python's add up (measured: one rejected step more than the scalar run)
+    p = hes1_params(c=0.8, eps=EPS_LOW)
+    eq = find_equilibrium(p)
+    (t, r, stats), = lanes.lane_runs([(p, eq, -0.5)], SWEEP["t_end"], SWEEP["rtol"])
+    traj = run_perturbed(p, eq, -0.5, SWEEP["t_end"], SWEEP["rtol"])
+    assert dde._run_label("completed", t, r, 0.0, eq.r_star, -0.5) \
+        == classify_run(traj, eq, -0.5) == "decaying"
+    assert abs(stats.steps_accepted - traj.stats.steps_accepted) <= 4
+    assert abs(stats.steps_rejected - traj.stats.steps_rejected) <= 4
 
 
 def test_cells_next_to_eps0_take_the_local_regime_from_the_spectrum():
@@ -1074,7 +1108,7 @@ def test_the_lanes_hold_under_a_megabyte():
     import tracemalloc
 
     cells = sweep_cells(SEED0_GRID)
-    assert 3 * len(cells) >= dde.LANES_FROM
+    assert 3 * len(cells) >= dde.HANDOFF_BELOW
     tracemalloc.start()
     try:
         labels = dde.classify_dynamics(cells, **SWEEP_KW)
@@ -1085,8 +1119,8 @@ def test_the_lanes_hold_under_a_megabyte():
     assert peak <= 1.0e6
 
 
-@pytest.mark.parametrize("lanes_from", [1, 10**9], ids=["lanes", "scalar"])
-def test_a_run_that_raises_marks_only_its_cell(monkeypatch, lanes_from):
+@pytest.mark.parametrize("handoff_below", [1, 10**9], ids=["lanes", "scalar"])
+def test_a_run_that_raises_marks_only_its_cell(monkeypatch, handoff_below):
     # each cell's 1.45 probe escapes, so under lanes too it runs again
     # through run_perturbed, which raises for the second cell
     kw = dict(probe_scales=(0.5, 1.45), eta_end=300.0, rtol=1e-7)
@@ -1101,5 +1135,5 @@ def test_a_run_that_raises_marks_only_its_cell(monkeypatch, lanes_from):
         return run(params, *args, **kwargs)
 
     monkeypatch.setattr(dde, "run_perturbed", failing)
-    monkeypatch.setattr(dde, "LANES_FROM", lanes_from)
+    monkeypatch.setattr(dde, "HANDOFF_BELOW", handoff_below)
     assert dde.classify_dynamics(cells, **kw) == expected

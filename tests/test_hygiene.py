@@ -2,9 +2,10 @@
 the integrator module loads numpy when it is imported, no package
 module uses dataclasses (its records are NamedTuples), the sweep's
 lanes call none of numpy's Python-level wrappers, tests/refvals.py
-imports nothing, so no pin in it can be computed by the package, and
+imports nothing, so no pin in it can be computed by the package,
 every name the package exports is read by package code or named in the
-README, so no second route kept only for the tests is exported.
+README, so no second route kept only for the tests is exported, and no
+module but dde reads History's private state.
 
 No linter ships with the project, so these are plain `ast` scans over
 src/ and tests/. For unused imports, package `__init__.py` files are
@@ -210,6 +211,42 @@ def test_the_scan_flags_only_numpy_wrapper_uses():
 def test_the_lanes_call_no_numpy_wrapper():
     found = numpy_wrapper_uses((ROOT / "src" / "sddhopf" / "lanes.py").read_text())
     assert not found, "numpy wrappers in the lanes: %s" % ", ".join(
+        "%s (line %d)" % (name, line) for line, name in found)
+
+
+# History's private state: dde owns its packing and lookups, and every
+# other module builds one through its constructors
+HISTORY_PRIVATE = frozenset(("_store", "_ends", "_cursor", "_limit", "_set_frontier"))
+
+
+def history_private_reads(source):
+    """(line, name) of each attribute access to one of HISTORY_PRIVATE, on
+    any object, and of each getattr, setattr or delattr naming one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in HISTORY_PRIVATE:
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "delattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in HISTORY_PRIVATE):
+            found.append((node.lineno, node.args[1].value))
+    return sorted(found)
+
+
+def test_the_scan_flags_only_history_private_reads():
+    source = ("h = History(init)\nn = len(h._ends)\nh._store += b''\n"
+              "h._set_frontier(1.0)\nx = getattr(h, '_cursor')\n"
+              "setattr(h, '_limit', 2.0)\ny = h.frontier, h.ends, store.end\n"
+              "z = getattr(h, 'initial'), self._stores, {'_ends': 1}\n")
+    assert history_private_reads(source) == [
+        (2, "_ends"), (3, "_store"), (4, "_set_frontier"), (5, "_cursor"), (6, "_limit")]
+
+
+@pytest.mark.parametrize("path", ANALYSIS_MODULES, ids=lambda p: p.name)
+def test_only_dde_reads_history_private_state(path):
+    found = history_private_reads(path.read_text())
+    assert not found, "History private state read: %s" % ", ".join(
         "%s (line %d)" % (name, line) for line, name in found)
 
 

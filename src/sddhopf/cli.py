@@ -343,12 +343,12 @@ def cmd_normal_form(cfg: RunConfig):
     return _emit_report(payload, "\n".join(lines) + "\n", "normal-form", cfg)
 
 
-def _trajectory_csv(traj) -> str:
-    import numpy as np
+def _trajectory_csv(columns, rows) -> str:
+    """The CSV of a trajectory: the header, then the (n, len(columns))
+    float array rows, every field "%.17g" % v."""
+    from .fixedcsv import csv_lines
 
-    rows = np.column_stack([traj.t, traj.states, traj.delay])
-    return (",".join(traj.columns) + "\n"
-            + "%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
+    return ",".join(columns) + "\n" + csv_lines(rows)
 
 
 def _run_simulation(cfg: RunConfig):
@@ -415,12 +415,13 @@ def cmd_simulate(cfg: RunConfig):
     summary = _summary_dict(traj, cfg)
     text = _summary_text(traj, summary)
     # rows stay an array: only the JSON writer turns them into lists
+    rows = np.column_stack([traj.t, traj.states, traj.delay])
     payload = {"status": traj.status, "summary": summary,
                "monitors": traj.monitors, "stats": traj.stats._asdict(),
                "events": traj.events[:50],
-               "columns": list(traj.columns),
-               "rows": np.column_stack([traj.t, traj.states, traj.delay])}
-    _emit_report(payload, text, "simulate", cfg, csv=lambda: _trajectory_csv(traj))
+               "columns": list(traj.columns), "rows": rows}
+    _emit_report(payload, text, "simulate", cfg,
+                 csv=lambda: _trajectory_csv(traj.columns, rows))
     if cfg.output.get("format") == "csv":
         sys.stderr.write(text)
     if traj.status != dde.STATUS_COMPLETED:

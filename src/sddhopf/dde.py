@@ -237,36 +237,72 @@ class History:
         """States at the times ts as an (n, 2) array, or (n, 3) with the
         slope x' as the last column; equal bit for bit to eval at each
         time."""
-        ts = np.asarray(ts, dtype=float)
+        ts, early, seg, x, hx = self._lookup(ts)
         out = np.empty((len(ts), 3 if slope else 2))
-        if not len(ts):
-            return out
-        if ts.max() > self._limit:
+        for k in np.flatnonzero(early):
+            out[k] = self._initial_at(float(ts[k]), slope)
+        if seg is not None:
+            late = ~early
+            for c in (0, 1):
+                out[late, c] = _poly(seg, c, x, hx)
+            if slope:
+                out[late, 2] = _poly_slope(seg, x)
+        return out
+
+    def _r_many(self, ts, slope=False):
+        """The first component x at the times ts, and with slope the pair
+        (x, x'): eval_many's columns 0 and 2 bit for bit, from the five
+        segment columns they read."""
+        ts, early, seg, x, hx = self._lookup(ts)
+        r = np.empty(len(ts))
+        dr = np.empty(len(ts)) if slope else None
+        for k in np.flatnonzero(early):
+            got = self._initial_at(float(ts[k]), slope)
+            r[k] = got[0]
+            if slope:
+                dr[k] = got[2]
+        if seg is not None:
+            late = ~early
+            r[late] = _poly(seg, 0, x, hx)
+            if slope:
+                dr[late] = _poly_slope(seg, x)
+        return (r, dr) if slope else r
+
+    def _lookup(self, ts):
+        """The split eval_many evaluates the times ts by: ts as an array, a
+        mask of those on the initial data, and for the rest the rows of
+        their segments with x = (t - t_old) / h and h x (None when no
+        segment is stored)."""
+        ts = np.asarray(ts, dtype=float)
+        if len(ts) and ts.max() > self._limit:
             raise HistoryTooShort("t = %r lies past the history's frontier %r"
                                   % (float(ts.max()), self.frontier))
         n = len(self._ends)
-        early = ts <= self.t0 if n else np.ones(len(ts), dtype=bool)
-        for k in np.flatnonzero(early):
-            out[k] = self._initial_at(float(ts[k]), slope)
-        if n:
-            late = ~early
-            t = ts[late]
-            segs = np.frombuffer(self._store, dtype=float).reshape(n, _SEG)
-            ends = segs[:, 0] + segs[:, 1]      # the same sums as self._ends
-            seg = segs[np.minimum(np.searchsorted(ends, t), n - 1)]
-            del segs                            # a live view would block appends
-            h = seg[:, 1]
-            x = (t - seg[:, 0]) / h
-            hx = h * x
-            for c in (0, 1):
-                poly = seg[:, 10 + c]
-                for j in (8, 6, 4):
-                    poly = seg[:, j + c] + x * poly
-                out[late, c] = seg[:, 2 + c] + hx * poly
-            if slope:
-                a0, a1, a2, a3 = seg[:, 4], seg[:, 6], seg[:, 8], seg[:, 10]
-                out[late, 2] = a0 + x * (2 * a1 + x * (3 * a2 + 4 * x * a3))
-        return out
+        if not n or not len(ts):
+            return ts, np.ones(len(ts), dtype=bool), None, None, None
+        early = ts <= self.t0
+        t = ts[~early]
+        segs = np.frombuffer(self._store, dtype=float).reshape(n, _SEG)
+        ends = segs[:, 0] + segs[:, 1]      # the same sums as self._ends
+        seg = segs[np.minimum(np.searchsorted(ends, t), n - 1)]
+        del segs                            # a live view would block appends
+        h = seg[:, 1]
+        x = (t - seg[:, 0]) / h
+        return ts, early, seg, x, h * x
+
+
+def _poly(seg, c, x, hx):
+    """Component c on the segment rows seg at x, as History.eval has it."""
+    poly = seg[:, 10 + c]
+    for j in (8, 6, 4):
+        poly = seg[:, j + c] + x * poly
+    return seg[:, 2 + c] + hx * poly
+
+
+def _poly_slope(seg, x):
+    """x' on the segment rows seg at x, as History.eval has it."""
+    a0, a1, a2, a3 = seg[:, 4], seg[:, 6], seg[:, 8], seg[:, 10]
+    return a0 + x * (2 * a1 + x * (3 * a2 + 4 * x * a3))
 
 
 # -- threshold-delay solve ------------------------------------------------------
@@ -579,7 +615,7 @@ def _sample_times(sample_times, first, reached):
 
 def _delays(hist: History, etas, r, params: ModelParams):
     """k(eta) = eps + c (r(eta) - r(eta - 1)), which is also tau at t(eta)."""
-    return params.eps + params.c * (r - hist.eval_many(etas - 1.0)[:, 0])
+    return params.eps + params.c * (r - hist._r_many(etas - 1.0))
 
 
 def _eta_history(history: InitialHistory, params: ModelParams) -> InitialHistory:
@@ -641,38 +677,39 @@ def integrate_sdd(history: InitialHistory, tau0, params: ModelParams, t_end,
 
     # eta at every sample: Newton on the rising t(eta) = t, bisecting the
     # bracket of the points tried where a step leaves it; it ends one step
-    # after the first that moves no eta by more than 1e-8 relative
+    # after the first that moves no eta by more than 1e-8 relative. Only r
+    # and r' enter it; xi is read once, at the last eta r was read at
     r0 = mapped.value(0.0)[0]
     dt = ts - t0
     lo, hi = np.full(len(ts), -np.inf), np.full(len(ts), hist.frontier)
     eta = np.minimum(dt / eps, hi)
     done = False
     for _ in range(100):
-        rows = hist.eval_many(eta, slope=True)
-        resid = eps * eta + c * (rows[:, 0] - r0) - dt
+        r, dr = hist._r_many(eta, slope=True)
+        at = eta
+        resid = eps * eta + c * (r - r0) - dt
         if done:
             break
         lo = np.where(resid < 0.0, eta, lo)
         hi = np.where(resid > 0.0, eta, hi)
-        new = eta - resid / (eps + c * rows[:, 2])
+        new = eta - resid / (eps + c * dr)
         new = np.where((new > lo) & (new < hi) | (new == eta), new, 0.5 * (lo + hi))
         done = not np.any(np.abs(new - eta) > 1e-8 * (1.0 + np.abs(eta)))
         eta = new
 
     ends = np.array(hist._ends)
-    at_ends = hist.eval_many(ends, slope=True)
+    r_ends, dr_ends = hist._r_many(ends, slope=True)
     f_map = params.nonlinearity.f
     monitors = {
         "min_x": loop["min_r"], "min_y": loop["min_xi"],
-        "min_tau": float(np.min(_delays(hist, ends, at_ends[:, 0], params),
+        "min_tau": float(np.min(_delays(hist, ends, r_ends, params),
                                 initial=math.inf)),
-        "max_dx": float(np.max(at_ends[:, 2] / (eps + c * at_ends[:, 2]),
-                               initial=-math.inf)),
+        "max_dx": float(np.max(dr_ends / (eps + c * dr_ends), initial=-math.inf)),
         "dx_bound": min((1.0 - DENOMINATOR_FLOOR) / c if c > 0 else math.inf,
                         f_map.value(0.0) if f_map.value(0.0) > 0 else math.inf),
         "max_threshold_residual": float(np.max(np.abs(resid), initial=0.0))}
-    return Trajectory(kind="original", t=ts, states=rows[:, :2].copy(),
-                      delay=_delays(hist, eta, rows[:, 0], params), status=status,
+    return Trajectory(kind="original", t=ts, states=hist.eval_many(at),
+                      delay=_delays(hist, eta, r, params), status=status,
                       events=events, monitors=monitors, history=hist,
                       t_final=t_final, stats=stats)
 

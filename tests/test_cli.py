@@ -3,19 +3,22 @@ import copy
 import csv
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refvals as RV
 from oracles import scalar_cell_label
 from sddhopf import (DENOMINATOR_FLOOR, CharParams, char_eval, classify_dynamics,
                      find_equilibrium, hes1_params)
 from sddhopf import cli, dde, lanes, model, roots
-from sddhopf.cli import (_SCHEMA, _build_parser, _jsonable, _trajectory_csv, load_config,
-                         main)
+from sddhopf.cli import (_SCHEMA, _build_parser, _jsonable, _run_simulation,
+                         _trajectory_csv, load_config, main)
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -247,14 +250,79 @@ def per_row_csv(traj):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n_samples", [300, 0])
-def test_trajectory_csv_matches_the_per_row_formatter(eq_state, n_samples):
+def _sampled_run(eq_state, n_samples):
     p = hes1_params(c=0.01, eps=RV.EPS0 - 0.1)
     hist = dde.bump_history(eq_state, 0.05 * eq_state, span=p.eps)
     traj = dde.integrate_sdd(hist, p.eps, p, t_end=40.0,
                              sample_times=np.linspace(0.0, 40.0, n_samples))
     assert len(traj.t) == n_samples
-    assert _trajectory_csv(traj) == per_row_csv(traj)
+    return traj
+
+
+def _transformed_run(eq_state):
+    p = hes1_params(c=0.01, eps=RV.EPS0 + 0.1)
+    hist = dde.bump_history(eq_state, 0.05 * eq_state, span=1.0)
+    return dde.integrate_transformed(hist, p, 60.0, sample_times=np.linspace(0.0, 60.0, 500))
+
+
+def _escape_run(eq_state):
+    # the escape recipe's run ends early, and drives xi negative
+    _, _, traj = _run_simulation(load_config(str(RECIPES / "hes1-subcritical-escape.json")))
+    assert traj.status != dde.STATUS_COMPLETED
+    assert traj.monitors["min_xi"] < 0
+    return traj
+
+
+def _run_past_fixed_notation(eq_state):
+    # one field below 1e-4 prints in exponent form, so % formats every row
+    traj = _sampled_run(eq_state, 50)
+    traj.states[3, 0] = 3e-7
+    traj.delay[7] = -np.inf
+    return traj
+
+
+@pytest.mark.parametrize("run", [lambda eq: _sampled_run(eq, 300), lambda eq: _sampled_run(eq, 0),
+                                 _transformed_run, _escape_run, _run_past_fixed_notation],
+                         ids=["300", "0", "transformed", "escape", "fallback"])
+def test_trajectory_csv_matches_the_per_row_formatter(eq_state, run):
+    traj = run(eq_state)
+    rows = np.column_stack([traj.t, traj.states, traj.delay])
+    assert _trajectory_csv(traj.columns, rows) == per_row_csv(traj)
+
+
+FIXED_EDGES = [0.0, -0.0, 1e-4, -1e-4, 1e17, 99999999999999984.0, 9.9999999999999e-5,
+               0.00099999999999999999, 0.1, 0.30000000000000004, 1200.0, 5e-324,
+               float("inf"), float("-inf"), float("nan")]
+FIXED_EDGES += [s * math.nextafter(10.0 ** e, d) for e in range(-5, 18)
+                for d in (0.0, math.inf) for s in (1, -1)]
+FIXED_EDGES += [(1 - j * 1.1e-17) * 10.0 ** e for e in range(-4, 17) for j in (1, 3, 20)]
+
+
+def _one_field(v):
+    return _trajectory_csv(("v",), np.array([[v]]))
+
+
+@pytest.mark.parametrize("v", FIXED_EDGES)
+def test_the_csv_writer_prints_each_edge_value_as_percent_17g(v):
+    assert _one_field(v) == "v\n%.17g\n" % v
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_the_csv_writer_prints_any_float_as_percent_17g(v):
+    assert _one_field(v) == "v\n%.17g\n" % v
+
+
+FIXED = st.floats(min_value=1e-4, max_value=1e17, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.just(0.0) | FIXED | FIXED.map(lambda v: -v), min_size=1, max_size=40))
+def test_the_csv_writer_prints_rows_of_many_exponents_as_percent_17g(values):
+    # fields of one block differ in exponent and sign, so each is cut from
+    # its own place in the block's common width
+    rows = np.array(values)[:, None]
+    assert _trajectory_csv(("v",), rows) == "v\n" + "".join("%.17g\n" % v for v in values)
 
 
 def test_simulate_original_system_columns(tmp_path):

@@ -419,6 +419,16 @@ def test_slope_lookup_keeps_the_state_bit_for_bit(dense_history):
     assert np.array_equal(dense_history.eval_many(ts, slope=True), with_slope)
 
 
+def test_the_r_only_lookup_is_eval_manys_r_and_slope_bit_for_bit(dense_history):
+    # integrate_sdd's sample Newton, delay column and monitors read only these
+    ts = _lookup_times(dense_history)
+    full = dense_history.eval_many(ts, slope=True)
+    r, dr = dense_history._r_many(ts, slope=True)
+    assert np.array_equal(r, full[:, 0]) and np.array_equal(dr, full[:, 2])
+    assert np.array_equal(dense_history._r_many(ts), full[:, 0])
+    assert dense_history._r_many([]).shape == (0,)
+
+
 def test_slope_matches_a_central_difference(dense_history):
     ends = np.array(dense_history._ends)
     starts = np.r_[dense_history.t0, ends[:-1]]
@@ -1060,6 +1070,30 @@ def test_a_large_c_lane_keeps_its_runs_label_within_a_few_steps():
         == classify_run(traj, eq, -0.5) == "decaying"
     assert abs(stats.steps_accepted - traj.stats.steps_accepted) <= 4
     assert abs(stats.steps_rejected - traj.stats.steps_rejected) <= 4
+
+
+def test_every_lane_of_the_large_c_grid_keeps_its_runs_label_within_a_few_steps():
+    # The README's large-c contract on its whole 5x4 grid, stepped as one set
+    # of 60 lanes: a lane completes exactly where its scalar run does, and
+    # then takes that run's label within 3 accepted and 9 rejected steps
+    # (measured: 8 lanes off, by at most 3 and 9; 18 runs breach the floor)
+    grid = {"eps": [RV.EPS0 + d for d in (-0.2, -0.1, 0.0, 0.1, 0.2)],
+            "c": [0.01, 0.3, 0.8, 1.2]}
+    runs = sweep_runs(grid)
+    done = lanes.lane_runs(runs, SWEEP["t_end"], SWEEP["rtol"])
+    off = 0
+    for (p, eq, kick), lane in zip(runs, done):
+        traj = run_perturbed(p, eq, kick, SWEEP["t_end"], SWEEP["rtol"])
+        assert (lane is not None) == (traj.status == "completed")
+        if lane is None:
+            continue
+        t, r, stats = lane
+        assert dde._run_label("completed", t, r, 0.0, eq.r_star, kick) \
+            == classify_run(traj, eq, kick)
+        assert abs(stats.steps_accepted - traj.stats.steps_accepted) <= 3
+        assert abs(stats.steps_rejected - traj.stats.steps_rejected) <= 9
+        off += stats != traj.stats
+    assert off > 0      # the grid still holds lanes that drift
 
 
 def test_cells_next_to_eps0_take_the_local_regime_from_the_spectrum():
